@@ -145,15 +145,14 @@ class TruncatedNormal:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
-    def expected_excess(self, q: float) -> float:
-        """E[(D - q)^+], the expected demand above a supply level q."""
-        if q >= self.upper:
-            return 0.0
-        if q <= self.lower:
-            return self.mean - q
+    def expected_excess(self, q):
+        """E[(D - q)^+], the expected demand above a supply level q (scalar or array)."""
+        q = np.asarray(q, dtype=float)
         t = (q - self.mu) / self.sigma
-        tail = float(_norm_cdf(self._b) - _norm_cdf(t))
-        return ((self.mu - q) * tail + self.sigma * float(_norm_pdf(t) - _norm_pdf(self._b))) / self._mass
+        tail = _norm_cdf(self._b) - _norm_cdf(t)
+        inside = ((self.mu - q) * tail + self.sigma * (_norm_pdf(t) - _norm_pdf(self._b))) / self._mass
+        out = np.where(q >= self.upper, 0.0, np.where(q <= self.lower, self.mean - q, inside))
+        return float(out) if out.ndim == 0 else out
 
     def expected_min(self, q: float) -> float:
         """E[min(q, D)], the expected quantity served when q units are on hand."""

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import betainc, gammaln, log_ndtr, ndtr
 
 from .errors import (
@@ -240,6 +239,10 @@ def _log_interval_mass(a_std: float, b_std: float) -> float:
 def _fit_truncated_normal(
     x: np.ndarray, fixed_bounds: tuple[float, float] | None
 ) -> FitReport:
+    # scipy.optimize costs more to import than the rest of the package; only
+    # fitting needs it, so it loads here rather than with procurekit.
+    from scipy.optimize import brentq, minimize_scalar
+
     notes: list[str] = []
     if fixed_bounds is None:
         lower, upper = float(x[0]), float(x[-1])
@@ -398,6 +401,8 @@ def _fit_pareto(x: np.ndarray) -> FitReport:
 
 
 def _fit_negative_binomial(x: np.ndarray) -> FitReport:
+    from scipy.optimize import minimize_scalar
+
     counts = np.rint(x).astype(np.int64)
     if counts[0] < 0:
         raise ValidationError("negative-binomial requires nonnegative counts after rounding")

@@ -3,12 +3,11 @@
 The problem separates cleanly. Given alpha, every supplier's unit cost is
 fixed and the order side is a classic newsvendor: put everything on the
 cheapest supplier and order up to the critical fractile
-(price + penalty - cost) / (price + penalty - salvage). That makes the outer
-problem one-dimensional in alpha, which is scanned on a coarse grid, refined
-by golden-section search, and finally polished by bisecting the closed-form
-envelope derivative a1 * Q*(alpha) - adoption_cost_slope(alpha). The polish
-matters: near the optimum the adoption cost curvature is steep enough that
-golden section at its own tolerance leaves a visible stationarity residual.
+(price + penalty - cost) / (price + penalty - salvage). Since a1 * alpha
+lowers every cost by the same amount, the cheapest supplier does not depend
+on alpha, and the outer problem is one curve in alpha. It is evaluated on a
+grid as one array program, and the grid argmax is then polished by a root-find
+on the closed-form envelope derivative a1 * Q*(alpha) - adoption_cost_slope(alpha).
 
 KKT residuals are computed from closed-form probabilities and reported with
 the multipliers, so a caller can audit any decision, optimal or not.
@@ -17,7 +16,6 @@ the multipliers, so a caller can audit any decision, optimal or not.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +24,9 @@ import numpy as np
 from .demand import TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile, cheapest_supplier
 from .errors import DegenerateEconomicsError, ThresholdNotFoundError, ValidationError
-from .profit import Decision, ProfitBreakdown, expected_profit_closed_form, expected_profit_value
+from .profit import (
+    Decision, ProfitBreakdown, expected_profit_closed_form, expected_profit_value, expected_sales_terms
+)
 
 __all__ = [
     "KKTReport",
@@ -38,9 +38,11 @@ __all__ = [
     "adoption_threshold",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_ALPHA_TOL = 1e-6
 _ACTIVE_TOL = 1e-9
+# Multisection of the envelope slope: 32 cells per round; 2**-1074 is reached
+# from a bracket of width 1 within 215 rounds.
+_SECTIONS = 32
+_MAX_ROUNDS = 215
 
 
 @dataclass(frozen=True)
@@ -116,63 +118,27 @@ def optimal_quantity_given_alpha(
     return Decision(alpha=alpha, quantities=tuple(quantities))
 
 
-def _envelope(
-    market: MarketEconomics, suppliers: Sequence[SupplierProfile], demand: TruncatedNormal
-) -> Callable[[float], float]:
-    def value(alpha: float) -> float:
-        dec = optimal_quantity_given_alpha(market, suppliers, demand, alpha)
-        return expected_profit_value(market, suppliers, demand, dec)
+def _slope_root(slope: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """Root of the envelope slope inside [lo, hi], or the binding endpoint.
 
-    return value
-
-
-def _envelope_slope(
-    market: MarketEconomics, suppliers: Sequence[SupplierProfile], demand: TruncatedNormal, alpha: float
-) -> float:
-    # Envelope theorem: d/d alpha of max_q profit = a1 * Q*(alpha) - psi'(alpha).
-    dec = optimal_quantity_given_alpha(market, suppliers, demand, alpha)
-    return market.a1 * dec.total - market.adoption_cost_slope(alpha)
-
-
-def _golden_section(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
-
-
-def _stationary_alpha(
-    market: MarketEconomics,
-    suppliers: Sequence[SupplierProfile],
-    demand: TruncatedNormal,
-    lo: float,
-    hi: float,
-) -> float:
-    """Root of the envelope slope inside [lo, hi], or the binding endpoint."""
-    slope_lo = _envelope_slope(market, suppliers, demand, lo)
-    slope_hi = _envelope_slope(market, suppliers, demand, hi)
-    if slope_lo <= 0.0:
+    Multisection: each round evaluates the slope at _SECTIONS + 1 evenly
+    spaced points and keeps the first cell where it turns nonpositive, so the
+    bracket shrinks 32-fold per round until its ends are adjacent floats.
+    """
+    xs = np.linspace(lo, hi, _SECTIONS + 1)
+    s = slope(xs)
+    if s[0] <= 0.0:
         # Slope already nonpositive at the left edge: profit falls on [lo, hi].
         return lo
-    if slope_hi >= 0.0:
+    if s[-1] >= 0.0:
         return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+    for _ in range(_MAX_ROUNDS):
+        k = 1 + int(np.argmax(~(s[1:] > 0.0)))
+        lo, hi = float(xs[k - 1]), float(xs[k])
+        if np.nextafter(lo, hi) >= hi:
             break
-        if _envelope_slope(market, suppliers, demand, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        xs = np.linspace(lo, hi, _SECTIONS + 1)
+        s = slope(xs)
     return 0.5 * (lo + hi)
 
 
@@ -185,34 +151,54 @@ def optimize(
 ) -> Optimum:
     """Maximize expected profit over alpha in [0, 1] and the order vector.
 
-    Coarse grid scan at grid_step, then (when refine is set) golden-section
-    refinement of the bracketing interval followed by a stationarity polish
-    that bisects the closed-form envelope derivative. The returned alpha is
-    stored at full precision; display layers round it.
+    The whole alpha grid at grid_step is evaluated as one array program and
+    its argmax taken. When refine is set, the envelope slope
+    a1 * Q*(alpha) - adoption_cost_slope(alpha) is then root-found within one
+    grid step of that argmax, and the root is kept unless the grid point
+    earns strictly more. The returned alpha is stored at full precision;
+    display layers round it.
     """
     if not 0.0 < grid_step <= 0.5:
         raise ValidationError(f"grid_step must lie in (0, 0.5], got {grid_step!r}")
 
-    value = _envelope(market, suppliers, demand)
     steps = int(round(1.0 / grid_step))
     grid = np.linspace(0.0, 1.0, steps + 1) if abs(steps * grid_step - 1.0) < 1e-12 else np.append(
         np.arange(0.0, 1.0, grid_step), 1.0
     )
-    values = [value(float(a)) for a in grid]
-    best_idx = int(np.argmax(values))
-    alpha_best = float(grid[best_idx])
+    # a1 * alpha lowers every cost alike, so the cheapest supplier at alpha = 0
+    # stays cheapest on the whole grid.
+    idx, _ = cheapest_supplier(market, suppliers, 0.0)
+    winner = suppliers[idx]
+    margin = market.price + market.penalty
+
+    def cost_and_order(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cost = winner.base_cost - market.a1 * alphas - market.a2 * winner.beta
+        fractile = (margin - cost) / (margin - market.salvage)
+        return cost, demand.quantile(np.clip(fractile, 0.0, 1.0))
+
+    cost, q = cost_and_order(grid)
+    bad = (cost <= 0.0) | (cost < market.salvage) | ~(q >= 0.0)
+    if bad.any():
+        # Raise the error the scalar inner solve gives at the first bad alpha.
+        optimal_quantity_given_alpha(market, suppliers, demand, float(grid[int(np.argmax(bad))]))
+    revenue, salvage, penalty, _ = expected_sales_terms(market, demand, q)
+    values = revenue + salvage - penalty - cost * q - market.a3 * grid**market.nu
+    alpha_best = float(grid[int(np.argmax(values))])
+    decision = optimal_quantity_given_alpha(market, suppliers, demand, alpha_best)
 
     if refine:
-        lo = max(0.0, alpha_best - grid_step)
-        hi = min(1.0, alpha_best + grid_step)
-        candidates = [
-            alpha_best,
-            _golden_section(value, lo, hi, _ALPHA_TOL),
-            _stationary_alpha(market, suppliers, demand, lo, hi),
-        ]
-        alpha_best = max(candidates, key=value)
 
-    decision = optimal_quantity_given_alpha(market, suppliers, demand, alpha_best)
+        def slope(alphas: np.ndarray) -> np.ndarray:
+            return market.a1 * cost_and_order(alphas)[1] - market.a3 * market.nu * alphas ** (market.nu - 1.0)
+
+        root = _slope_root(slope, max(0.0, alpha_best - grid_step), min(1.0, alpha_best + grid_step))
+        at_root = optimal_quantity_given_alpha(market, suppliers, demand, root)
+        # On a tie the root wins: it is the point whose KKT audit closes.
+        if expected_profit_value(market, suppliers, demand, at_root) >= expected_profit_value(
+            market, suppliers, demand, decision
+        ):
+            decision = at_root
+
     return Optimum(
         decision=decision,
         breakdown=expected_profit_closed_form(market, suppliers, demand, decision),

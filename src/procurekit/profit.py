@@ -27,6 +27,7 @@ __all__ = [
     "FillRateSummary",
     "expected_profit_closed_form",
     "expected_profit_value",
+    "expected_sales_terms",
     "expected_profit_monte_carlo",
     "breakdown_from_draws",
     "fill_rate_distribution",
@@ -145,18 +146,21 @@ def _closed_form_cvar10(demand: TruncatedNormal, q: float) -> float:
     return 10.0 * (full + q * _mean_inverse(demand, q, demand.upper))
 
 
+def expected_sales_terms(market: MarketEconomics, demand: TruncatedNormal, q_total):
+    """Expected revenue, salvage, penalty and shortfall E[(D - q)^+] of a total
+    order (scalar or array); procurement and adoption costs are the caller's."""
+    excess = demand.expected_excess(q_total)
+    served = demand.mean - excess
+    return market.price * served, market.salvage * (q_total - served), market.penalty * excess, excess
+
+
 def _closed_form_components(
     market: MarketEconomics,
     suppliers: Sequence[SupplierProfile],
     demand: TruncatedNormal,
     decision: Decision,
 ) -> tuple[float, float, float, float, float, float]:
-    q_total = decision.total
-    excess = demand.expected_excess(q_total)
-    served = demand.mean - excess
-    revenue = market.price * served
-    salvage = market.salvage * (q_total - served)
-    penalty = market.penalty * excess
+    revenue, salvage, penalty, excess = expected_sales_terms(market, demand, decision.total)
     procurement = _procurement_cost(market, suppliers, decision)
     adoption = market.adoption_cost(decision.alpha)
     return revenue, salvage, penalty, procurement, adoption, excess

@@ -179,3 +179,20 @@ class TestPartialExpectations:
     def test_frozen_baseline_excess(self):
         # Reference value computed by quadrature during development.
         assert BASELINE.expected_excess(51.6) == pytest.approx(2.3541025251, abs=1e-8)
+
+    @pytest.mark.parametrize("dist", CASES)
+    def test_excess_array_matches_scalar(self, dist):
+        # Below the support, at each edge, inside, and above it.
+        qs = np.array(
+            [dist.lower - 5.0, dist.lower, 0.5 * (dist.lower + dist.upper), dist.mean, dist.upper, dist.upper + 5.0]
+        )
+        out = dist.expected_excess(qs)
+        assert isinstance(out, np.ndarray) and out.shape == qs.shape
+        for q, value in zip(qs, out):
+            scalar = dist.expected_excess(float(q))
+            assert type(scalar) is float
+            assert value == scalar
+        assert out[0] == pytest.approx(dist.mean - qs[0], abs=1e-12)
+        assert out[1] == pytest.approx(dist.mean - dist.lower, abs=1e-12)
+        assert out[2] == pytest.approx(excess_by_quadrature(dist, float(qs[2])), abs=1e-9)
+        assert out[4] == 0.0 and out[5] == 0.0

@@ -5,9 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from procurekit.economics import SupplierProfile
+from procurekit.demand import TruncatedNormal
+from procurekit.economics import MarketEconomics, SupplierProfile
 from procurekit.errors import (
     DegenerateEconomicsError,
+    NegativeUnitCostError,
+    ProcureKitError,
     ThresholdNotFoundError,
     ValidationError,
 )
@@ -177,6 +180,79 @@ class TestOptimize:
     def test_rejects_bad_grid_step(self):
         with pytest.raises(ValidationError, match="grid_step"):
             optimize(MARKET, SUPPLIERS, DEMAND, grid_step=0.0)
+
+    def test_never_below_scalar_envelope_grid(self):
+        rng = np.random.default_rng(77)
+        for _ in range(50):
+            market, suppliers, demand = random_problem(rng)
+            opt = optimize(market, suppliers, demand)
+            best = max(
+                expected_profit_value(
+                    market, suppliers, demand, optimal_quantity_given_alpha(market, suppliers, demand, float(a))
+                )
+                for a in np.linspace(0.0, 1.0, 101)
+            )
+            assert opt.breakdown.expected_profit >= best - 1e-9 * abs(best)
+
+    def test_root_near_zero_alpha_closes_kkt(self):
+        # nu near 1 puts the stationary alpha so close to 0 that its profit
+        # ties with alpha = 0 in floating point; the root must still win.
+        market = MarketEconomics(
+            price=134.41766394177483,
+            salvage=15.637033911949509,
+            penalty=34.0195580097613,
+            a1=9.548844373424885,
+            a2=9.517898681530808,
+            a3=10170.077959332555,
+            nu=1.103946878551205,
+        )
+        suppliers = (
+            SupplierProfile(id=2, base_cost=111.01900758582704, beta=0.5190742475922417),
+            SupplierProfile(id=1, base_cost=97.26994640448578, beta=0.9436402415556489),
+        )
+        demand = TruncatedNormal(mu=70.70238244603455, sigma=20.470415102073908, lower=1.0, upper=33.061060918808)
+        opt = optimize(market, suppliers, demand)
+        at_zero = optimal_quantity_given_alpha(market, suppliers, demand, 0.0)
+        assert opt.kkt.max_residual <= 1e-4
+        assert opt.breakdown.expected_profit >= expected_profit_value(market, suppliers, demand, at_zero)
+
+
+def first_scan_error(market, suppliers, demand) -> ProcureKitError | None:
+    """The error a point-by-point scan of the 0.01 alpha grid meets first."""
+    for alpha in np.linspace(0.0, 1.0, 101):
+        try:
+            optimal_quantity_given_alpha(market, suppliers, demand, float(alpha))
+        except ProcureKitError as exc:
+            return exc
+    return None
+
+
+class TestOptimizeErrors:
+    @pytest.mark.parametrize(
+        "market, suppliers, demand, error",
+        [
+            # Cheapest cost runs from 92.4 at alpha = 0 to 87.4 at alpha = 1.
+            (baseline_market(salvage=90.0), SUPPLIERS, DEMAND, DegenerateEconomicsError),
+            # Every cost is negative at alpha = 0.01; the scan names the first
+            # supplier in sequence order, not the cheapest.
+            (baseline_market(salvage=0.0, a1=10_000.0), SUPPLIERS, DEMAND, NegativeUnitCostError),
+            (baseline_market(salvage=0.0, a1=100.0), SUPPLIERS, DEMAND, NegativeUnitCostError),
+            # A low fractile on a support reaching below zero orders a negative
+            # total at alpha = 0, though not at the grid's best alpha.
+            (
+                baseline_market(salvage=0.0, a1=100.0, a3=10.0),
+                (SupplierProfile(id=1, base_cost=140.0, beta=0.0),),
+                TruncatedNormal(mu=0.0, sigma=1.0, lower=-1.0, upper=3.0),
+                ValidationError,
+            ),
+        ],
+    )
+    def test_raises_what_a_point_by_point_scan_meets_first(self, market, suppliers, demand, error):
+        expected = first_scan_error(market, suppliers, demand)
+        assert type(expected) is error
+        with pytest.raises(error) as info:
+            optimize(market, suppliers, demand)
+        assert str(info.value) == str(expected)
 
 
 class TestKKTReport:
