@@ -252,12 +252,15 @@ def _parse_demand(root: _Section) -> TruncatedNormal:
 def _parse_axis_values(section: _Section, path: str, values: object) -> tuple:
     if not isinstance(values, list) or not values:
         raise section.error(f"axis {path!r} needs a nonempty list of values")
+    def is_number(v: object) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
     parsed = []
     for value in values:
-        if isinstance(value, list):
+        if isinstance(value, list) and all(is_number(v) for v in value):
             parsed.append(tuple(float(v) for v in value))
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise section.error(f"axis {path!r} values must be numbers, got {value!r}")
+        elif not is_number(value):
+            raise section.error(f"axis {path!r} values must be numbers or lists of numbers, got {value!r}")
         else:
             parsed.append(float(value))
     return tuple(parsed)

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
 from .errors import InvalidDistributionError, ValidationError
 
-__all__ = ["TruncatedNormal"]
+__all__ = ["TruncatedNormal", "TruncatedNormalParams"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -37,6 +38,46 @@ def _norm_cdf(z):
 
 def _norm_quantile(p):
     return special.ndtri(p)
+
+
+class TruncatedNormalParams(NamedTuple):
+    """Derived parameters of one truncated normal, or of many at once.
+
+    Each field is a float for one distribution, or a (cells, 1) column for
+    many side by side, which ``quantile`` and ``expected_excess`` broadcast
+    against (cells, points) arrays. These are the unchecked cores of the
+    TruncatedNormal methods of the same names: callers check arguments once,
+    at their boundary. Every operation is elementwise, so a cell's values do
+    not depend on which other cells share its batch.
+    """
+
+    mu: object
+    sigma: object
+    lower: object
+    upper: object
+    cdf_lower: object
+    cdf_upper: object
+    pdf_upper: object
+    mass: object
+    mean: object
+
+    def quantile(self, u):
+        """Inverse CDF at u, assumed to lie in [0, 1]."""
+        p = self.cdf_lower + u * self.mass
+        x = self.mu + self.sigma * _norm_quantile(np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16))
+        x = np.minimum(np.maximum(x, self.lower), self.upper)
+        return np.where(u == 0.0, self.lower, np.where(u == 1.0, self.upper, x))
+
+    def expected_excess(self, q):
+        """E[(D - q)^+] at supply level q."""
+        t = (q - self.mu) / self.sigma
+        tail = self.cdf_upper - _norm_cdf(t)
+        inside = ((self.mu - q) * tail + self.sigma * (_norm_pdf(t) - self.pdf_upper)) / self.mass
+        return np.where(q >= self.upper, 0.0, np.where(q <= self.lower, self.mean - q, inside))
+
+
+def _float_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -77,16 +118,25 @@ class TruncatedNormal:
             )
         a = (self.lower - self.mu) / self.sigma
         b = (self.upper - self.mu) / self.sigma
-        mass = float(_norm_cdf(b) - _norm_cdf(a))
+        cdf_lower, cdf_upper = float(_norm_cdf(a)), float(_norm_cdf(b))
+        mass = cdf_upper - cdf_lower
         if mass < _MIN_MASS:
             raise InvalidDistributionError(
                 f"truncation interval [{self.lower}, {self.upper}] captures "
                 f"{mass:.3e} of the parent normal; refusing to normalize"
             )
+        pdf_lower, pdf_upper = float(_norm_pdf(a)), float(_norm_pdf(b))
+        mean = self.mu + self.sigma * (pdf_lower - pdf_upper) / mass
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_mass", mass)
-        object.__setattr__(self, "_cdf_lower", float(_norm_cdf(a)))
+        object.__setattr__(self, "_pdf_lower", pdf_lower)
+        object.__setattr__(
+            self,
+            "params",
+            TruncatedNormalParams(
+                self.mu, self.sigma, self.lower, self.upper, cdf_lower, cdf_upper, pdf_upper, mass, mean
+            ),
+        )
 
     # -- densities -----------------------------------------------------------
 
@@ -95,16 +145,16 @@ class TruncatedNormal:
         x = np.asarray(x, dtype=float)
         z = (x - self.mu) / self.sigma
         inside = (x >= self.lower) & (x <= self.upper)
-        out = np.where(inside, _norm_pdf(z) / (self.sigma * self._mass), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _float_or_array(np.where(inside, _norm_pdf(z) / (self.sigma * self.params.mass), 0.0))
 
     def cdf(self, x):
         """P(D <= x) for scalar or array x."""
         x = np.asarray(x, dtype=float)
         z = (x - self.mu) / self.sigma
-        raw = (_norm_cdf(z) - self._cdf_lower) / self._mass
-        out = np.where(x <= self.lower, 0.0, np.where(x >= self.upper, 1.0, np.clip(raw, 0.0, 1.0)))
-        return float(out) if out.ndim == 0 else out
+        raw = (_norm_cdf(z) - self.params.cdf_lower) / self.params.mass
+        return _float_or_array(
+            np.where(x <= self.lower, 0.0, np.where(x >= self.upper, 1.0, np.clip(raw, 0.0, 1.0)))
+        )
 
     def quantile(self, u):
         """Inverse CDF at u in [0, 1] (scalar or array).
@@ -112,13 +162,9 @@ class TruncatedNormal:
         Raises ValidationError if any u falls outside [0, 1].
         """
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0) | ~np.isfinite(u)):
+        if not np.all((u >= 0.0) & (u <= 1.0)):
             raise ValidationError("quantile argument must lie in [0, 1]")
-        p = self._cdf_lower + u * self._mass
-        x = self.mu + self.sigma * _norm_quantile(np.clip(p, 1e-300, 1.0 - 1e-16))
-        out = np.clip(x, self.lower, self.upper)
-        out = np.where(u == 0.0, self.lower, np.where(u == 1.0, self.upper, out))
-        return float(out) if out.ndim == 0 else out
+        return _float_or_array(self.params.quantile(u))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n samples by inverse-CDF transform of rng.random(n)."""
@@ -130,13 +176,12 @@ class TruncatedNormal:
 
     @property
     def mean(self) -> float:
-        a, b, z = self._a, self._b, self._mass
-        return self.mu + self.sigma * float(_norm_pdf(a) - _norm_pdf(b)) / z
+        return self.params.mean
 
     @property
     def variance(self) -> float:
-        a, b, z = self._a, self._b, self._mass
-        pa, pb = float(_norm_pdf(a)), float(_norm_pdf(b))
+        a, b, z = self._a, self._b, self.params.mass
+        pa, pb = self._pdf_lower, self.params.pdf_upper
         tilt = (a * pa - b * pb) / z
         shift = (pa - pb) / z
         return self.sigma**2 * (1.0 + tilt - shift**2)
@@ -147,12 +192,7 @@ class TruncatedNormal:
 
     def expected_excess(self, q):
         """E[(D - q)^+], the expected demand above a supply level q (scalar or array)."""
-        q = np.asarray(q, dtype=float)
-        t = (q - self.mu) / self.sigma
-        tail = _norm_cdf(self._b) - _norm_cdf(t)
-        inside = ((self.mu - q) * tail + self.sigma * (_norm_pdf(t) - _norm_pdf(self._b))) / self._mass
-        out = np.where(q >= self.upper, 0.0, np.where(q <= self.lower, self.mean - q, inside))
-        return float(out) if out.ndim == 0 else out
+        return _float_or_array(self.params.expected_excess(np.asarray(q, dtype=float)))
 
     def expected_min(self, q: float) -> float:
         """E[min(q, D)], the expected quantity served when q units are on hand."""

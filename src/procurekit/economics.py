@@ -119,6 +119,7 @@ class MarketEconomics:
     price/salvage/penalty are per unit sold, left over, and short. a1 and a2
     scale the unit-cost reductions from alpha and beta; a3 and nu shape the
     convex adoption cost. nu > 1 keeps the adoption problem strictly convex.
+    Every field must be finite.
     """
 
     price: float
@@ -130,6 +131,11 @@ class MarketEconomics:
     nu: float
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below, so finiteness comes first.
+        for name in ("price", "salvage", "penalty", "a1", "a2", "a3", "nu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.price <= 0.0:
             raise ValidationError(f"price must be positive, got {self.price!r}")
         if not 0.0 <= self.salvage < self.price:

@@ -218,7 +218,10 @@ def _ks_discrete(sorted_k: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) 
 
 
 def _histogram_rmse(x: np.ndarray, density: Callable[[np.ndarray], np.ndarray]) -> float:
-    heights, edges = np.histogram(x, bins=_HISTOGRAM_BINS, density=True)
+    # Data spanning only a few floats cannot hold _HISTOGRAM_BINS distinct
+    # edges; they get as many bins as distinct edges exist.
+    edges = np.unique(np.linspace(np.min(x), np.max(x), _HISTOGRAM_BINS + 1))
+    heights, edges = np.histogram(x, bins=edges, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     gaps = heights - np.asarray(density(centers), dtype=float)
     return float(np.sqrt(np.mean(gaps**2)))

@@ -8,6 +8,9 @@ lowers every cost by the same amount, the cheapest supplier does not depend
 on alpha, and the outer problem is one curve in alpha. It is evaluated on a
 grid as one array program, and the grid argmax is then polished by a root-find
 on the closed-form envelope derivative a1 * Q*(alpha) - adoption_cost_slope(alpha).
+Many problems (the cells of a scenario) share that array program: their grids
+are evaluated in one pass and their root-finds run in lock-step; optimize is
+the same program on a batch of one.
 
 KKT residuals are computed from closed-form probabilities and reported with
 the multipliers, so a caller can audit any decision, optimal or not.
@@ -17,13 +20,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .demand import TruncatedNormal
+from .demand import TruncatedNormal, TruncatedNormalParams
 from .economics import MarketEconomics, SupplierProfile, cheapest_supplier
-from .errors import DegenerateEconomicsError, ThresholdNotFoundError, ValidationError
+from .errors import DegenerateEconomicsError, ProcureKitError, ThresholdNotFoundError, ValidationError
 from .profit import (
     Decision, ProfitBreakdown, expected_profit_closed_form, expected_profit_value, expected_sales_terms
 )
@@ -43,6 +46,8 @@ _ACTIVE_TOL = 1e-9
 # from a bracket of width 1 within 215 rounds.
 _SECTIONS = 32
 _MAX_ROUNDS = 215
+# Where a round's points sit in its bracket, as fractions of the bracket width.
+_OFFSETS = np.arange(_SECTIONS + 1) / _SECTIONS
 
 
 @dataclass(frozen=True)
@@ -118,28 +123,163 @@ def optimal_quantity_given_alpha(
     return Decision(alpha=alpha, quantities=tuple(quantities))
 
 
-def _slope_root(slope: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
-    """Root of the envelope slope inside [lo, hi], or the binding endpoint.
+def _power(base: np.ndarray, exponent: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """base ** exponent at the given result shape, rounded the same way for
+    every batch shape.
 
-    Multisection: each round evaluates the slope at _SECTIONS + 1 evenly
-    spaced points and keeps the first cell where it turns nonpositive, so the
-    bracket shrinks 32-fold per round until its ends are adjacent floats.
+    For a broadcast exponent of 0.5 or 2 numpy takes sqrt or square, which
+    can round differently from pow; spelled out to the full shape, the
+    exponent keeps a cell's value independent of the cells beside it.
     """
-    xs = np.linspace(lo, hi, _SECTIONS + 1)
-    s = slope(xs)
-    if s[0] <= 0.0:
-        # Slope already nonpositive at the left edge: profit falls on [lo, hi].
-        return lo
-    if s[-1] >= 0.0:
-        return hi
+    spelled = np.empty(shape)
+    spelled[...] = exponent
+    return np.power(base, spelled)
+
+
+class _Envelope:
+    """Profit envelope over alpha of many cells, with constants as (cells, 1) columns.
+
+    A cell orders from its cheapest supplier at alpha = 0, which stays
+    cheapest for every alpha. All arithmetic is elementwise, so a cell's
+    numbers do not depend on which cells share the batch.
+    """
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.table = table
+        columns = table.T[:, :, None]
+        self.base_cost, self.a1, self.a2_beta, self.price, self.salvage, self.penalty, self.a3, self.nu = columns[:8]
+        self.demand = TruncatedNormalParams(*columns[8:])
+        self.margin = self.price + self.penalty
+        self.spread = self.margin - self.salvage
+        self.a3_nu, self.nu_less_one = self.a3 * self.nu, self.nu - 1.0
+
+    def take(self, rows) -> _Envelope:
+        return _Envelope(self.table[rows])
+
+    def cost_and_order(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cost = self.base_cost - self.a1 * alphas - self.a2_beta
+        fractile = (self.margin - cost) / self.spread
+        return cost, self.demand.quantile(np.minimum(np.maximum(fractile, 0.0), 1.0))
+
+    def profit(self, alphas: np.ndarray, cost: np.ndarray, q: np.ndarray) -> np.ndarray:
+        revenue, salvage, penalty, _ = expected_sales_terms(self, self.demand, q)
+        return revenue + salvage - penalty - cost * q - self.a3 * _power(alphas, self.nu, cost.shape)
+
+    def slope(self, alphas: np.ndarray) -> np.ndarray:
+        """a1 * Q*(alpha) - adoption_cost_slope(alpha)."""
+        return self.a1 * self.cost_and_order(alphas)[1] - self.a3_nu * _power(alphas, self.nu_less_one, alphas.shape)
+
+
+def _slope_roots(env: _Envelope, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Root of each cell's envelope slope inside [lo, hi], or the binding endpoint.
+
+    Multisection in lock-step: each round evaluates the slope of every open
+    cell at _SECTIONS + 1 evenly spaced points and keeps the first section
+    where it turns nonpositive, so each bracket shrinks 32-fold per round. A
+    cell drops out once its bracket ends are adjacent floats.
+    """
+
+    def points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        xs = lo[:, None] + (hi - lo)[:, None] * _OFFSETS
+        xs[:, -1] = hi
+        return xs
+
+    s = env.slope(xs := points(lo, hi))
+    # A slope nonpositive at the left edge means profit falls on the bracket;
+    # one still nonnegative at the right edge means that edge binds.
+    roots = np.where(s[:, 0] <= 0.0, lo, hi)
+    active = np.flatnonzero(~(s[:, 0] <= 0.0) & ~(s[:, -1] >= 0.0))
+    if active.size < roots.size:
+        xs, s, env = xs[active], s[active], env.take(active)
+    starts = np.arange(0, xs.size, _SECTIONS + 1)
     for _ in range(_MAX_ROUNDS):
-        k = 1 + int(np.argmax(~(s[1:] > 0.0)))
-        lo, hi = float(xs[k - 1]), float(xs[k])
-        if np.nextafter(lo, hi) >= hi:
-            break
-        xs = np.linspace(lo, hi, _SECTIONS + 1)
-        s = slope(xs)
-    return 0.5 * (lo + hi)
+        if not active.size:
+            return roots
+        # Flat index into xs of each bracket's new left end: the point before
+        # the first section end where the slope is not positive.
+        left = starts + (s[:, 1:] > 0.0).argmin(axis=1)
+        flat = xs.ravel()
+        lo, hi = flat[left], flat[left + 1]
+        closed = np.nextafter(lo, hi) >= hi
+        if closed.any():
+            roots[active[closed]] = 0.5 * (lo[closed] + hi[closed])
+            still = ~closed
+            active, lo, hi, env, starts = active[still], lo[still], hi[still], env.take(still), starts[: still.sum()]
+            if not active.size:
+                return roots
+        s = env.slope(xs := points(lo, hi))
+    roots[active] = 0.5 * (lo + hi)
+    return roots
+
+
+def _decide(market, suppliers, demand, alpha_grid: float, alpha_root: float | None) -> Decision:
+    """The order at the slope root, unless the grid point earns strictly more."""
+    decision = optimal_quantity_given_alpha(market, suppliers, demand, alpha_grid)
+    if alpha_root is not None:
+        at_root = optimal_quantity_given_alpha(market, suppliers, demand, alpha_root)
+        # On a tie the root wins: it is the point whose KKT audit closes.
+        if expected_profit_value(market, suppliers, demand, at_root) >= expected_profit_value(
+            market, suppliers, demand, decision
+        ):
+            decision = at_root
+    return decision
+
+
+def _solve_batch(
+    cells: Sequence[tuple[MarketEconomics, Sequence[SupplierProfile], TruncatedNormal]],
+    grid_step: float = 0.01,
+    refine: bool = True,
+) -> list[Decision | ProcureKitError]:
+    """Optimal decision of each (market, suppliers, demand) cell, or its error.
+
+    The cells share one array program: the alpha grid of every cell is
+    evaluated in one pass, then their envelope slopes are root-found in
+    lock-step. A cell whose grid meets a cost <= 0 or below salvage, or a
+    negative order, gets the error the scalar inner solve raises at the first
+    such grid alpha. A cell's result does not depend on the other cells.
+    """
+    if not 0.0 < grid_step <= 0.5:
+        raise ValidationError(f"grid_step must lie in (0, 0.5], got {grid_step!r}")
+    steps = int(round(1.0 / grid_step))
+    grid = np.linspace(0.0, 1.0, steps + 1) if abs(steps * grid_step - 1.0) < 1e-12 else np.append(
+        np.arange(0.0, 1.0, grid_step), 1.0
+    )
+    results: list = [None] * len(cells)
+    rows, live = [], []
+    for i, (market, suppliers, demand) in enumerate(cells):
+        try:
+            # a1 * alpha lowers every cost alike, so the cheapest supplier at
+            # alpha = 0 stays cheapest on the whole grid.
+            winner = suppliers[cheapest_supplier(market, suppliers, 0.0)[0]]
+        except ProcureKitError as exc:
+            results[i] = exc
+            continue
+        rows.append((winner.base_cost, market.a1, market.a2 * winner.beta, market.price, market.salvage,
+                     market.penalty, market.a3, market.nu, *demand.params))
+        live.append(i)
+    if not live:
+        return results
+    env = _Envelope(np.array(rows))
+    cost, q = env.cost_and_order(grid)
+    bad = (cost <= 0.0) | (cost < env.salvage) | ~(q >= 0.0)
+    for row in np.flatnonzero(bad.any(axis=1)):
+        try:
+            # Raise the error the scalar inner solve gives at the first bad alpha.
+            optimal_quantity_given_alpha(*cells[live[row]], float(grid[np.argmax(bad[row])]))
+        except ProcureKitError as exc:
+            results[live[row]] = exc
+    keep = np.array([results[i] is None for i in live], dtype=bool)
+    env, cost, q, live = env.take(keep), cost[keep], q[keep], [i for i, k in zip(live, keep) if k]
+    best = grid[np.argmax(env.profit(grid, cost, q), axis=1)]
+    roots = [None] * len(live)
+    if refine:
+        roots = _slope_roots(env, np.maximum(0.0, best - grid_step), np.minimum(1.0, best + grid_step))
+    for i, alpha_grid, alpha_root in zip(live, best, roots):
+        try:
+            results[i] = _decide(*cells[i], float(alpha_grid), None if alpha_root is None else float(alpha_root))
+        except ProcureKitError as exc:
+            results[i] = exc
+    return results
 
 
 def optimize(
@@ -156,49 +296,12 @@ def optimize(
     a1 * Q*(alpha) - adoption_cost_slope(alpha) is then root-found within one
     grid step of that argmax, and the root is kept unless the grid point
     earns strictly more. The returned alpha is stored at full precision;
-    display layers round it.
+    display layers round it. This is the batch solve of scenario runs on a
+    batch of one cell, so it agrees with any scenario cell bit for bit.
     """
-    if not 0.0 < grid_step <= 0.5:
-        raise ValidationError(f"grid_step must lie in (0, 0.5], got {grid_step!r}")
-
-    steps = int(round(1.0 / grid_step))
-    grid = np.linspace(0.0, 1.0, steps + 1) if abs(steps * grid_step - 1.0) < 1e-12 else np.append(
-        np.arange(0.0, 1.0, grid_step), 1.0
-    )
-    # a1 * alpha lowers every cost alike, so the cheapest supplier at alpha = 0
-    # stays cheapest on the whole grid.
-    idx, _ = cheapest_supplier(market, suppliers, 0.0)
-    winner = suppliers[idx]
-    margin = market.price + market.penalty
-
-    def cost_and_order(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cost = winner.base_cost - market.a1 * alphas - market.a2 * winner.beta
-        fractile = (margin - cost) / (margin - market.salvage)
-        return cost, demand.quantile(np.clip(fractile, 0.0, 1.0))
-
-    cost, q = cost_and_order(grid)
-    bad = (cost <= 0.0) | (cost < market.salvage) | ~(q >= 0.0)
-    if bad.any():
-        # Raise the error the scalar inner solve gives at the first bad alpha.
-        optimal_quantity_given_alpha(market, suppliers, demand, float(grid[int(np.argmax(bad))]))
-    revenue, salvage, penalty, _ = expected_sales_terms(market, demand, q)
-    values = revenue + salvage - penalty - cost * q - market.a3 * grid**market.nu
-    alpha_best = float(grid[int(np.argmax(values))])
-    decision = optimal_quantity_given_alpha(market, suppliers, demand, alpha_best)
-
-    if refine:
-
-        def slope(alphas: np.ndarray) -> np.ndarray:
-            return market.a1 * cost_and_order(alphas)[1] - market.a3 * market.nu * alphas ** (market.nu - 1.0)
-
-        root = _slope_root(slope, max(0.0, alpha_best - grid_step), min(1.0, alpha_best + grid_step))
-        at_root = optimal_quantity_given_alpha(market, suppliers, demand, root)
-        # On a tie the root wins: it is the point whose KKT audit closes.
-        if expected_profit_value(market, suppliers, demand, at_root) >= expected_profit_value(
-            market, suppliers, demand, decision
-        ):
-            decision = at_root
-
+    (decision,) = _solve_batch([(market, suppliers, demand)], grid_step, refine)
+    if isinstance(decision, ProcureKitError):
+        raise decision
     return Optimum(
         decision=decision,
         breakdown=expected_profit_closed_form(market, suppliers, demand, decision),

@@ -148,7 +148,10 @@ def _closed_form_cvar10(demand: TruncatedNormal, q: float) -> float:
 
 def expected_sales_terms(market: MarketEconomics, demand: TruncatedNormal, q_total):
     """Expected revenue, salvage, penalty and shortfall E[(D - q)^+] of a total
-    order (scalar or array); procurement and adoption costs are the caller's."""
+    order (scalar or array); procurement and adoption costs are the caller's.
+
+    The optimizer's batches pass (cells, 1) columns of prices and demand
+    parameters (a TruncatedNormalParams) in place of market and demand."""
     excess = demand.expected_excess(q_total)
     served = demand.mean - excess
     return market.price * served, market.salvage * (q_total - served), market.penalty * excess, excess

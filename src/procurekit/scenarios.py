@@ -2,9 +2,10 @@
 
 A ScenarioSpec names a base model plus either a Cartesian grid over parameter
 paths, a Latin hypercube design over parameter ranges, or a multi-cycle
-adaptive simulation. Each cell re-optimizes the model and evaluates the
-optimum by Monte Carlo. Results are plain rows, deterministic for a given
-(spec, seed) no matter how many worker processes run the cells.
+adaptive simulation. The cells' models are optimized together as one array
+program; each optimum is then evaluated by Monte Carlo. Results are plain
+rows, deterministic for a given (spec, seed) no matter how many worker
+processes run the cells.
 
 Seeding: every random stream is derived from the scenario seed and a fixed
 namespace, never from execution order, so parallel runs reproduce serial
@@ -16,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -35,8 +38,8 @@ from .errors import (
     RankDeficientDesignError,
     ValidationError,
 )
-from .optimizer import optimal_quantity_given_alpha, optimize
-from .profit import breakdown_from_draws, expected_profit_monte_carlo
+from .optimizer import _solve_batch, kkt_residuals, optimal_quantity_given_alpha
+from .profit import Decision, breakdown_from_draws, expected_profit_monte_carlo
 
 SAMPLERS = ("grid", "latin-hypercube")
 
@@ -126,6 +129,7 @@ class ScenarioSpec:
             _validate_path(axis[0])
             if len(axis[1]) == 0:
                 raise ValidationError(f"axis {axis[0]!r} has no values")
+            _validate_axis_values(axis[0], axis[1], self.sampler)
         if self.dynamic is not None:
             if self.axes or self.sampler != "grid":
                 raise ValidationError("dynamic scenarios take no axes or sampler settings")
@@ -193,6 +197,32 @@ def _validate_path(path: str) -> None:
     raise ValidationError(f"unsupported parameter path {path!r}")
 
 
+def _is_real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _validate_axis_values(path: str, values: tuple, sampler: str) -> None:
+    """Shape check of one axis, so that building a cell meets only domain errors.
+
+    ``market.*`` and ``demand.*`` values are real numbers (in a Latin
+    hypercube, the two ends of the range); ``suppliers.beta_range`` values
+    are (low, high) pairs of real numbers, which a grid alone can sweep.
+    """
+    if path != "suppliers.beta_range":
+        if not all(_is_real(v) for v in values):
+            raise ValidationError(f"axis {path!r} values must be real numbers, got {values!r}")
+        return
+    if sampler == "latin-hypercube":
+        raise ValidationError(
+            f"latin-hypercube cannot sample {path!r}; sweep its (low, high) pairs on a grid"
+        )
+    for value in values:
+        if isinstance(value, str) or not (
+            isinstance(value, Sequence) and len(value) == 2 and all(_is_real(v) for v in value)
+        ):
+            raise ValidationError(f"axis {path!r} values must be (low, high) pairs, got {value!r}")
+
+
 def _apply_coordinate(
     market: MarketEconomics,
     suppliers: tuple[SupplierProfile, ...],
@@ -202,67 +232,85 @@ def _apply_coordinate(
     build_rng: np.random.Generator,
 ) -> tuple[MarketEconomics, tuple[SupplierProfile, ...], TruncatedNormal]:
     scope, _, field = path.partition(".")
-    try:
-        if scope == "market":
-            return dataclasses.replace(market, **{field: float(value)}), suppliers, demand
-        if scope == "demand":
-            return market, suppliers, dataclasses.replace(demand, **{field: float(value)})
-    except TypeError as exc:
-        raise ValidationError(f"unsupported parameter path {path!r}") from exc
-    if scope == "suppliers" and field == "beta_range":
-        lo, hi = (float(v) for v in value)
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ValidationError(f"beta_range must satisfy 0 <= low <= high <= 1, got {value!r}")
-        redrawn = tuple(
-            dataclasses.replace(s, beta=float(build_rng.uniform(lo, hi))) for s in suppliers
-        )
-        return market, redrawn, demand
-    raise ValidationError(f"unsupported parameter path {path!r}")
+    if scope == "market":
+        return dataclasses.replace(market, **{field: float(value)}), suppliers, demand
+    if scope == "demand":
+        return market, suppliers, dataclasses.replace(demand, **{field: float(value)})
+    lo, hi = (float(v) for v in value)
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise ValidationError(f"beta_range must satisfy 0 <= low <= high <= 1, got {value!r}")
+    redrawn = tuple(
+        dataclasses.replace(s, beta=float(build_rng.uniform(lo, hi))) for s in suppliers
+    )
+    return market, redrawn, demand
 
 
-def _evaluate_cell(task: _CellTask) -> ScenarioResult:
-    try:
-        market, suppliers, demand = task.market, task.suppliers, task.demand
-        build_rng = np.random.default_rng(
-            np.random.SeedSequence(task.seed, spawn_key=(_NS_BUILD, task.cell_index))
-        )
-        for path, value in task.coordinates:
-            market, suppliers, demand = _apply_coordinate(
-                market, suppliers, demand, path, value, build_rng
-            )
-        optimum = optimize(market, suppliers, demand)
-        mc_rng = np.random.default_rng(
-            np.random.SeedSequence(task.seed, spawn_key=(_NS_CELL_MC, task.cell_index))
-        )
-        breakdown = expected_profit_monte_carlo(
-            market, suppliers, demand, optimum.decision, task.replications, mc_rng
-        )
-        return ScenarioResult(
-            scenario_id=task.scenario_id,
-            cell_index=task.cell_index,
-            coordinates=task.coordinates,
-            alpha_star=optimum.alpha_star,
-            q_star=optimum.q_star,
-            expected_profit=breakdown.expected_profit,
-            fill_rate=breakdown.fill_rate_mean,
-            penalty_rate=breakdown.penalty_rate,
-            kkt_max_residual=optimum.kkt.max_residual,
-            std_error=breakdown.std_error,
-        )
-    except ProcureKitError as exc:
-        return ScenarioResult(
-            scenario_id=task.scenario_id,
-            cell_index=task.cell_index,
-            coordinates=task.coordinates,
-            alpha_star=math.nan,
-            q_star=math.nan,
-            expected_profit=math.nan,
-            fill_rate=math.nan,
-            penalty_rate=math.nan,
-            kkt_max_residual=math.nan,
-            std_error=math.nan,
-            status=f"{type(exc).__name__}: {exc}",
-        )
+def _failed_row(task: _CellTask, exc: ProcureKitError) -> ScenarioResult:
+    return ScenarioResult(
+        scenario_id=task.scenario_id,
+        cell_index=task.cell_index,
+        coordinates=task.coordinates,
+        alpha_star=math.nan,
+        q_star=math.nan,
+        expected_profit=math.nan,
+        fill_rate=math.nan,
+        penalty_rate=math.nan,
+        kkt_max_residual=math.nan,
+        std_error=math.nan,
+        status=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _build_cell(task: _CellTask) -> tuple[MarketEconomics, tuple[SupplierProfile, ...], TruncatedNormal]:
+    market, suppliers, demand = task.market, task.suppliers, task.demand
+    build_rng = np.random.default_rng(
+        np.random.SeedSequence(task.seed, spawn_key=(_NS_BUILD, task.cell_index))
+    )
+    for path, value in task.coordinates:
+        market, suppliers, demand = _apply_coordinate(market, suppliers, demand, path, value, build_rng)
+    return market, suppliers, demand
+
+
+def _solved_row(task: _CellTask, cell: tuple, decision: Decision) -> ScenarioResult:
+    market, suppliers, demand = cell
+    kkt = kkt_residuals(market, suppliers, demand, decision)
+    mc_rng = np.random.default_rng(
+        np.random.SeedSequence(task.seed, spawn_key=(_NS_CELL_MC, task.cell_index))
+    )
+    breakdown = expected_profit_monte_carlo(market, suppliers, demand, decision, task.replications, mc_rng)
+    return ScenarioResult(
+        scenario_id=task.scenario_id,
+        cell_index=task.cell_index,
+        coordinates=task.coordinates,
+        alpha_star=decision.alpha,
+        q_star=decision.total,
+        expected_profit=breakdown.expected_profit,
+        fill_rate=breakdown.fill_rate_mean,
+        penalty_rate=breakdown.penalty_rate,
+        kkt_max_residual=kkt.max_residual,
+        std_error=breakdown.std_error,
+    )
+
+
+def _evaluate_block(tasks: list[_CellTask]) -> list[ScenarioResult]:
+    """Rows of a block of cells: every model is built, the models are solved
+    as one batch, then each optimum is audited and evaluated by Monte Carlo
+    on its cell's own stream. A failing cell becomes a failed row."""
+    rows: dict[int, ScenarioResult] = {}
+    cells = {}
+    for position, task in enumerate(tasks):
+        try:
+            cells[position] = _build_cell(task)
+        except ProcureKitError as exc:
+            rows[position] = _failed_row(task, exc)
+    for (position, cell), solved in zip(cells.items(), _solve_batch(list(cells.values()))):
+        try:
+            if isinstance(solved, ProcureKitError):
+                raise solved
+            rows[position] = _solved_row(tasks[position], cell, solved)
+        except ProcureKitError as exc:
+            rows[position] = _failed_row(tasks[position], exc)
+    return [rows[position] for position in range(len(tasks))]
 
 
 def _cell_coordinates(spec: ScenarioSpec) -> list[tuple[tuple[str, object], ...]]:
@@ -286,9 +334,11 @@ def _cell_coordinates(spec: ScenarioSpec) -> list[tuple[tuple[str, object], ...]
 def run(spec: ScenarioSpec, jobs: int = 1) -> list[ScenarioResult]:
     """Evaluate every cell of a scenario, in deterministic cell order.
 
-    Dynamic specs delegate to ``run_dynamic``. With ``jobs`` greater than
-    one, cells are evaluated in a process pool; results are identical to a
-    serial run because every random stream is keyed by cell index.
+    Dynamic specs delegate to ``run_dynamic``. The cells are solved as one
+    array program. With ``jobs`` greater than one, a process pool solves
+    ``jobs`` contiguous blocks of cells, one array program each; results are
+    identical to a serial run because a cell's solve does not depend on the
+    cells sharing its block and every random stream is keyed by cell index.
     """
     if spec.dynamic is not None:
         return run_dynamic(spec)
@@ -308,9 +358,11 @@ def run(spec: ScenarioSpec, jobs: int = 1) -> list[ScenarioResult]:
         for index, coords in enumerate(_cell_coordinates(spec))
     ]
     if jobs == 1 or len(tasks) == 1:
-        return [_evaluate_cell(task) for task in tasks]
+        return _evaluate_block(tasks)
+    size = -(-len(tasks) // jobs)
+    blocks = [tasks[start : start + size] for start in range(0, len(tasks), size)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_evaluate_cell, tasks))
+        return [row for rows in pool.map(_evaluate_block, blocks) for row in rows]
 
 
 def adaptive_alpha_update(

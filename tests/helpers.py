@@ -76,3 +76,33 @@ def random_problem(rng: np.random.Generator):
         except ValidationError:
             continue
         return market, suppliers, demand
+
+
+def cell_model(spec, coordinates):
+    """The (market, suppliers, demand) of a scenario cell set by market.* and
+    demand.* coordinates."""
+    import dataclasses
+
+    market, demand = spec.market, spec.demand
+    for path, value in coordinates:
+        scope, _, field = path.partition(".")
+        if scope == "market":
+            market = dataclasses.replace(market, **{field: float(value)})
+        elif scope == "demand":
+            demand = dataclasses.replace(demand, **{field: float(value)})
+        else:
+            raise ValueError(f"no model rebuild for {path!r}")
+    return market, spec.suppliers, demand
+
+
+def perfbench_solve_problems(seed: int):
+    """The generated problems of the benchmark's solve workload."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = sys.modules.setdefault(module_spec.name, importlib.util.module_from_spec(module_spec))
+    module_spec.loader.exec_module(module)
+    return [(p.market, p.suppliers, p.demand) for p in module.solve_problems(seed)]

@@ -191,6 +191,13 @@ class TestScenarioSection:
                 "scenario:\n  id: x\n  axes:\n    - path: demand.sigma\n      value: [8.0]\n"
             )
 
+    @pytest.mark.parametrize("values", ['["a"]', '[[0.2, "b"]]', "[[0.2, true]]", "[{low: 0.2}]"])
+    def test_axis_values_must_be_numbers_or_lists_of_numbers(self, values):
+        with pytest.raises(ValidationError, match="values must be numbers"):
+            parse_config(
+                f"scenario:\n  id: x\n  axes:\n    - path: suppliers.beta_range\n      values: {values}\n"
+            )
+
     def test_unknown_axis_path_rejected_at_parse(self):
         with pytest.raises(ValidationError, match="path"):
             parse_config(

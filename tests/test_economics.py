@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +138,15 @@ class TestMarketEconomics:
             (dict(a2=-2.0), "a2"),
             (dict(a3=-10.0), "a3"),
             (dict(nu=1.0), "nu"),
+            (dict(price=math.nan), "price"),
+            (dict(salvage=math.nan), "salvage"),
+            (dict(penalty=math.nan), "penalty"),
+            (dict(a1=math.nan), "a1"),
+            (dict(a2=math.inf), "a2"),
+            (dict(a3=math.nan), "a3"),
+            (dict(a3=math.inf), "a3"),
+            (dict(nu=math.inf), "nu"),
+            (dict(nu=math.nan), "nu"),
         ],
     )
     def test_rejects_invalid_fields(self, overrides, field):

@@ -162,6 +162,11 @@ class TestParetoFit:
         assert report.params[0] == pytest.approx(1.5, rel=0.03)
         assert report.params[1] == pytest.approx(30.0, rel=0.001)
 
+    def test_data_spanning_two_floats(self):
+        # Too narrow for 40 histogram bins; the fit must still report.
+        report = fit("pareto", [0.5, 0.5, 0.5000000000000001])
+        assert math.isfinite(report.rmse)
+
     @settings(max_examples=60, deadline=None)
     @given(
         values=st.lists(

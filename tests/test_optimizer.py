@@ -15,6 +15,7 @@ from procurekit.errors import (
     ValidationError,
 )
 from procurekit.optimizer import (
+    _solve_batch,
     adoption_threshold,
     critical_fractile,
     kkt_residuals,
@@ -23,7 +24,16 @@ from procurekit.optimizer import (
 )
 from procurekit.profit import Decision, expected_profit_value
 
-from helpers import baseline_demand, baseline_market, baseline_suppliers, random_problem
+from procurekit.scenarios import _cell_coordinates, preset
+
+from helpers import (
+    baseline_demand,
+    baseline_market,
+    baseline_suppliers,
+    cell_model,
+    perfbench_solve_problems,
+    random_problem,
+)
 from oracles import central_difference, grid_argmax
 
 MARKET = baseline_market()
@@ -253,6 +263,63 @@ class TestOptimizeErrors:
         with pytest.raises(error) as info:
             optimize(market, suppliers, demand)
         assert str(info.value) == str(expected)
+
+
+def preset_cells(preset_id: str, nu: float) -> list:
+    spec = preset(preset_id)
+    spec = dataclasses.replace(spec, market=dataclasses.replace(spec.market, nu=nu))
+    return [cell_model(spec, coords) for coords in _cell_coordinates(spec)]
+
+
+def outcome(result) -> tuple:
+    """A solve result in exactly comparable form: float bits, or the error."""
+    if isinstance(result, ProcureKitError):
+        return (type(result).__name__, str(result))
+    return tuple(x.hex() for x in (result.alpha, *result.quantities))
+
+
+class TestSolveBatch:
+    # s3, s9 and s10 at nu = 1.5 (baseline), 2.0 and 3.0, whose adoption-cost
+    # powers 0.5, 1, 2 and 1.5, 2, 3 include numpy's sqrt/square shortcuts;
+    # the benchmark's generated problems; and cells that fail.
+    CELLS = (
+        [cell for pid in ("s3", "s9", "s10") for nu in (1.5, 2.0, 3.0) for cell in preset_cells(pid, nu)]
+        + perfbench_solve_problems(7)
+        + [
+            (baseline_market(salvage=90.0), SUPPLIERS, DEMAND),
+            (baseline_market(salvage=0.0, a1=100.0), SUPPLIERS, DEMAND),
+            (MARKET, (), DEMAND),
+        ]
+    )
+
+    def test_result_does_not_depend_on_batch(self):
+        alone = [outcome(_solve_batch([cell])[0]) for cell in self.CELLS]
+        together = [outcome(r) for r in _solve_batch(self.CELLS)]
+        assert together == alone
+        reversed_batch = [outcome(r) for r in _solve_batch(self.CELLS[::-1])]
+        assert reversed_batch[::-1] == alone
+        blocks = [outcome(r) for start in range(0, len(self.CELLS), 7) for r in _solve_batch(self.CELLS[start : start + 7])]
+        assert blocks == alone
+
+    def test_optimize_is_a_batch_of_one(self):
+        for cell in self.CELLS[::5]:
+            try:
+                decision = optimize(*cell).decision
+            except ProcureKitError as exc:
+                decision = exc
+            assert outcome(decision) == outcome(_solve_batch([cell])[0])
+
+    def test_errors_stay_with_their_cells(self):
+        results = _solve_batch(self.CELLS)
+        assert [type(r).__name__ for r in results[-3:]] == [
+            "DegenerateEconomicsError",
+            "NegativeUnitCostError",
+            "ValidationError",
+        ]
+        assert not any(isinstance(r, ProcureKitError) for r in results[:-3])
+
+    def test_empty_batch(self):
+        assert _solve_batch([]) == []
 
 
 class TestKKTReport:

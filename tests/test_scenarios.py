@@ -13,7 +13,8 @@ from procurekit.baseline import (
     DEFAULT_REPLICATIONS,
     DEFAULT_SEED,
 )
-from procurekit.errors import RankDeficientDesignError, ValidationError
+from procurekit.errors import ProcureKitError, RankDeficientDesignError, ValidationError
+from procurekit.optimizer import optimize
 from procurekit.scenarios import (
     PRESET_IDS,
     DynamicSpec,
@@ -25,6 +26,8 @@ from procurekit.scenarios import (
     run_dynamic,
     variance_decomposition,
 )
+
+from helpers import cell_model
 
 # alpha* of the unmodified baseline problem, frozen in the optimizer tests
 BASELINE_ALPHA_STAR = 0.0073617888157626234
@@ -128,6 +131,33 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValidationError, match="path"):
             small_spec(axes=((path, (1.0,)),))
 
+    @pytest.mark.parametrize(
+        "path, values",
+        [
+            ("suppliers.beta_range", (0.3, 0.7)),
+            ("suppliers.beta_range", ((0.1, 0.5, 0.9),)),
+            ("suppliers.beta_range", ("ab",)),
+            ("market.a3", ((500.0, 1000.0), (2000.0, 4000.0))),
+            ("demand.sigma", ("8",)),
+            ("demand.sigma", (True,)),
+        ],
+    )
+    def test_rejects_misshapen_axis_values(self, path, values):
+        with pytest.raises(ValidationError, match="values must be"):
+            small_spec(axes=((path, values),))
+
+    def test_rejects_lhs_over_beta_range(self):
+        with pytest.raises(ValidationError, match="latin-hypercube cannot sample"):
+            small_spec(sampler="latin-hypercube", lhs_samples=10, axes=(("suppliers.beta_range", (0.1, 0.9)),))
+
+    def test_rejects_lhs_range_of_pairs(self):
+        with pytest.raises(ValidationError, match="real numbers"):
+            small_spec(
+                sampler="latin-hypercube",
+                lhs_samples=10,
+                axes=(("market.a3", ((500.0, 1000.0), (2000.0, 4000.0))),),
+            )
+
     def test_rejects_lhs_with_too_few_samples(self):
         with pytest.raises(ValidationError, match="lhs_samples"):
             small_spec(sampler="latin-hypercube", lhs_samples=1)
@@ -223,6 +253,12 @@ class TestGridRun:
         rows = run(small_spec(axes=(("suppliers.beta_range", ((0.9, 0.1),)),)))
         assert rows[0].status.startswith("ValidationError")
 
+    def test_nonfinite_market_value_becomes_error_row(self):
+        rows = run(small_spec(axes=(("market.a3", (2000.0, math.nan, math.inf)),)))
+        assert rows[0].status == "ok"
+        assert rows[1].status.startswith("ValidationError: a3 must be finite")
+        assert rows[2].status.startswith("ValidationError: a3 must be finite")
+
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValidationError, match="jobs"):
             run(small_spec(), jobs=0)
@@ -244,6 +280,36 @@ class TestParallelDeterminism:
             replications=300,
         )
         assert run(spec, jobs=1) == run(spec, jobs=3)
+
+
+class TestRowsMatchOptimize:
+    """A scenario cell is solved in one batch with its neighbours; its row must
+    carry exactly what optimize gives for the same model alone."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            preset("s3"),
+            preset("s9"),
+            preset("s10"),
+            small_spec(axes=(("market.nu", (1.5, 2.0, 3.0)), ("market.a3", (500.0, 2000.0)))),
+            small_spec(axes=(("market.salvage", (0.0, 95.0)), ("market.a1", (5.0, 100.0)))),
+        ],
+        ids=["s3", "s9", "s10", "nu", "failures"],
+    )
+    def test_row_equals_optimize(self, spec):
+        for row in run(spec):
+            try:
+                opt = optimize(*cell_model(spec, row.coordinates))
+            except ProcureKitError as exc:
+                assert row.status == f"{type(exc).__name__}: {exc}"
+                continue
+            assert row.status == "ok"
+            assert (row.alpha_star, row.q_star, row.kkt_max_residual) == (
+                opt.alpha_star,
+                opt.q_star,
+                opt.kkt.max_residual,
+            )
 
 
 class TestLatinHypercube:
