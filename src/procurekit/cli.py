@@ -262,7 +262,10 @@ def _heatmap_outputs(
 @click.argument("target")
 @click.option("--seed", type=int, default=None, help="Override the scenario seed.")
 @click.option("--replications", type=int, default=None, help="Monte Carlo draws per cell.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Worker processes.")
+@click.option(
+    "--jobs", type=int, default=1, show_default=True,
+    help="Accepted for compatibility (at least 1); every scenario runs in one process.",
+)
 @click.option("--out", "out_dir", type=click.Path(), default=".", help="Output directory.")
 @click.option(
     "--format",

@@ -28,7 +28,8 @@ from .demand import TruncatedNormal, TruncatedNormalParams
 from .economics import MarketEconomics, SupplierProfile, cheapest_supplier
 from .errors import DegenerateEconomicsError, ProcureKitError, ThresholdNotFoundError, ValidationError
 from .profit import (
-    Decision, ProfitBreakdown, expected_profit_closed_form, expected_profit_value, expected_sales_terms
+    Decision, ProfitBreakdown, _check_decision, expected_profit_closed_form, expected_profit_value,
+    expected_sales_terms,
 )
 
 __all__ = [
@@ -324,11 +325,7 @@ def kkt_residuals(
     nonnegative values closing the residuals, so complementary slackness is
     honest rather than assumed.
     """
-    if len(decision.quantities) != len(suppliers):
-        raise ValidationError(
-            f"decision carries {len(decision.quantities)} quantities for "
-            f"{len(suppliers)} suppliers"
-        )
+    _check_decision(suppliers, decision)
     q_total = decision.total
     cdf = demand.cdf(q_total)
     marginal_value = (market.price + market.penalty) * (1.0 - cdf) + market.salvage * cdf

@@ -2,11 +2,12 @@
 
 Two interchangeable routes are provided. The closed form uses the demand
 model's partial expectations and is exact up to quadrature on the fill-rate
-integrals; it is what the optimizer climbs. The Monte Carlo route estimates
-the same breakdown from simulated demand and also reports a standard error,
-which is what scenario experiments record. Evaluating several decisions
-against generators seeded identically yields common random numbers, so
-decision differences are estimated without cross-decision noise.
+integrals; its sales terms make up the optimizer's array envelope. The Monte
+Carlo route estimates the same breakdown from simulated demand and also
+reports a standard error, which is what scenario experiments record.
+Evaluating several decisions against generators seeded identically yields
+common random numbers, so decision differences are estimated without
+cross-decision noise.
 """
 
 from __future__ import annotations
@@ -177,8 +178,9 @@ def expected_profit_value(
 ) -> float:
     """Closed-form expected profit alone, skipping the fill-rate quadrature.
 
-    Same number as expected_profit_closed_form(...).expected_profit; this is
-    the cheap path the optimizer evaluates a few hundred times per solve.
+    Same number as expected_profit_closed_form(...).expected_profit; the
+    optimizer calls it at most twice per solved cell, to choose between
+    the grid point and the slope root.
     """
     _check_decision(suppliers, decision)
     revenue, salvage, penalty, procurement, adoption, _ = _closed_form_components(

@@ -3,13 +3,11 @@
 A ScenarioSpec names a base model plus either a Cartesian grid over parameter
 paths, a Latin hypercube design over parameter ranges, or a multi-cycle
 adaptive simulation. The cells' models are optimized together as one array
-program; each optimum is then evaluated by Monte Carlo. Results are plain
-rows, deterministic for a given (spec, seed) no matter how many worker
-processes run the cells.
+program, in the calling process; each optimum is then evaluated by Monte
+Carlo. Results are plain rows, deterministic for a given (spec, seed).
 
-Seeding: every random stream is derived from the scenario seed and a fixed
-namespace, never from execution order, so parallel runs reproduce serial
-runs bit for bit.
+Seeding: every random stream is derived from the scenario seed, a fixed
+namespace and the cell index, never from execution order.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import itertools
 import math
 import numbers
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +67,11 @@ class DynamicSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.cycles, int) or self.cycles < 1:
             raise ValidationError(f"cycles must be a positive integer, got {self.cycles!r}")
+        # NaN passes every ordered comparison below, so finiteness comes first.
+        for name in ("a3_initial", "a3_decline", "learning_rate", "target_penalty", "alpha_initial"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         final_a3 = self.a3_initial - self.a3_decline * (self.cycles - 1)
         if self.a3_initial <= 0.0 or final_a3 <= 0.0:
             raise ValidationError(
@@ -170,18 +172,6 @@ class ScenarioResult:
     status: str = "ok"
 
 
-@dataclass(frozen=True)
-class _CellTask:
-    scenario_id: str
-    cell_index: int
-    market: MarketEconomics
-    suppliers: tuple[SupplierProfile, ...]
-    demand: TruncatedNormal
-    coordinates: tuple[tuple[str, object], ...]
-    replications: int
-    seed: int
-
-
 _MARKET_FIELDS = frozenset(f.name for f in dataclasses.fields(MarketEconomics))
 _DEMAND_FIELDS = frozenset(f.name for f in dataclasses.fields(TruncatedNormal))
 
@@ -245,11 +235,11 @@ def _apply_coordinate(
     return market, redrawn, demand
 
 
-def _failed_row(task: _CellTask, exc: ProcureKitError) -> ScenarioResult:
+def _failed_row(spec: ScenarioSpec, index: int, coords: tuple, exc: ProcureKitError) -> ScenarioResult:
     return ScenarioResult(
-        scenario_id=task.scenario_id,
-        cell_index=task.cell_index,
-        coordinates=task.coordinates,
+        scenario_id=spec.id,
+        cell_index=index,
+        coordinates=coords,
         alpha_star=math.nan,
         q_star=math.nan,
         expected_profit=math.nan,
@@ -261,27 +251,31 @@ def _failed_row(task: _CellTask, exc: ProcureKitError) -> ScenarioResult:
     )
 
 
-def _build_cell(task: _CellTask) -> tuple[MarketEconomics, tuple[SupplierProfile, ...], TruncatedNormal]:
-    market, suppliers, demand = task.market, task.suppliers, task.demand
+def _build_cell(
+    spec: ScenarioSpec, index: int, coords: tuple
+) -> tuple[MarketEconomics, tuple[SupplierProfile, ...], TruncatedNormal]:
+    market, suppliers, demand = spec.market, spec.suppliers, spec.demand
     build_rng = np.random.default_rng(
-        np.random.SeedSequence(task.seed, spawn_key=(_NS_BUILD, task.cell_index))
+        np.random.SeedSequence(spec.seed, spawn_key=(_NS_BUILD, index))
     )
-    for path, value in task.coordinates:
+    for path, value in coords:
         market, suppliers, demand = _apply_coordinate(market, suppliers, demand, path, value, build_rng)
     return market, suppliers, demand
 
 
-def _solved_row(task: _CellTask, cell: tuple, decision: Decision) -> ScenarioResult:
+def _solved_row(
+    spec: ScenarioSpec, index: int, coords: tuple, cell: tuple, decision: Decision
+) -> ScenarioResult:
     market, suppliers, demand = cell
     kkt = kkt_residuals(market, suppliers, demand, decision)
     mc_rng = np.random.default_rng(
-        np.random.SeedSequence(task.seed, spawn_key=(_NS_CELL_MC, task.cell_index))
+        np.random.SeedSequence(spec.seed, spawn_key=(_NS_CELL_MC, index))
     )
-    breakdown = expected_profit_monte_carlo(market, suppliers, demand, decision, task.replications, mc_rng)
+    breakdown = expected_profit_monte_carlo(market, suppliers, demand, decision, spec.replications, mc_rng)
     return ScenarioResult(
-        scenario_id=task.scenario_id,
-        cell_index=task.cell_index,
-        coordinates=task.coordinates,
+        scenario_id=spec.id,
+        cell_index=index,
+        coordinates=coords,
         alpha_star=decision.alpha,
         q_star=decision.total,
         expected_profit=breakdown.expected_profit,
@@ -290,27 +284,6 @@ def _solved_row(task: _CellTask, cell: tuple, decision: Decision) -> ScenarioRes
         kkt_max_residual=kkt.max_residual,
         std_error=breakdown.std_error,
     )
-
-
-def _evaluate_block(tasks: list[_CellTask]) -> list[ScenarioResult]:
-    """Rows of a block of cells: every model is built, the models are solved
-    as one batch, then each optimum is audited and evaluated by Monte Carlo
-    on its cell's own stream. A failing cell becomes a failed row."""
-    rows: dict[int, ScenarioResult] = {}
-    cells = {}
-    for position, task in enumerate(tasks):
-        try:
-            cells[position] = _build_cell(task)
-        except ProcureKitError as exc:
-            rows[position] = _failed_row(task, exc)
-    for (position, cell), solved in zip(cells.items(), _solve_batch(list(cells.values()))):
-        try:
-            if isinstance(solved, ProcureKitError):
-                raise solved
-            rows[position] = _solved_row(tasks[position], cell, solved)
-        except ProcureKitError as exc:
-            rows[position] = _failed_row(tasks[position], exc)
-    return [rows[position] for position in range(len(tasks))]
 
 
 def _cell_coordinates(spec: ScenarioSpec) -> list[tuple[tuple[str, object], ...]]:
@@ -334,35 +307,33 @@ def _cell_coordinates(spec: ScenarioSpec) -> list[tuple[tuple[str, object], ...]
 def run(spec: ScenarioSpec, jobs: int = 1) -> list[ScenarioResult]:
     """Evaluate every cell of a scenario, in deterministic cell order.
 
-    Dynamic specs delegate to ``run_dynamic``. The cells are solved as one
-    array program. With ``jobs`` greater than one, a process pool solves
-    ``jobs`` contiguous blocks of cells, one array program each; results are
-    identical to a serial run because a cell's solve does not depend on the
-    cells sharing its block and every random stream is keyed by cell index.
+    Dynamic specs delegate to ``run_dynamic``. Every cell's model is built,
+    the models are solved as one array program, then each optimum is audited
+    and evaluated by Monte Carlo on its cell's own stream. A failing cell
+    becomes a failed row. ``jobs`` is validated for compatibility but does
+    not change how, or where, the cells are computed.
     """
-    if spec.dynamic is not None:
-        return run_dynamic(spec)
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
-    tasks = [
-        _CellTask(
-            scenario_id=spec.id,
-            cell_index=index,
-            market=spec.market,
-            suppliers=spec.suppliers,
-            demand=spec.demand,
-            coordinates=coords,
-            replications=spec.replications,
-            seed=spec.seed,
-        )
-        for index, coords in enumerate(_cell_coordinates(spec))
-    ]
-    if jobs == 1 or len(tasks) == 1:
-        return _evaluate_block(tasks)
-    size = -(-len(tasks) // jobs)
-    blocks = [tasks[start : start + size] for start in range(0, len(tasks), size)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [row for rows in pool.map(_evaluate_block, blocks) for row in rows]
+    if spec.dynamic is not None:
+        return run_dynamic(spec)
+    coordinates = _cell_coordinates(spec)
+    rows: dict[int, ScenarioResult] = {}
+    cells = {}
+    for index, coords in enumerate(coordinates):
+        try:
+            cells[index] = _build_cell(spec, index, coords)
+        except ProcureKitError as exc:
+            rows[index] = _failed_row(spec, index, coords, exc)
+    for (index, cell), solved in zip(cells.items(), _solve_batch(list(cells.values()))):
+        coords = coordinates[index]
+        try:
+            if isinstance(solved, ProcureKitError):
+                raise solved
+            rows[index] = _solved_row(spec, index, coords, cell, solved)
+        except ProcureKitError as exc:
+            rows[index] = _failed_row(spec, index, coords, exc)
+    return [rows[index] for index in range(len(coordinates))]
 
 
 def adaptive_alpha_update(

@@ -3,6 +3,7 @@
 import textwrap
 
 import pytest
+from click.testing import CliRunner
 
 from procurekit.baseline import (
     BASELINE_DEMAND,
@@ -11,6 +12,7 @@ from procurekit.baseline import (
     DEFAULT_REPLICATIONS,
     DEFAULT_SEED,
 )
+from procurekit.cli import main
 from procurekit.config import apply_overrides, baseline_config, load_config, parse_config
 from procurekit.errors import ValidationError
 
@@ -180,6 +182,30 @@ class TestScenarioSection:
         )
         spec = parse_config(text).scenario
         assert spec.dynamic is not None and spec.dynamic.cycles == 10
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", ".nan"), ("learning_rate", ".inf"), ("target_penalty", ".inf"), ("a3_decline", ".nan")],
+    )
+    def test_non_finite_dynamic_setting_is_named_and_exits_1(self, tmp_path, field, value):
+        settings = dict(
+            cycles=10,
+            a3_initial=3000.0,
+            a3_decline=200.0,
+            learning_rate=0.05,
+            target_penalty=0.05,
+            alpha_initial=0.2,
+        )
+        settings[field] = value
+        config = tmp_path / "cycles.yaml"
+        config.write_text(
+            "scenario:\n  id: cycles\n  dynamic:\n" + "".join(f"    {k}: {v}\n" for k, v in settings.items())
+        )
+        result = CliRunner().invoke(main, ["scenario", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and f"dynamic: {field} must be finite" in line
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_scenario_id_required(self):
         with pytest.raises(ValidationError, match="missing required key 'id'"):

@@ -70,6 +70,15 @@ class TestDynamicSpec:
             ("target_penalty", 0.0),
             ("alpha_initial", 1.2),
             ("alpha_initial", -0.1),
+            ("a3_initial", math.nan),
+            ("a3_initial", math.inf),
+            ("a3_decline", math.nan),
+            ("a3_decline", -math.inf),
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
+            ("target_penalty", math.nan),
+            ("target_penalty", math.inf),
+            ("alpha_initial", math.nan),
         ],
     )
     def test_rejects_bad_settings(self, field, value):
