@@ -3,9 +3,9 @@
 Demand is a normal variable restricted to a closed interval [lower, upper].
 All quantities used elsewhere in the package (moments, quantiles, partial
 expectations) have closed forms in terms of the standard normal pdf/cdf, so
-nothing here is estimated by simulation. Sampling uses the inverse CDF, which
-consumes exactly one uniform draw per sample and therefore keeps parallel
-streams reproducible.
+nothing here is estimated by simulation; an interval right of mu uses upper
+tail probabilities, so both tails are accurate. Sampling uses the inverse CDF,
+one uniform draw per sample, so draws depend only on the seed and count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ __all__ = ["TruncatedNormal", "TruncatedNormalParams"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Below this much untruncated mass the normalized pdf is numerically garbage.
+# Intervals with less parent mass than this are refused: the mass is accurate
+# in both tails, but the pdf and moments divide by it and lose their digits.
 _MIN_MASS = 1e-12
 
 
@@ -49,6 +50,10 @@ class TruncatedNormalParams(NamedTuple):
     TruncatedNormal methods of the same names: callers check arguments once,
     at their boundary. Every operation is elementwise, so a cell's values do
     not depend on which other cells share its batch.
+
+    sign is -1 for an interval right of mu, else 1; cdf_lower and cdf_upper
+    are Phi(sign * a) and Phi(sign * b) at the standardized bounds, i.e. upper
+    tails on the right, and mass is Phi(b) - Phi(a) in either frame.
     """
 
     mu: object
@@ -60,18 +65,19 @@ class TruncatedNormalParams(NamedTuple):
     pdf_upper: object
     mass: object
     mean: object
+    sign: object
 
     def quantile(self, u):
         """Inverse CDF at u, assumed to lie in [0, 1]."""
-        p = self.cdf_lower + u * self.mass
-        x = self.mu + self.sigma * _norm_quantile(np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16))
+        p = self.cdf_lower + u * (self.sign * self.mass)
+        x = self.mu + (self.sign * self.sigma) * _norm_quantile(np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16))
         x = np.minimum(np.maximum(x, self.lower), self.upper)
         return np.where(u == 0.0, self.lower, np.where(u == 1.0, self.upper, x))
 
     def expected_excess(self, q):
         """E[(D - q)^+] at supply level q."""
         t = (q - self.mu) / self.sigma
-        tail = self.cdf_upper - _norm_cdf(t)
+        tail = self.sign * (self.cdf_upper - _norm_cdf(self.sign * t))
         inside = ((self.mu - q) * tail + self.sigma * (_norm_pdf(t) - self.pdf_upper)) / self.mass
         return np.where(q >= self.upper, 0.0, np.where(q <= self.lower, self.mean - q, inside))
 
@@ -118,8 +124,9 @@ class TruncatedNormal:
             )
         a = (self.lower - self.mu) / self.sigma
         b = (self.upper - self.mu) / self.sigma
-        cdf_lower, cdf_upper = float(_norm_cdf(a)), float(_norm_cdf(b))
-        mass = cdf_upper - cdf_lower
+        sign = -1.0 if self.lower > self.mu else 1.0
+        cdf_lower, cdf_upper = float(_norm_cdf(sign * a)), float(_norm_cdf(sign * b))
+        mass = sign * (cdf_upper - cdf_lower)
         if mass < _MIN_MASS:
             raise InvalidDistributionError(
                 f"truncation interval [{self.lower}, {self.upper}] captures "
@@ -134,7 +141,7 @@ class TruncatedNormal:
             self,
             "params",
             TruncatedNormalParams(
-                self.mu, self.sigma, self.lower, self.upper, cdf_lower, cdf_upper, pdf_upper, mass, mean
+                self.mu, self.sigma, self.lower, self.upper, cdf_lower, cdf_upper, pdf_upper, mass, mean, sign
             ),
         )
 
@@ -151,7 +158,8 @@ class TruncatedNormal:
         """P(D <= x) for scalar or array x."""
         x = np.asarray(x, dtype=float)
         z = (x - self.mu) / self.sigma
-        raw = (_norm_cdf(z) - self.params.cdf_lower) / self.params.mass
+        sign, cdf_lower, mass = self.params.sign, self.params.cdf_lower, self.params.mass
+        raw = sign * (_norm_cdf(sign * z) - cdf_lower) / mass
         return _float_or_array(
             np.where(x <= self.lower, 0.0, np.where(x >= self.upper, 1.0, np.clip(raw, 0.0, 1.0)))
         )

@@ -38,4 +38,4 @@ class FitConvergenceError(ProcureKitError, RuntimeError):
 
 
 class ThresholdNotFoundError(ProcureKitError, RuntimeError):
-    """No adoption threshold exists inside the scanned range."""
+    """No adoption threshold exists inside the given range."""

@@ -5,12 +5,13 @@ fixed and the order side is a classic newsvendor: put everything on the
 cheapest supplier and order up to the critical fractile
 (price + penalty - cost) / (price + penalty - salvage). Since a1 * alpha
 lowers every cost by the same amount, the cheapest supplier does not depend
-on alpha, and the outer problem is one curve in alpha. It is evaluated on a
-grid as one array program, and the grid argmax is then polished by a root-find
-on the closed-form envelope derivative a1 * Q*(alpha) - adoption_cost_slope(alpha).
-Many problems (the cells of a scenario) share that array program: their grids
-are evaluated in one pass and their root-finds run in lock-step; optimize is
-the same program on a batch of one.
+on alpha, and the outer problem is one curve in alpha. It is evaluated on the
+fixed grid 0, 0.01, ..., 1 as one array program, and the grid argmax is then
+polished by a root-find on the closed-form envelope derivative
+a1 * Q*(alpha) - adoption_cost_slope(alpha). Many problems (the cells of a
+scenario) share that array program; optimize is the same program on a batch
+of one. Since Q*(alpha) does not involve a3, the adoption threshold is a
+closed form in Q* at the display cutoff.
 
 KKT residuals are computed from closed-form probabilities and reported with
 the multipliers, so a caller can audit any decision, optimal or not.
@@ -19,6 +20,7 @@ the multipliers, so a caller can audit any decision, optimal or not.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,6 +45,9 @@ __all__ = [
 ]
 
 _ACTIVE_TOL = 1e-9
+# The alpha grid of the envelope argmax; linspace keeps 1.0 an exact endpoint.
+_GRID_STEP = 0.01
+_GRID = np.linspace(0.0, 1.0, 101)
 # Multisection of the envelope slope: 32 cells per round; 2**-1074 is reached
 # from a bracket of width 1 within 215 rounds.
 _SECTIONS = 32
@@ -213,38 +218,29 @@ def _slope_roots(env: _Envelope, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _decide(market, suppliers, demand, alpha_grid: float, alpha_root: float | None) -> Decision:
+def _decide(market, suppliers, demand, alpha_grid: float, alpha_root: float) -> Decision:
     """The order at the slope root, unless the grid point earns strictly more."""
-    decision = optimal_quantity_given_alpha(market, suppliers, demand, alpha_grid)
-    if alpha_root is not None:
-        at_root = optimal_quantity_given_alpha(market, suppliers, demand, alpha_root)
-        # On a tie the root wins: it is the point whose KKT audit closes.
-        if expected_profit_value(market, suppliers, demand, at_root) >= expected_profit_value(
-            market, suppliers, demand, decision
-        ):
-            decision = at_root
-    return decision
+    at_grid = optimal_quantity_given_alpha(market, suppliers, demand, alpha_grid)
+    at_root = optimal_quantity_given_alpha(market, suppliers, demand, alpha_root)
+    # On a tie the root wins: it is the point whose KKT audit closes.
+    root_wins = expected_profit_value(market, suppliers, demand, at_root) >= expected_profit_value(
+        market, suppliers, demand, at_grid
+    )
+    return at_root if root_wins else at_grid
 
 
 def _solve_batch(
     cells: Sequence[tuple[MarketEconomics, Sequence[SupplierProfile], TruncatedNormal]],
-    grid_step: float = 0.01,
-    refine: bool = True,
 ) -> list[Decision | ProcureKitError]:
     """Optimal decision of each (market, suppliers, demand) cell, or its error.
 
-    The cells share one array program: the alpha grid of every cell is
-    evaluated in one pass, then their envelope slopes are root-found in
-    lock-step. A cell whose grid meets a cost <= 0 or below salvage, or a
-    negative order, gets the error the scalar inner solve raises at the first
-    such grid alpha. A cell's result does not depend on the other cells.
+    The cells share one array program: every cell's envelope is evaluated on
+    the fixed alpha grid in one pass, then their slopes are root-found in
+    lock-step within one grid step of each grid argmax. A cell whose grid
+    meets a cost <= 0 or below salvage, or a negative order, gets the error
+    the scalar inner solve raises at the first such grid alpha. A cell's
+    result does not depend on the other cells.
     """
-    if not 0.0 < grid_step <= 0.5:
-        raise ValidationError(f"grid_step must lie in (0, 0.5], got {grid_step!r}")
-    steps = int(round(1.0 / grid_step))
-    grid = np.linspace(0.0, 1.0, steps + 1) if abs(steps * grid_step - 1.0) < 1e-12 else np.append(
-        np.arange(0.0, 1.0, grid_step), 1.0
-    )
     results: list = [None] * len(cells)
     rows, live = [], []
     for i, (market, suppliers, demand) in enumerate(cells):
@@ -261,23 +257,21 @@ def _solve_batch(
     if not live:
         return results
     env = _Envelope(np.array(rows))
-    cost, q = env.cost_and_order(grid)
+    cost, q = env.cost_and_order(_GRID)
     bad = (cost <= 0.0) | (cost < env.salvage) | ~(q >= 0.0)
     for row in np.flatnonzero(bad.any(axis=1)):
         try:
             # Raise the error the scalar inner solve gives at the first bad alpha.
-            optimal_quantity_given_alpha(*cells[live[row]], float(grid[np.argmax(bad[row])]))
+            optimal_quantity_given_alpha(*cells[live[row]], float(_GRID[np.argmax(bad[row])]))
         except ProcureKitError as exc:
             results[live[row]] = exc
     keep = np.array([results[i] is None for i in live], dtype=bool)
     env, cost, q, live = env.take(keep), cost[keep], q[keep], [i for i, k in zip(live, keep) if k]
-    best = grid[np.argmax(env.profit(grid, cost, q), axis=1)]
-    roots = [None] * len(live)
-    if refine:
-        roots = _slope_roots(env, np.maximum(0.0, best - grid_step), np.minimum(1.0, best + grid_step))
+    best = _GRID[np.argmax(env.profit(_GRID, cost, q), axis=1)]
+    roots = _slope_roots(env, np.maximum(0.0, best - _GRID_STEP), np.minimum(1.0, best + _GRID_STEP))
     for i, alpha_grid, alpha_root in zip(live, best, roots):
         try:
-            results[i] = _decide(*cells[i], float(alpha_grid), None if alpha_root is None else float(alpha_root))
+            results[i] = _decide(*cells[i], float(alpha_grid), float(alpha_root))
         except ProcureKitError as exc:
             results[i] = exc
     return results
@@ -287,20 +281,18 @@ def optimize(
     market: MarketEconomics,
     suppliers: Sequence[SupplierProfile],
     demand: TruncatedNormal,
-    grid_step: float = 0.01,
-    refine: bool = True,
 ) -> Optimum:
     """Maximize expected profit over alpha in [0, 1] and the order vector.
 
-    The whole alpha grid at grid_step is evaluated as one array program and
-    its argmax taken. When refine is set, the envelope slope
+    The envelope is evaluated on the fixed alpha grid 0, 0.01, ..., 1 as one
+    array program and its argmax taken. The envelope slope
     a1 * Q*(alpha) - adoption_cost_slope(alpha) is then root-found within one
     grid step of that argmax, and the root is kept unless the grid point
     earns strictly more. The returned alpha is stored at full precision;
     display layers round it. This is the batch solve of scenario runs on a
     batch of one cell, so it agrees with any scenario cell bit for bit.
     """
-    (decision,) = _solve_batch([(market, suppliers, demand)], grid_step, refine)
+    (decision,) = _solve_batch([(market, suppliers, demand)])
     if isinstance(decision, ProcureKitError):
         raise decision
     return Optimum(
@@ -368,39 +360,34 @@ def adoption_threshold(
     demand: TruncatedNormal,
     a3_low: float,
     a3_high: float,
-    grid_step: float = 0.01,
-    resolution: float = 1.0,
 ) -> float:
-    """Smallest a3 in [a3_low, a3_high] at which alpha* drops below
-    grid_step / 2, i.e. displays as 0.00 at the grid resolution.
+    """Smallest a3 in [a3_low, a3_high] at which optimize reports alpha*
+    below c = 0.005, half the grid step, so that it displays as 0.00.
 
-    alpha* is nonincreasing in a3, so bisection applies. The result is exact
-    to `resolution` (default 1 USD). Raises ThresholdNotFoundError when even
-    a3_high leaves alpha* at or above the cutoff.
+    Q*(alpha) does not involve a3, so the envelope slope
+    g(alpha) = a1 * Q*(alpha) - a3 * nu * alpha**(nu - 1) is nonpositive at c
+    exactly when a3 >= a3* = a1 * Q*(c) / (nu * c**(nu - 1)). That makes a3*
+    the threshold if alpha* does not increase with a3 and g crosses zero once
+    near c. At a3* the slope root sits on the cutoff, so the result is a3* or
+    the next float up, whichever optimize first reports below c. Returns
+    a3_low when a3* <= a3_low; raises ThresholdNotFoundError when the result
+    lies above a3_high, or when neither value reports zero.
     """
     if not 0.0 < a3_low < a3_high:
-        raise ValidationError(
-            f"need 0 < a3_low < a3_high, got [{a3_low!r}, {a3_high!r}]"
-        )
-    if resolution <= 0.0:
-        raise ValidationError(f"resolution must be positive, got {resolution!r}")
-    cutoff = grid_step / 2.0
+        raise ValidationError(f"need 0 < a3_low < a3_high, got [{a3_low!r}, {a3_high!r}]")
+    cutoff = _GRID_STEP / 2.0
+    q_cutoff = optimal_quantity_given_alpha(market, suppliers, demand, cutoff).total
+    a3_star = market.a1 * q_cutoff / (market.nu * cutoff ** (market.nu - 1.0))
+    if a3_star <= a3_low:
+        return a3_low
 
     def reported_zero(a3: float) -> bool:
-        probe = dataclasses.replace(market, a3=a3)
-        return optimize(probe, suppliers, demand, grid_step=grid_step).alpha_star < cutoff
+        if a3 > a3_high:
+            raise ThresholdNotFoundError(f"alpha* still at or above {cutoff} at a3={a3_high}; widen the range")
+        return optimize(dataclasses.replace(market, a3=a3), suppliers, demand).alpha_star < cutoff
 
-    if not reported_zero(a3_high):
-        raise ThresholdNotFoundError(
-            f"alpha* still at or above {cutoff} at a3={a3_high}; widen the range"
-        )
-    if reported_zero(a3_low):
-        return a3_low
-    lo, hi = a3_low, a3_high
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if reported_zero(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if reported_zero(a3_star):
+        return a3_star
+    if reported_zero(a3_up := math.nextafter(a3_star, math.inf)):
+        return a3_up
+    raise ThresholdNotFoundError(f"alpha* still at or above {cutoff} at a3={a3_up!r}, just above the closed form")

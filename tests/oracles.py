@@ -1,16 +1,19 @@
 """Independent reference implementations used to check closed forms.
 
 Everything here is deliberately brute force: composite Simpson quadrature,
-plain Monte Carlo, finite differences, and exhaustive grid argmax. The point
-is to validate the analytic code paths against slow routes that share no
-formulas with them.
+plain Monte Carlo, finite differences, exhaustive grid argmax, and bisection
+over whole solves. The point is to validate the analytic code paths against
+slow routes that share no formulas with them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
+
+from procurekit.optimizer import optimize
 
 
 def simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int = 10_000) -> float:
@@ -42,3 +45,28 @@ def grid_argmax(f: Callable[[float], float], lo: float, hi: float, step: float) 
     xs = np.arange(lo, hi + step / 2.0, step)
     vals = [f(float(x)) for x in xs]
     return float(xs[int(np.argmax(vals))])
+
+
+def bisect_adoption_threshold(market, suppliers, demand, a3_low: float, a3_high: float, resolution: float) -> float:
+    """Smallest a3 in [a3_low, a3_high], to within resolution, at which
+    optimize reports alpha* below 0.005, found by bisection over whole solves.
+
+    Assumes alpha* is nonincreasing in a3; raises ValueError when even a3_high
+    leaves alpha* at or above the cutoff.
+    """
+
+    def reported_zero(a3: float) -> bool:
+        return optimize(dataclasses.replace(market, a3=a3), suppliers, demand).alpha_star < 0.005
+
+    if not reported_zero(a3_high):
+        raise ValueError(f"alpha* still at or above 0.005 at a3={a3_high}")
+    if reported_zero(a3_low):
+        return a3_low
+    lo, hi = a3_low, a3_high
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if reported_zero(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

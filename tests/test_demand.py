@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from procurekit.demand import TruncatedNormal
@@ -14,7 +14,14 @@ from oracles import excess_by_quadrature, moment, simpson
 
 BASELINE = TruncatedNormal(mu=50.0, sigma=8.0, lower=30.0, upper=70.0)
 SKEWED = TruncatedNormal(mu=55.0, sigma=12.0, lower=40.0, upper=90.0)
-CASES = [BASELINE, SKEWED, TruncatedNormal(mu=0.0, sigma=1.0, lower=-1.0, upper=3.0)]
+CASES = [
+    BASELINE,
+    SKEWED,
+    TruncatedNormal(mu=0.0, sigma=1.0, lower=-1.0, upper=3.0),
+    # Intervals far right of mu, where Phi(b) - Phi(a) cancels.
+    TruncatedNormal(mu=0.0, sigma=1.0, lower=7.0, upper=8.0),
+    TruncatedNormal(mu=50.0, sigma=2.0, lower=64.0, upper=66.0),
+]
 
 
 class TestValidation:
@@ -30,6 +37,11 @@ class TestValidation:
         # Interval sits 50 parent standard deviations away from mu.
         with pytest.raises(InvalidDistributionError, match="refusing to normalize"):
             TruncatedNormal(mu=0.0, sigma=1.0, lower=50.0, upper=60.0)
+
+    def test_refusal_reports_right_tail_mass(self):
+        # Phi(-9) - Phi(-10), which Phi(10) - Phi(9) would round to zero.
+        with pytest.raises(InvalidDistributionError, match=r"captures 1\.129e-19 "):
+            TruncatedNormal(mu=0.0, sigma=1.0, lower=9.0, upper=10.0)
 
     def test_rejects_nonfinite_parameters(self):
         with pytest.raises(InvalidDistributionError):
@@ -196,3 +208,41 @@ class TestPartialExpectations:
         assert out[1] == pytest.approx(dist.mean - dist.lower, abs=1e-12)
         assert out[2] == pytest.approx(excess_by_quadrature(dist, float(qs[2])), abs=1e-9)
         assert out[4] == 0.0 and out[5] == 0.0
+
+
+class TestMirrorSymmetry:
+    """D on [lower, upper] and -D, which is TN(-mu, sigma) on [-upper, -lower],
+    agree in every tail: the right tail is as accurate as the left."""
+
+    @given(
+        mu=st.floats(min_value=-50.0, max_value=50.0),
+        sigma=st.floats(min_value=0.5, max_value=20.0),
+        a=st.floats(min_value=-7.5, max_value=7.5),
+        width=st.floats(min_value=0.05, max_value=4.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mirror_agrees(self, mu, sigma, a, width):
+        lower, upper = mu + a * sigma, mu + (a + width) * sigma
+        try:
+            dist = TruncatedNormal(mu=mu, sigma=sigma, lower=lower, upper=upper)
+        except InvalidDistributionError:
+            assume(False)
+        mirror = TruncatedNormal(mu=-mu, sigma=sigma, lower=-upper, upper=-lower)
+
+        def close(x, y, scale):
+            # 1e-12 relative to the value, or to the scale it is computed
+            # from when the value is much smaller than that scale.
+            assert abs(x - y) <= 1e-12 * max(abs(x), scale), (x, y)
+
+        scale = abs(mu) + sigma
+        close(dist.mean, -mirror.mean, scale)
+        # sigma**2 * (1 + tilt - shift**2) cancels on narrow intervals.
+        close(dist.variance, mirror.variance, sigma**2)
+        for u in (0.125, 0.25, 0.5, 0.75, 0.875):
+            x = dist.quantile(u)
+            close(x, -mirror.quantile(1.0 - u), scale)
+            # Probabilities are compared on their own [0, 1] scale.
+            close(dist.cdf(x), 1.0 - mirror.cdf(-x), 1.0)
+            # E[(D - x)^+] = E[(x' - M)^+] with x' = -x, M = -D, and
+            # E[(x' - M)^+] = x' - E[M] + E[(M - x')^+].
+            close(dist.expected_excess(x), -x - mirror.mean + mirror.expected_excess(-x), scale)
