@@ -115,6 +115,21 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def _table(stem: str, header: tuple[str, ...], rows: list[tuple], fmt: str) -> tuple[str, str]:
+    """One table as ``(stem.csv, CSV text)`` or ``(stem.json, JSON text)``.
+
+    JSON rows are objects keyed by the header: tuples take their CSV cell
+    text and non-finite numbers become null.
+    """
+    if fmt == "csv":
+        return f"{stem}.csv", _csv_text(header, rows)
+    payload = [
+        {k: _json_value(_cell_text(v) if isinstance(v, tuple) else v) for k, v in zip(header, row)}
+        for row in rows
+    ]
+    return f"{stem}.json", _json_text(payload)
+
+
 def _breakdown_payload(breakdown: ProfitBreakdown) -> dict:
     payload = {}
     for field in dataclasses.fields(breakdown):
@@ -178,7 +193,6 @@ def cmd_optimize(config_path, seed, replications, out_dir) -> None:
         }
         for supplier, quantity in zip(cfg.suppliers, optimum.decision.quantities)
     ]
-    kkt = optimum.kkt
     payload = {
         "alpha_star": optimum.alpha_star,
         "q_star": optimum.q_star,
@@ -189,22 +203,14 @@ def cmd_optimize(config_path, seed, replications, out_dir) -> None:
             "replications": cfg.replications,
             "seed": cfg.seed,
         },
-        "kkt": {
-            "stationarity_q": list(kkt.stationarity_q),
-            "stationarity_alpha": kkt.stationarity_alpha,
-            "multipliers_q": list(kkt.multipliers_q),
-            "multiplier_alpha_lower": kkt.multiplier_alpha_lower,
-            "multiplier_alpha_upper": kkt.multiplier_alpha_upper,
-            "complementary_slackness": kkt.complementary_slackness,
-            "max_residual": kkt.max_residual,
-        },
+        "kkt": dataclasses.asdict(optimum.kkt),
     }
     path = Path(out_dir) / "optimum.json"
     _atomic_write(path, _json_text(payload))
     click.echo(
         f"alpha_star={optimum.alpha_star:.6f} q_star={optimum.q_star:.4f} "
         f"expected_profit_usd={optimum.breakdown.expected_profit:.2f} "
-        f"kkt_max_residual={kkt.max_residual:.3g} -> {path}"
+        f"kkt_max_residual={optimum.kkt.max_residual:.3g} -> {path}"
     )
 
 
@@ -298,42 +304,24 @@ def cmd_scenario(target, seed, replications, jobs, out_dir, fmt) -> None:
         spec = dataclasses.replace(spec, **overrides)
 
     results = run(spec, jobs=jobs)
-    out = Path(out_dir)
-    outputs: list[tuple[Path, str]] = []
     if spec.dynamic is not None:
         rows = [_trajectory_row(r) for r in results]
-        if fmt == "csv":
-            outputs.append((out / "trajectory.csv", _csv_text(_TRAJECTORY_COLUMNS, rows)))
-        else:
-            payload = [
-                {k: _json_value(v) for k, v in zip(_TRAJECTORY_COLUMNS, row)} for row in rows
-            ]
-            outputs.append((out / "trajectory.json", _json_text(payload)))
+        outputs = [_table("trajectory", _TRAJECTORY_COLUMNS, rows, fmt)]
     else:
         param_paths = tuple(path for path, _ in spec.axes)
         header = ("scenario_id", "cell_index", *param_paths, *_RESULT_METRICS)
         rows = [_result_row(r, param_paths) for r in results]
-        if fmt == "csv":
-            outputs.append((out / "results.csv", _csv_text(header, rows)))
-        else:
-            payload = [
-                {k: _json_value(_tuple_text(v)) for k, v in zip(header, row)} for row in rows
-            ]
-            outputs.append((out / "results.json", _json_text(payload)))
+        outputs = [_table("results", header, rows, fmt)]
         if spec.sampler == "grid" and len(spec.axes) == 2:
             heatmap_csv, heatmap_svg = _heatmap_outputs(spec, results)
-            outputs.append((out / "heatmap.csv", heatmap_csv))
-            outputs.append((out / "heatmap.svg", heatmap_svg))
+            outputs += [("heatmap.csv", heatmap_csv), ("heatmap.svg", heatmap_svg)]
 
-    for path, text in outputs:
-        _atomic_write(path, text)
+    out = Path(out_dir)
+    for name, text in outputs:
+        _atomic_write(out / name, text)
     failed = sum(1 for r in results if r.status != "ok")
     note = f" ({failed} failed cells)" if failed else ""
-    click.echo(f"wrote {len(results)} rows{note}: " + ", ".join(str(p) for p, _ in outputs))
-
-
-def _tuple_text(value: object) -> object:
-    return _cell_text(value) if isinstance(value, tuple) else value
+    click.echo(f"wrote {len(results)} rows{note}: " + ", ".join(str(out / n) for n, _ in outputs))
 
 
 @main.command("fit")
@@ -380,14 +368,9 @@ def cmd_fit(data_csv, families_text, out_dir, fmt) -> None:
                 "; ".join(report.notes),
             )
         )
-    out = Path(out_dir)
-    if fmt == "csv":
-        path = out / "fits.csv"
-        _atomic_write(path, _csv_text(_FIT_COLUMNS, rows))
-    else:
-        path = out / "fits.json"
-        payload = [dict(zip(_FIT_COLUMNS, row)) for row in rows]
-        _atomic_write(path, _json_text(payload))
+    name, text = _table("fits", _FIT_COLUMNS, rows, fmt)
+    path = Path(out_dir) / name
+    _atomic_write(path, text)
     click.echo(f"{'rank':<5}{'family':<20}{'aic':>14}{'bic':>14}{'ks':>10}{'rmse':>12}")
     for row in rows:
         click.echo(f"{row[0]:<5}{row[1]:<20}{row[5]:>14.2f}{row[6]:>14.2f}{row[7]:>10.4f}{row[8]:>12.6f}")

@@ -2,14 +2,19 @@
 
 A config file is one YAML document with sections mirroring the model types:
 ``market``, ``suppliers``, ``demand``, plus ``seed``, ``replications``, and
-an optional ``scenario`` section for a custom parameter study. Every section
-is optional; omitted sections fall back to the shipped baseline. Validation
+an optional ``scenario`` section for a custom parameter study. The keys of
+``market``, of each ``suppliers`` entry, of ``demand`` and of
+``scenario.dynamic`` are the fields of their model type (``MarketEconomics``,
+``SupplierProfile``, ``TruncatedNormal``, ``DynamicSpec``), read in
+declaration order, so the dataclasses are the schema. Every section is
+optional; omitted sections fall back to the shipped baseline. Validation
 errors carry the source file and the line of the nearest enclosing mapping.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +33,8 @@ from .errors import ValidationError
 from .scenarios import DynamicSpec, ScenarioSpec
 
 _LINE_KEY = "__line__"
+
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
 
 class _TrackedLoader(yaml.SafeLoader):
@@ -85,11 +92,11 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         raw = {}
     root = _Section("config", raw, source, line=1)
 
-    market = _parse_market(root)
+    market = _parse_record(root, "market", MarketEconomics, BASELINE_MARKET)
     suppliers = _parse_suppliers(root)
-    demand = _parse_demand(root)
-    seed = root.get_int("seed", DEFAULT_SEED, minimum=0)
-    replications = root.get_int("replications", DEFAULT_REPLICATIONS, minimum=2)
+    demand = _parse_record(root, "demand", TruncatedNormal, BASELINE_DEMAND)
+    seed = root.get("seed", int, DEFAULT_SEED, minimum=0)
+    replications = root.get("replications", int, DEFAULT_REPLICATIONS, minimum=2)
     scenario = _parse_scenario(root, market, suppliers, demand, seed, replications)
     root.reject_unknown_keys(
         ("market", "suppliers", "demand", "seed", "replications", "scenario")
@@ -157,37 +164,19 @@ class _Section:
             return None
         return _Section(f"{self.name}.{key}", self.data[key], self.source, self.line)
 
-    def get_float(self, key: str, default: float | None = None) -> float:
+    def get(self, key: str, kind: type, default=None, minimum=None):
+        """The value under ``key`` as ``kind`` (float, int or str); ``bool`` is refused."""
         if key not in self.data:
             if default is None:
                 raise self.error(f"missing required key {key!r}")
             return default
         value = self.data[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise self.error(f"{key} must be a number, got {value!r}")
-        return float(value)
-
-    def get_int(self, key: str, default: int | None = None, minimum: int | None = None) -> int:
-        if key not in self.data:
-            if default is None:
-                raise self.error(f"missing required key {key!r}")
-            return default
-        value = self.data[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise self.error(f"{key} must be an integer, got {value!r}")
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise self.error(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
         if minimum is not None and value < minimum:
             raise self.error(f"{key} must be at least {minimum}, got {value}")
-        return value
-
-    def get_str(self, key: str, default: str | None = None) -> str:
-        if key not in self.data:
-            if default is None:
-                raise self.error(f"missing required key {key!r}")
-            return default
-        value = self.data[key]
-        if not isinstance(value, str):
-            raise self.error(f"{key} must be a string, got {value!r}")
-        return value
+        return kind(value)
 
     def build(self, factory, **kwargs):
         """Construct a model type, prefixing its validation errors with context."""
@@ -196,22 +185,29 @@ class _Section:
         except ValidationError as exc:
             raise self.error(str(exc)) from exc
 
+    def record(self, cls, defaults=None):
+        """Build dataclass ``cls`` from this mapping, one key per field.
 
-def _parse_market(root: _Section) -> MarketEconomics:
-    section = root.subsection("market")
-    if section is None:
-        return BASELINE_MARKET
-    section.reject_unknown_keys(("price", "salvage", "penalty", "a1", "a2", "a3", "nu"))
-    return section.build(
-        MarketEconomics,
-        price=section.get_float("price", BASELINE_MARKET.price),
-        salvage=section.get_float("salvage", BASELINE_MARKET.salvage),
-        penalty=section.get_float("penalty", BASELINE_MARKET.penalty),
-        a1=section.get_float("a1", BASELINE_MARKET.a1),
-        a2=section.get_float("a2", BASELINE_MARKET.a2),
-        a3=section.get_float("a3", BASELINE_MARKET.a3),
-        nu=section.get_float("nu", BASELINE_MARKET.nu),
-    )
+        Fields are read in declaration order with their annotated type;
+        ``defaults`` (an instance of ``cls``) supplies omitted keys, and
+        without it every field is required.
+        """
+        names = tuple(field.name for field in dataclasses.fields(cls))
+        self.reject_unknown_keys(names)
+        kinds = typing.get_type_hints(cls)
+        return self.build(
+            cls,
+            **{
+                name: self.get(name, kinds[name], getattr(defaults, name, None))
+                for name in names
+            },
+        )
+
+
+def _parse_record(parent: _Section, key: str, cls, defaults):
+    """Section ``key`` as a ``cls`` record; ``defaults`` if the section is absent."""
+    section = parent.subsection(key)
+    return defaults if section is None else section.record(cls, defaults)
 
 
 def _parse_suppliers(root: _Section) -> tuple[SupplierProfile, ...]:
@@ -220,32 +216,9 @@ def _parse_suppliers(root: _Section) -> tuple[SupplierProfile, ...]:
     entries = root.data["suppliers"]
     if not isinstance(entries, list) or not entries:
         raise root.error("suppliers must be a nonempty list of mappings")
-    suppliers = []
-    for position, entry in enumerate(entries):
-        section = _Section(f"suppliers[{position}]", entry, root.source, root.line)
-        section.reject_unknown_keys(("id", "base_cost", "beta"))
-        suppliers.append(
-            section.build(
-                SupplierProfile,
-                id=section.get_int("id"),
-                base_cost=section.get_float("base_cost"),
-                beta=section.get_float("beta"),
-            )
-        )
-    return tuple(suppliers)
-
-
-def _parse_demand(root: _Section) -> TruncatedNormal:
-    section = root.subsection("demand")
-    if section is None:
-        return BASELINE_DEMAND
-    section.reject_unknown_keys(("mu", "sigma", "lower", "upper"))
-    return section.build(
-        TruncatedNormal,
-        mu=section.get_float("mu", BASELINE_DEMAND.mu),
-        sigma=section.get_float("sigma", BASELINE_DEMAND.sigma),
-        lower=section.get_float("lower", BASELINE_DEMAND.lower),
-        upper=section.get_float("upper", BASELINE_DEMAND.upper),
+    return tuple(
+        _Section(f"suppliers[{position}]", entry, root.source, root.line).record(SupplierProfile)
+        for position, entry in enumerate(entries)
     )
 
 
@@ -264,31 +237,6 @@ def _parse_axis_values(section: _Section, path: str, values: object) -> tuple:
         else:
             parsed.append(float(value))
     return tuple(parsed)
-
-
-def _parse_dynamic(scenario: _Section) -> DynamicSpec | None:
-    section = scenario.subsection("dynamic")
-    if section is None:
-        return None
-    section.reject_unknown_keys(
-        (
-            "cycles",
-            "a3_initial",
-            "a3_decline",
-            "learning_rate",
-            "target_penalty",
-            "alpha_initial",
-        )
-    )
-    return section.build(
-        DynamicSpec,
-        cycles=section.get_int("cycles"),
-        a3_initial=section.get_float("a3_initial"),
-        a3_decline=section.get_float("a3_decline"),
-        learning_rate=section.get_float("learning_rate"),
-        target_penalty=section.get_float("target_penalty"),
-        alpha_initial=section.get_float("alpha_initial"),
-    )
 
 
 def _parse_scenario(
@@ -312,18 +260,18 @@ def _parse_scenario(
     for position, entry in enumerate(raw_axes):
         axis = _Section(f"{section.name}.axes[{position}]", entry, root.source, section.line)
         axis.reject_unknown_keys(("path", "values"))
-        path = axis.get_str("path")
+        path = axis.get("path", str)
         axes.append((path, _parse_axis_values(axis, path, axis.data.get("values"))))
     return section.build(
         ScenarioSpec,
-        id=section.get_str("id"),
+        id=section.get("id", str),
         market=market,
         suppliers=suppliers,
         demand=demand,
         axes=tuple(axes),
-        sampler=section.get_str("sampler", "grid"),
-        lhs_samples=section.get_int("lhs_samples", 0),
-        replications=section.get_int("replications", replications, minimum=2),
-        seed=section.get_int("seed", seed, minimum=0),
-        dynamic=_parse_dynamic(section),
+        sampler=section.get("sampler", str, "grid"),
+        lhs_samples=section.get("lhs_samples", int, 0),
+        replications=section.get("replications", int, replications, minimum=2),
+        seed=section.get("seed", int, seed, minimum=0),
+        dynamic=_parse_record(section, "dynamic", DynamicSpec, None),
     )

@@ -227,16 +227,22 @@ def _histogram_rmse(x: np.ndarray, density: Callable[[np.ndarray], np.ndarray]) 
     return float(np.sqrt(np.mean(gaps**2)))
 
 
-def _log_interval_mass(a_std: float, b_std: float) -> float:
-    """Log of Phi(b_std) - Phi(a_std), stable when both lie in one far tail."""
-    if a_std > 0.0:
-        log_hi, log_lo = log_ndtr(-a_std), log_ndtr(-b_std)
-    elif b_std < 0.0:
-        log_hi, log_lo = log_ndtr(b_std), log_ndtr(a_std)
-    else:
-        return math.log(max(float(ndtr(b_std) - ndtr(a_std)), 5e-324))
-    # cap the exponent just below zero so a fully cancelled difference stays finite
-    return log_hi + math.log1p(-math.exp(min(log_lo - log_hi, -1e-18)))
+def _log_interval_mass(a_std, b_std):
+    """Log of Phi(b_std) - Phi(a_std), stable when both lie in one far tail.
+
+    Arrays broadcast; a scalar pair gives a float. Equal bounds hold zero
+    mass and give -inf.
+    """
+    a_std, b_std = np.asarray(a_std, dtype=float), np.asarray(b_std, dtype=float)
+    # right of zero, mirror so both tails read Phi(hi) * (1 - Phi(lo) / Phi(hi))
+    right = a_std > 0.0
+    log_hi = log_ndtr(np.where(right, -a_std, b_std))
+    log_lo = log_ndtr(np.where(right, -b_std, a_std))
+    with np.errstate(divide="ignore"):
+        tail = log_hi + np.log1p(-np.exp(log_lo - log_hi))
+        body = np.log(ndtr(b_std) - ndtr(a_std))
+    out = np.where(right | (b_std < 0.0), tail, body)
+    return float(out) if out.ndim == 0 else out
 
 
 def _fit_truncated_normal(
@@ -332,13 +338,7 @@ def _fit_truncated_normal(
     def cdf(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         z = np.clip((v - mu_hat) / sigma_hat, a_hat, b_hat)
-        parts = [
-            0.0
-            if point <= a_hat
-            else math.exp(_log_interval_mass(a_hat, float(point)) - log_mass_hat)
-            for point in np.ravel(z)
-        ]
-        return np.minimum(np.reshape(np.asarray(parts), z.shape), 1.0)
+        return np.minimum(np.exp(_log_interval_mass(a_hat, z) - log_mass_hat), 1.0)
 
     log_likelihood = -float(result.fun)
     aic, bic = _information_criteria(log_likelihood, n)

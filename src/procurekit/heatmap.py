@@ -40,7 +40,10 @@ def _color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _fmt(value: float) -> str:
+def _fmt(value: float | tuple) -> str:
+    # a suppliers.beta_range tick is a (low, high) pair, labelled low:high
+    if isinstance(value, tuple):
+        return ":".join(_fmt(v) for v in value)
     return f"{value:.4g}"
 
 

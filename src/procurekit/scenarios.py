@@ -132,6 +132,9 @@ class ScenarioSpec:
             if len(axis[1]) == 0:
                 raise ValidationError(f"axis {axis[0]!r} has no values")
             _validate_axis_values(axis[0], axis[1], self.sampler)
+        paths = [path for path, _ in self.axes]
+        if len(set(paths)) != len(paths):
+            raise ValidationError(f"axis paths must be distinct, got {paths}")
         if self.dynamic is not None:
             if self.axes or self.sampler != "grid":
                 raise ValidationError("dynamic scenarios take no axes or sampler settings")

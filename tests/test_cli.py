@@ -136,6 +136,53 @@ class TestScenario:
         assert result.exit_code == 1
 
 
+def csv_cell(value):
+    """The CSV text of one JSON table value; null stands for nan."""
+    if value is None:
+        return "nan"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def assert_json_matches_csv(tmp_path, args, stem):
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    assert invoke(*args, "--out", csv_dir).exit_code == 0
+    assert invoke(*args, "--out", json_dir, "--format", "json").exit_code == 0
+    csv_rows = read_rows(csv_dir / f"{stem}.csv")
+    json_rows = json.loads((json_dir / f"{stem}.json").read_text())
+    assert [list(row) for row in json_rows] == [list(row) for row in csv_rows]
+    assert [{k: csv_cell(v) for k, v in row.items()} for row in json_rows] == csv_rows
+    return json_rows
+
+
+class TestTableFormats:
+    def test_results_rows_with_pairs_and_a_failed_cell(self, tmp_path):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(
+            "scenario:\n  id: pairs\n  replications: 200\n  axes:\n"
+            "    - {path: suppliers.beta_range, values: [[0.4, 0.6], [0.3, 0.7]]}\n"
+            "    - {path: demand.sigma, values: [8.0, -1.0]}\n"
+        )
+        rows = assert_json_matches_csv(tmp_path, ("scenario", spec), "results")
+        assert [r["suppliers.beta_range"] for r in rows] == ["0.4:0.6"] * 2 + ["0.3:0.7"] * 2
+        assert [r["status"] == "ok" for r in rows] == [True, False, True, False]
+        assert rows[1]["alpha_star"] is None
+
+    def test_s4_results(self, tmp_path):
+        args = ("scenario", "s4", "--replications", 200)
+        rows = assert_json_matches_csv(tmp_path, args, "results")
+        assert all(":" in r["suppliers.beta_range"] for r in rows)
+
+    def test_s11_trajectory(self, tmp_path):
+        args = ("scenario", "s11", "--replications", 200)
+        rows = assert_json_matches_csv(tmp_path, args, "trajectory")
+        assert [r["cycle"] for r in rows] == list(range(1, len(rows) + 1))
+
+    def test_fits(self, tmp_path):
+        invoke("sample", "--n", 2000, "--seed", 5, "--out", tmp_path)
+        rows = assert_json_matches_csv(tmp_path, ("fit", tmp_path / "samples.csv"), "fits")
+        assert [r["rank"] for r in rows] == [1, 2, 3]
+
+
 class TestSample:
     def test_draws_stay_inside_bounds_and_histogram_normalizes(self, tmp_path):
         result = invoke("sample", "--n", 20000, "--seed", 3, "--out", tmp_path)

@@ -14,7 +14,10 @@ from procurekit.baseline import (
 )
 from procurekit.cli import main
 from procurekit.config import apply_overrides, baseline_config, load_config, parse_config
+from procurekit.demand import TruncatedNormal
+from procurekit.economics import MarketEconomics, SupplierProfile
 from procurekit.errors import ValidationError
+from procurekit.scenarios import DynamicSpec
 
 FULL_CONFIG = textwrap.dedent(
     """
@@ -94,6 +97,72 @@ class TestParseConfig:
             parse_config("seed: 4.5\n")
         with pytest.raises(ValidationError, match="must be a number"):
             parse_config("demand:\n  sigma: true\n")
+
+    def test_every_model_field_round_trips(self):
+        # every field differs from the baseline and from its neighbours, so a
+        # key read into the wrong field or left at its default shows
+        text = textwrap.dedent(
+            """
+            market: {price: 161.0, salvage: 21.5, penalty: 33.0, a1: 4.5, a2: 6.5, a3: 1750.0, nu: 1.75}
+            suppliers:
+              - {id: 7, base_cost: 91.0, beta: 0.15}
+              - {id: 4, base_cost: 97.5, beta: 0.85}
+            demand: {mu: 52.0, sigma: 6.5, lower: 35.0, upper: 71.0}
+            scenario:
+              id: cycles
+              dynamic:
+                cycles: 6
+                a3_initial: 2800.0
+                a3_decline: 150.0
+                learning_rate: 0.07
+                target_penalty: 0.04
+                alpha_initial: 0.3
+            """
+        )
+        cfg = parse_config(text)
+        assert cfg.market == MarketEconomics(
+            price=161.0, salvage=21.5, penalty=33.0, a1=4.5, a2=6.5, a3=1750.0, nu=1.75
+        )
+        assert cfg.suppliers == (
+            SupplierProfile(id=7, base_cost=91.0, beta=0.15),
+            SupplierProfile(id=4, base_cost=97.5, beta=0.85),
+        )
+        assert cfg.demand == TruncatedNormal(mu=52.0, sigma=6.5, lower=35.0, upper=71.0)
+        assert cfg.scenario.dynamic == DynamicSpec(
+            cycles=6,
+            a3_initial=2800.0,
+            a3_decline=150.0,
+            learning_rate=0.07,
+            target_penalty=0.04,
+            alpha_initial=0.3,
+        )
+        assert type(cfg.suppliers[0].id) is int and type(cfg.market.price) is float
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("scenario:\n  id: x\n  dynamic:\n    cycles: 10.0\n", "cycles must be an integer, got 10.0"),
+            ("scenario:\n  id: x\n  dynamic:\n    cycles: true\n", "cycles must be an integer, got True"),
+            ("suppliers:\n  - {id: 1.5, base_cost: 90.0, beta: 0.2}\n", "id must be an integer, got 1.5"),
+            ('demand:\n  sigma: "8"\n', "sigma must be a number, got '8'"),
+            ("market:\n  nu: 2\n", None),
+        ],
+    )
+    def test_field_types_follow_the_model_annotations(self, text, message):
+        if message is None:
+            # an integer is a number
+            assert parse_config(text).market.nu == 2.0
+            return
+        with pytest.raises(ValidationError, match=message):
+            parse_config(text)
+
+    def test_unknown_key_message_lists_fields_in_declaration_order(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config("scenario:\n  id: x\n  dynamic:\n    cycle: 3\n")
+        assert str(exc.value).endswith(
+            "unknown keys ['cycle']; expected a subset of ['cycles', 'a3_initial', "
+            "'a3_decline', 'learning_rate', 'target_penalty', 'alpha_initial']"
+        )
 
     def test_rejects_empty_supplier_list(self):
         with pytest.raises(ValidationError, match="nonempty list"):

@@ -14,7 +14,14 @@ from procurekit.errors import (
     FitConvergenceError,
     ValidationError,
 )
-from procurekit.fitting import FAMILIES, Comparison, compare, fit, read_demand_series
+from procurekit.fitting import (
+    FAMILIES,
+    Comparison,
+    _log_interval_mass,
+    compare,
+    fit,
+    read_demand_series,
+)
 
 DIST = TruncatedNormal(mu=50.0, sigma=8.0, lower=30.0, upper=70.0)
 
@@ -241,6 +248,21 @@ class TestMetrics:
             ks_brute_force_continuous(tn_sample, fitted.cdf), abs=1e-12
         )
 
+    def test_ks_matches_scipy_on_heavy_tail_fit(self):
+        # the fitted core sits far left of the data (interval mass ~1e-168),
+        # which TruncatedNormal refuses, so scipy's truncnorm is the oracle
+        from scipy.stats import truncnorm
+
+        rng = np.random.default_rng(11)
+        data = 30.0 * (1.0 + rng.pareto(1.5, size=4_000))
+        report = fit("truncated-normal", data)
+        mu, sigma, lower, upper = report.params
+        oracle = truncnorm((lower - mu) / sigma, (upper - mu) / sigma, loc=mu, scale=sigma)
+        f = oracle.cdf(np.sort(data))
+        steps = np.arange(data.size + 1) / data.size
+        brute = max(np.max(np.abs(steps[1:] - f)), np.max(np.abs(steps[:-1] - f)))
+        assert report.ks_statistic == pytest.approx(brute, abs=1e-12)
+
     def test_ks_matches_brute_force_pareto(self, tn_sample):
         report = fit("pareto", tn_sample)
         shape, scale = report.params
@@ -368,3 +390,25 @@ class TestReadDemandSeries:
         path.write_text("demand\n")
         with pytest.raises(ValidationError, match="no demand values"):
             read_demand_series(str(path))
+
+
+class TestLogIntervalMass:
+    @pytest.mark.parametrize("bound", [-40.0, -2.5, 0.0, 3.0, 40.0])
+    def test_equal_bounds_hold_zero_mass(self, bound):
+        assert _log_interval_mass(bound, bound) == -math.inf
+
+    def test_array_matches_scalar_calls(self):
+        a = np.array([-40.0, -3.0, -1.0, 0.0, 0.5, 2.0, 38.0, -2.5])
+        b = np.array([-39.0, -2.0, 1.0, 0.0, 4.0, 2.5, 39.0, -2.5])
+        expected = [_log_interval_mass(float(lo), float(hi)) for lo, hi in zip(a, b)]
+        assert isinstance(expected[0], float)
+        np.testing.assert_array_equal(_log_interval_mass(a, b), expected)
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-3.0, -2.0), (2.0, 2.5), (-0.5, 3.0)])
+    def test_matches_plain_difference_away_from_the_tails(self, a, b):
+        from scipy.special import ndtr
+
+        assert _log_interval_mass(a, b) == pytest.approx(math.log(ndtr(b) - ndtr(a)), rel=1e-13)
+
+    def test_far_tails_mirror(self):
+        assert _log_interval_mass(-30.0, -29.0) == _log_interval_mass(29.0, 30.0) > -450.0

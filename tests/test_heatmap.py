@@ -58,3 +58,7 @@ class TestRenderHeatmapSvg:
             render_heatmap_svg(
                 (), (), np.empty((0, 0)), x_label="x", y_label="y", title="t"
             )
+
+    def test_pair_ticks_are_labelled_low_high(self):
+        svg = render([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], xs=((0.4, 0.6), (0.3, 0.7)))
+        assert ">0.4:0.6</text>" in svg and ">0.3:0.7</text>" in svg

@@ -155,6 +155,13 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValidationError, match="values must be"):
             small_spec(axes=((path, values),))
 
+    @pytest.mark.parametrize("sampler", ["grid", "latin-hypercube"])
+    def test_rejects_repeated_axis_path(self, sampler):
+        # two axes on one parameter would collapse into one results column
+        axes = (("market.nu", (1.5, 2.0)), ("market.nu", (2.0, 3.0)))
+        with pytest.raises(ValidationError, match="axis paths must be distinct"):
+            small_spec(sampler=sampler, lhs_samples=4, axes=axes)
+
     def test_rejects_lhs_over_beta_range(self):
         with pytest.raises(ValidationError, match="latin-hypercube cannot sample"):
             small_spec(sampler="latin-hypercube", lhs_samples=10, axes=(("suppliers.beta_range", (0.1, 0.9)),))
