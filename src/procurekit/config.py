@@ -14,11 +14,10 @@ errors carry the source file and the line of the nearest enclosing mapping.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-
-import yaml
 
 from .baseline import (
     BASELINE_DEMAND,
@@ -37,19 +36,34 @@ _LINE_KEY = "__line__"
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
 
-class _TrackedLoader(yaml.SafeLoader):
-    """SafeLoader that stamps each mapping with its 1-based source line."""
+@functools.cache
+def _tracked_loader() -> type:
+    """A yaml SafeLoader that stamps each mapping with its 1-based source line.
+
+    Built on first use, so that solving without a config file never imports
+    yaml.
+    """
+    import yaml
+
+    class TrackedLoader(yaml.SafeLoader):
+        pass
+
+    def construct_tracked_mapping(loader: TrackedLoader, node: yaml.MappingNode) -> dict:
+        mapping = loader.construct_mapping(node, deep=True)
+        mapping[_LINE_KEY] = node.start_mark.line + 1
+        return mapping
+
+    TrackedLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, construct_tracked_mapping)
+    return TrackedLoader
 
 
-def _construct_tracked_mapping(loader: _TrackedLoader, node: yaml.MappingNode) -> dict:
-    mapping = loader.construct_mapping(node, deep=True)
-    mapping[_LINE_KEY] = node.start_mark.line + 1
-    return mapping
-
-
-_TrackedLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_tracked_mapping
-)
+def _unstamped(value):
+    """A YAML value as written, without the loader's line stamps, for error text."""
+    if isinstance(value, dict):
+        return {k: _unstamped(v) for k, v in value.items() if k != _LINE_KEY}
+    if isinstance(value, list):
+        return [_unstamped(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -81,8 +95,10 @@ def load_config(path: str | Path) -> RunConfig:
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
     """Validate YAML config text; ``source`` labels error messages."""
+    import yaml
+
     try:
-        raw = yaml.load(text, Loader=_TrackedLoader)
+        raw = yaml.load(text, Loader=_tracked_loader())
     except yaml.MarkedYAMLError as exc:
         line = exc.problem_mark.line + 1 if exc.problem_mark else 0
         raise ValidationError(f"{source}:{line}: invalid YAML: {exc.problem}") from exc
@@ -173,7 +189,7 @@ class _Section:
         value = self.data[key]
         accepted = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, accepted):
-            raise self.error(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+            raise self.error(f"{key} must be {_KIND_NAMES[kind]}, got {_unstamped(value)!r}")
         if minimum is not None and value < minimum:
             raise self.error(f"{key} must be at least {minimum}, got {value}")
         return kind(value)
@@ -233,7 +249,7 @@ def _parse_axis_values(section: _Section, path: str, values: object) -> tuple:
         if isinstance(value, list) and all(is_number(v) for v in value):
             parsed.append(tuple(float(v) for v in value))
         elif not is_number(value):
-            raise section.error(f"axis {path!r} values must be numbers or lists of numbers, got {value!r}")
+            raise section.error(f"axis {path!r} values must be numbers or lists of numbers, got {_unstamped(value)!r}")
         else:
             parsed.append(float(value))
     return tuple(parsed)

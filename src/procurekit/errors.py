@@ -39,3 +39,7 @@ class FitConvergenceError(ProcureKitError, RuntimeError):
 
 class ThresholdNotFoundError(ProcureKitError, RuntimeError):
     """No adoption threshold exists inside the given range."""
+
+
+class SolverCheckError(ProcureKitError, RuntimeError):
+    """A solved decision failed the solver's KKT postcondition."""

@@ -8,7 +8,6 @@ CSV that accompanies every heatmap; this rendering is a quick visual check.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -25,6 +24,12 @@ _MARGIN_TOP = 40
 _COLORBAR_GAP = 28
 _COLORBAR_WIDTH = 18
 _MARGIN_RIGHT = _COLORBAR_GAP + _COLORBAR_WIDTH + 62
+
+
+def _escape(text: str) -> str:
+    """Text with &, > and < as XML entities, as xml.sax.saxutils.escape
+    writes it; that module imports urllib, http and ssl."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _blend(low: tuple, high: tuple, t: float) -> tuple:
@@ -77,7 +82,7 @@ def render_heatmap_svg(
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">'
-        f"{escape(title)}</text>",
+        f"{_escape(title)}</text>",
     ]
 
     # cells; y axis runs bottom-up so larger ys sit higher
@@ -109,11 +114,11 @@ def render_heatmap_svg(
     # axis titles
     parts.append(
         f'<text x="{_MARGIN_LEFT + _CELL * len(xs) / 2:.1f}" '
-        f'y="{_MARGIN_TOP + plot_h + 44}" text-anchor="middle">{escape(x_label)}</text>'
+        f'y="{_MARGIN_TOP + plot_h + 44}" text-anchor="middle">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="20" y="{_MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.1f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.1f})">{_escape(y_label)}</text>'
     )
 
     # colorbar, low at the bottom

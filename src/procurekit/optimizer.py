@@ -8,13 +8,16 @@ lowers every cost by the same amount, the cheapest supplier does not depend
 on alpha, and the outer problem is one curve in alpha. It is evaluated on the
 fixed grid 0, 0.01, ..., 1 as one array program, and the grid argmax is then
 polished by a root-find on the closed-form envelope derivative
-a1 * Q*(alpha) - adoption_cost_slope(alpha). Many problems (the cells of a
-scenario) share that array program; optimize is the same program on a batch
-of one. Since Q*(alpha) does not involve a3, the adoption threshold is a
-closed form in Q* at the display cutoff.
+a1 * Q*(alpha) - adoption_cost_slope(alpha): a multisection whose rounds are
+aimed by a secant in t = alpha**(nu - 1), in which that derivative is nearly
+linear. Many problems (the cells of a scenario) share that array program;
+optimize is the same program on a batch of one. Since Q*(alpha) does not
+involve a3, the adoption threshold is a closed form in Q* at the display
+cutoff.
 
 KKT residuals are computed from closed-form probabilities and reported with
-the multipliers, so a caller can audit any decision, optimal or not.
+the multipliers, so a caller can audit any decision, optimal or not; a
+solved decision whose residuals do not close raises SolverCheckError.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import numpy as np
 
 from .demand import TruncatedNormal, TruncatedNormalParams
 from .economics import MarketEconomics, SupplierProfile, cheapest_supplier
-from .errors import DegenerateEconomicsError, ProcureKitError, ThresholdNotFoundError, ValidationError
+from .errors import (
+    DegenerateEconomicsError, ProcureKitError, SolverCheckError, ThresholdNotFoundError, ValidationError,
+)
 from .profit import (
     Decision, ProfitBreakdown, _check_decision, expected_profit_closed_form, expected_profit_value,
     expected_sales_terms,
@@ -48,12 +53,26 @@ _ACTIVE_TOL = 1e-9
 # The alpha grid of the envelope argmax; linspace keeps 1.0 an exact endpoint.
 _GRID_STEP = 0.01
 _GRID = np.linspace(0.0, 1.0, 101)
-# Multisection of the envelope slope: 32 cells per round; 2**-1074 is reached
-# from a bracket of width 1 within 215 rounds.
+# Multisection of the envelope slope: 33 points, so 32 sections, per round.
+# lo and hi are two of the points; the other 31 split a window around a
+# secant estimate of the root into 30 sections. The first window has half
+# width _FIRST_HALF_WIDTH; a uniform round's window is the middle 15/16 of
+# the bracket, and no window is wider, so no window section spans more than
+# 1/32 of its bracket.
 _SECTIONS = 32
-_MAX_ROUNDS = 215
-# Where a round's points sit in its bracket, as fractions of the bracket width.
-_OFFSETS = np.arange(_SECTIONS + 1) / _SECTIONS
+_WINDOW = np.arange(_SECTIONS - 1) / (_SECTIONS - 2)
+_FIRST_HALF_WIDTH = 2.0**-5 * _GRID_STEP
+_UNIFORM_HALF_WIDTH = (_SECTIONS - 2) / (2 * _SECTIONS)
+# Every two rounds shrink a bracket at least 32-fold, so 2**-1074 is reached
+# from a bracket of width 1 within 2 * 215 rounds.
+_MAX_ROUNDS = 2 * 215
+# A decision whose KKT max_residual exceeds this many USD per unit of
+# max(price + penalty, a1 * Q*) fails the solver's postcondition.
+_KKT_TOLERANCE = 1e-6
+# The grid point beats the slope root only if it earns more by over this much
+# relative profit; closer than that the two differ by rounding, and the root
+# is the point whose KKT audit closes.
+_TIE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,6 +178,12 @@ class _Envelope:
         self.spread = self.margin - self.salvage
         self.a3_nu, self.nu_less_one = self.a3 * self.nu, self.nu - 1.0
 
+    @staticmethod
+    def row(market: MarketEconomics, supplier: SupplierProfile, demand: TruncatedNormal) -> tuple:
+        """The table row of a cell that orders from ``supplier``."""
+        return (supplier.base_cost, market.a1, market.a2 * supplier.beta, market.price, market.salvage,
+                market.penalty, market.a3, market.nu, *demand.params)
+
     def take(self, rows) -> _Envelope:
         return _Envelope(self.table[rows])
 
@@ -175,58 +200,102 @@ class _Envelope:
         """a1 * Q*(alpha) - adoption_cost_slope(alpha)."""
         return self.a1 * self.cost_and_order(alphas)[1] - self.a3_nu * _power(alphas, self.nu_less_one, alphas.shape)
 
+    def secant(self, lo: np.ndarray, s_lo: np.ndarray, hi: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
+        """Zero of the chord through the slopes s_lo > 0 >= s_hi at lo and hi,
+        taken in t = alpha**(nu - 1), in which the slope is nearly linear.
 
-def _slope_roots(env: _Envelope, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        Q*(alpha) moves little, so the slope is close to c - a3*nu*t; in
+        alpha, the curvature of alpha**(nu - 1) near 0 stalls a secant when
+        nu < 2.
+        """
+        shape = (lo.size, 1)
+        t_lo, t_hi = _power(lo[:, None], self.nu_less_one, shape), _power(hi[:, None], self.nu_less_one, shape)
+        t = t_lo + (t_hi - t_lo) * (s_lo / (s_lo - s_hi))[:, None]
+        return _power(t, 1.0 / self.nu_less_one, shape)[:, 0]
+
+
+def _points(lo: np.ndarray, hi: np.ndarray, est, half_width, uniform: np.ndarray) -> np.ndarray:
+    """lo, then 31 points spread evenly over [est - half_width, est + half_width]
+    clipped to the bracket, or over its middle 15/16 where uniform, then hi:
+    one row per cell, ascending."""
+    width = hi - lo
+    est = np.where(uniform, lo + 0.5 * width, np.minimum(np.maximum(est, lo), hi))
+    half_width = np.where(uniform, _UNIFORM_HALF_WIDTH * width, half_width)
+    start, stop = np.maximum(est - half_width, lo), np.minimum(est + half_width, hi)
+    xs = np.empty((lo.size, _SECTIONS + 1))
+    xs[:, 0], xs[:, -1] = lo, hi
+    np.minimum(start[:, None] + (stop - start)[:, None] * _WINDOW, hi[:, None], out=xs[:, 1:-1])
+    return xs
+
+
+def _slope_roots(env: _Envelope, lo: np.ndarray, hi: np.ndarray, est: np.ndarray) -> np.ndarray:
     """Root of each cell's envelope slope inside [lo, hi], or the binding endpoint.
 
-    Multisection in lock-step: each round evaluates the slope of every open
-    cell at _SECTIONS + 1 evenly spaced points and keeps the first section
-    where it turns nonpositive, so each bracket shrinks 32-fold per round. A
-    cell drops out once its bracket ends are adjacent floats.
+    Multisection in lock-step, aimed by a safeguarded secant (Brent 1973):
+    each round evaluates the slope of every open cell at lo, at 31 points
+    spread over a narrow window around an estimate of the root, and at hi,
+    and keeps the first section where the slope turns nonpositive, so the
+    bracket keeps s(lo) > 0 >= s(hi). The first round's estimate est comes
+    from the grid (NaN for none); each later one is the secant
+    (_Envelope.secant) between the new bracket ends. A round is uniform,
+    its points spread evenly over the bracket, for a cell without an
+    estimate, one whose sign change fell outside its last window (a miss),
+    and one whose window would span 15/16 of the bracket or more. A window
+    section spans at most 1/32 of its bracket and a miss is followed by a
+    uniform round, so every two rounds shrink a bracket at least 32-fold:
+    _MAX_ROUNDS bounds the loop. A cell drops out once its bracket ends are
+    adjacent floats.
     """
-
-    def points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        xs = lo[:, None] + (hi - lo)[:, None] * _OFFSETS
-        xs[:, -1] = hi
-        return xs
-
-    s = env.slope(xs := points(lo, hi))
+    uniform = np.isnan(est)
+    s = env.slope(xs := _points(lo, hi, est, _FIRST_HALF_WIDTH, uniform))
     # A slope nonpositive at the left edge means profit falls on the bracket;
     # one still nonnegative at the right edge means that edge binds.
     roots = np.where(s[:, 0] <= 0.0, lo, hi)
     active = np.flatnonzero(~(s[:, 0] <= 0.0) & ~(s[:, -1] >= 0.0))
+    if not active.size:
+        return roots
     if active.size < roots.size:
-        xs, s, env = xs[active], s[active], env.take(active)
+        xs, s, env, uniform = xs[active], s[active], env.take(active), uniform[active]
     starts = np.arange(0, xs.size, _SECTIONS + 1)
     for _ in range(_MAX_ROUNDS):
-        if not active.size:
-            return roots
-        # Flat index into xs of each bracket's new left end: the point before
-        # the first section end where the slope is not positive.
-        left = starts + (s[:, 1:] > 0.0).argmin(axis=1)
-        flat = xs.ravel()
-        lo, hi = flat[left], flat[left + 1]
+        # The new bracket is the first section whose right end has a slope
+        # that is not positive; left is the flat index of its left end.
+        section = (s[:, 1:] > 0.0).argmin(axis=1)
+        left = starts + section
+        flat_x, flat_s = xs.ravel(), s.ravel()
+        lo, hi, s_lo, s_hi = flat_x[left], flat_x[left + 1], flat_s[left], flat_s[left + 1]
         closed = np.nextafter(lo, hi) >= hi
         if closed.any():
             roots[active[closed]] = 0.5 * (lo[closed] + hi[closed])
-            still = ~closed
-            active, lo, hi, env, starts = active[still], lo[still], hi[still], env.take(still), starts[: still.sum()]
-            if not active.size:
+            if closed.all():
                 return roots
-        s = env.slope(xs := points(lo, hi))
+            still = ~closed
+            active, env, starts = active[still], env.take(still), starts[: still.sum()]
+            lo, hi, s_lo, s_hi = lo[still], hi[still], s_lo[still], s_hi[still]
+            section, uniform = section[still], uniform[still]
+        width, est = hi - lo, env.secant(lo, s_lo, hi, s_hi)
+        # The secant's error shrinks about with the square of the width; the
+        # window keeps a tenfold margin over that, and 16 floats either side.
+        half_width = np.maximum(0.5 * width * np.minimum(2.0**-10, 10.0 * width), 16.0 * np.spacing(est))
+        missed = ~uniform & ((section == 0) | (section == _SECTIONS - 1))
+        uniform = missed | (half_width >= _UNIFORM_HALF_WIDTH * width)
+        s = env.slope(xs := _points(lo, hi, est, half_width, uniform))
     roots[active] = 0.5 * (lo + hi)
     return roots
 
 
-def _decide(market, suppliers, demand, alpha_grid: float, alpha_root: float) -> Decision:
-    """The order at the slope root, unless the grid point earns strictly more."""
-    at_grid = optimal_quantity_given_alpha(market, suppliers, demand, alpha_grid)
-    at_root = optimal_quantity_given_alpha(market, suppliers, demand, alpha_root)
-    # On a tie the root wins: it is the point whose KKT audit closes.
-    root_wins = expected_profit_value(market, suppliers, demand, at_root) >= expected_profit_value(
-        market, suppliers, demand, at_grid
-    )
-    return at_root if root_wins else at_grid
+def _decide(market, suppliers, demand, at_grid: Decision, at_root: Decision) -> Decision:
+    """The order at the slope root, unless the grid point earns more by over
+    _TIE_TOLERANCE relative profit; both orders come from the batch."""
+    grid_profit = expected_profit_value(market, suppliers, demand, at_grid)
+    root_profit = expected_profit_value(market, suppliers, demand, at_root)
+    return at_root if root_profit >= grid_profit - _TIE_TOLERANCE * abs(grid_profit) else at_grid
+
+
+def _order(alpha: float, total: float, winner: int, count: int) -> Decision:
+    quantities = [0.0] * count
+    quantities[winner] = total
+    return Decision(alpha=alpha, quantities=tuple(quantities))
 
 
 def _solve_batch(
@@ -234,26 +303,27 @@ def _solve_batch(
 ) -> list[Decision | ProcureKitError]:
     """Optimal decision of each (market, suppliers, demand) cell, or its error.
 
-    The cells share one array program: every cell's envelope is evaluated on
-    the fixed alpha grid in one pass, then their slopes are root-found in
-    lock-step within one grid step of each grid argmax. A cell whose grid
-    meets a cost <= 0 or below salvage, or a negative order, gets the error
-    the scalar inner solve raises at the first such grid alpha. A cell's
-    result does not depend on the other cells.
+    The cells share one array program: every cell's envelope and slope are
+    evaluated on the fixed alpha grid in one pass, then their slopes are
+    root-found in lock-step within one grid step of each grid argmax, aimed
+    by the grid secant next to it. A cell whose grid meets a cost <= 0 or
+    below salvage, or a negative order, gets the error the scalar inner
+    solve raises at the first such grid alpha. A cell's result does not
+    depend on the other cells.
     """
     results: list = [None] * len(cells)
-    rows, live = [], []
+    rows, live, winners = [], [], []
     for i, (market, suppliers, demand) in enumerate(cells):
         try:
             # a1 * alpha lowers every cost alike, so the cheapest supplier at
             # alpha = 0 stays cheapest on the whole grid.
-            winner = suppliers[cheapest_supplier(market, suppliers, 0.0)[0]]
+            winner = cheapest_supplier(market, suppliers, 0.0)[0]
         except ProcureKitError as exc:
             results[i] = exc
             continue
-        rows.append((winner.base_cost, market.a1, market.a2 * winner.beta, market.price, market.salvage,
-                     market.penalty, market.a3, market.nu, *demand.params))
+        rows.append(_Envelope.row(market, suppliers[winner], demand))
         live.append(i)
+        winners.append(winner)
     if not live:
         return results
     env = _Envelope(np.array(rows))
@@ -266,12 +336,32 @@ def _solve_batch(
         except ProcureKitError as exc:
             results[live[row]] = exc
     keep = np.array([results[i] is None for i in live], dtype=bool)
-    env, cost, q, live = env.take(keep), cost[keep], q[keep], [i for i, k in zip(live, keep) if k]
-    best = _GRID[np.argmax(env.profit(_GRID, cost, q), axis=1)]
-    roots = _slope_roots(env, np.maximum(0.0, best - _GRID_STEP), np.minimum(1.0, best + _GRID_STEP))
-    for i, alpha_grid, alpha_root in zip(live, best, roots):
+    if not keep.all():
+        env, cost, q = env.take(keep), cost[keep], q[keep]
+        live, winners = [i for i, k in zip(live, keep) if k], [w for w, k in zip(winners, keep) if k]
+    t = _power(_GRID, env.nu_less_one, q.shape)
+    g = env.a1 * q - env.a3_nu * t
+    cell = np.arange(len(live))
+    best_index = np.argmax(env.profit(_GRID, cost, q), axis=1)
+    best = _GRID[best_index]
+    # The grid step where the slope should change sign: right of the argmax
+    # if the slope there is positive, else left of it.
+    left = np.minimum(np.maximum(best_index - (g[cell, best_index] <= 0.0), 0), _GRID.size - 2)
+    g_left, g_right = g[cell, left], g[cell, left + 1]
+    brackets = (g_left > 0.0) & (g_right <= 0.0)
+    est = env.secant(_GRID[left], np.where(brackets, g_left, 1.0), _GRID[left + 1], np.where(brackets, g_right, -1.0))
+    roots = _slope_roots(
+        env, np.maximum(0.0, best - _GRID_STEP), np.minimum(1.0, best + _GRID_STEP), np.where(brackets, est, np.nan)
+    )
+    q_root = env.cost_and_order(roots[:, None])[1][:, 0]
+    for i, winner, alpha_grid, total_grid, alpha_root, total_root in zip(
+        live, winners, best, q[cell, best_index], roots, q_root
+    ):
+        count = len(cells[i][1])
         try:
-            results[i] = _decide(*cells[i], float(alpha_grid), float(alpha_root))
+            at_grid = _order(float(alpha_grid), float(total_grid), winner, count)
+            at_root = _order(float(alpha_root), float(total_root), winner, count)
+            results[i] = _decide(*cells[i], at_grid, at_root)
         except ProcureKitError as exc:
             results[i] = exc
     return results
@@ -287,19 +377,40 @@ def optimize(
     The envelope is evaluated on the fixed alpha grid 0, 0.01, ..., 1 as one
     array program and its argmax taken. The envelope slope
     a1 * Q*(alpha) - adoption_cost_slope(alpha) is then root-found within one
-    grid step of that argmax, and the root is kept unless the grid point
-    earns strictly more. The returned alpha is stored at full precision;
-    display layers round it. This is the batch solve of scenario runs on a
-    batch of one cell, so it agrees with any scenario cell bit for bit.
+    grid step of that argmax, to adjacent floats, by multisection aimed with
+    a secant in t = alpha**(nu - 1) (about three slope evaluations per
+    solve). The root is kept unless the grid point earns more by over
+    _TIE_TOLERANCE relative profit. Raises SolverCheckError when the KKT
+    max_residual of the result exceeds _KKT_TOLERANCE times
+    max(price + penalty, a1 * Q*). The returned alpha is stored at full
+    precision; display layers round it. This is the batch solve of scenario
+    runs on a batch of one cell, so it agrees with any scenario cell bit for
+    bit.
     """
     (decision,) = _solve_batch([(market, suppliers, demand)])
     if isinstance(decision, ProcureKitError):
         raise decision
+    kkt = _checked_kkt(market, suppliers, demand, decision)
     return Optimum(
         decision=decision,
         breakdown=expected_profit_closed_form(market, suppliers, demand, decision),
-        kkt=kkt_residuals(market, suppliers, demand, decision),
+        kkt=kkt,
     )
+
+
+def _checked_kkt(market, suppliers, demand, decision: Decision) -> KKTReport:
+    """KKT residuals of a solved decision, which must close: raises
+    SolverCheckError when max_residual exceeds _KKT_TOLERANCE times
+    max(price + penalty, a1 * Q*), the scales of the order and alpha
+    gradients."""
+    kkt = kkt_residuals(market, suppliers, demand, decision)
+    scale = max(market.price + market.penalty, market.a1 * decision.total)
+    if not kkt.max_residual <= _KKT_TOLERANCE * scale:
+        raise SolverCheckError(
+            f"KKT max_residual {kkt.max_residual!r} at alpha={decision.alpha!r}, q={decision.total!r} "
+            f"exceeds {_KKT_TOLERANCE} x {scale!r}"
+        )
+    return kkt
 
 
 def kkt_residuals(

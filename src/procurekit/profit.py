@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .demand import TruncatedNormal
+from .demand import _GL_NODES, _GL_WEIGHTS, TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
 from .errors import ValidationError
 
@@ -33,10 +33,6 @@ __all__ = [
     "breakdown_from_draws",
     "fill_rate_distribution",
 ]
-
-# Gauss-Legendre nodes for the smooth 1/x fill integrals; 200 points is far
-# beyond the accuracy anything downstream consumes.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(200)
 
 
 @dataclass(frozen=True)

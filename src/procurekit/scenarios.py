@@ -35,7 +35,7 @@ from .errors import (
     RankDeficientDesignError,
     ValidationError,
 )
-from .optimizer import _solve_batch, kkt_residuals, optimal_quantity_given_alpha
+from .optimizer import _checked_kkt, _solve_batch, optimal_quantity_given_alpha
 from .profit import Decision, breakdown_from_draws, expected_profit_monte_carlo
 
 SAMPLERS = ("grid", "latin-hypercube")
@@ -270,7 +270,7 @@ def _solved_row(
     spec: ScenarioSpec, index: int, coords: tuple, cell: tuple, decision: Decision
 ) -> ScenarioResult:
     market, suppliers, demand = cell
-    kkt = kkt_residuals(market, suppliers, demand, decision)
+    kkt = _checked_kkt(market, suppliers, demand, decision)
     mc_rng = np.random.default_rng(
         np.random.SeedSequence(spec.seed, spawn_key=(_NS_CELL_MC, index))
     )
@@ -312,8 +312,9 @@ def run(spec: ScenarioSpec, jobs: int = 1) -> list[ScenarioResult]:
 
     Dynamic specs delegate to ``run_dynamic``. Every cell's model is built,
     the models are solved as one array program, then each optimum is audited
-    and evaluated by Monte Carlo on its cell's own stream. A failing cell
-    becomes a failed row. ``jobs`` is validated for compatibility but does
+    and evaluated by Monte Carlo on its cell's own stream. A failing cell,
+    including one whose KKT audit does not close (SolverCheckError), becomes
+    a failed row. ``jobs`` is validated for compatibility but does
     not change how, or where, the cells are computed.
     """
     if jobs < 1:

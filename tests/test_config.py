@@ -156,6 +156,24 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match=message):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("replications: {}\n", "replications must be an integer, got {}"),
+            ("market:\n  price: {a: 1}\n", "price must be a number, got {'a': 1}"),
+            ("market:\n  price: [{a: {b: 1}}]\n", "price must be a number, got [{'a': {'b': 1}}]"),
+            (
+                "scenario:\n  id: x\n  axes:\n    - path: suppliers.beta_range\n      values: [{low: 0.2}]\n",
+                "values must be numbers or lists of numbers, got {'low': 0.2}",
+            ),
+        ],
+    )
+    def test_error_text_echoes_values_without_line_stamps(self, text, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        assert str(exc.value).endswith(message)
+        assert "__line__" not in str(exc.value)
+
     def test_unknown_key_message_lists_fields_in_declaration_order(self):
         with pytest.raises(ValidationError) as exc:
             parse_config("scenario:\n  id: x\n  dynamic:\n    cycle: 3\n")

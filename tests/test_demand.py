@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -209,6 +210,38 @@ class TestPartialExpectations:
         assert out[2] == pytest.approx(excess_by_quadrature(dist, float(qs[2])), abs=1e-9)
         assert out[4] == 0.0 and out[5] == 0.0
 
+
+
+def variance_by_mpmath(dist: TruncatedNormal) -> float:
+    """The closed-form variance at 50 digits, from the float bounds as given:
+    its cancellation costs at most about 15 of them here."""
+    with mpmath.workdps(50):
+        mu, sigma = mpmath.mpf(dist.mu), mpmath.mpf(dist.sigma)
+        a, b = (mpmath.mpf(dist.lower) - mu) / sigma, (mpmath.mpf(dist.upper) - mu) / sigma
+        mass = mpmath.ncdf(b) - mpmath.ncdf(a)
+        pa, pb = mpmath.npdf(a), mpmath.npdf(b)
+        return float(sigma**2 * (1 + (a * pa - b * pb) / mass - ((pa - pb) / mass) ** 2))
+
+
+class TestVarianceOracle:
+    """Var(D) to 1e-12 relative for intervals from 1e-6 to 10 parent sigmas
+    wide, at the mode, beside it and in both tails."""
+
+    @pytest.mark.parametrize("width", [1e-6, 1e-4, 1e-3, 0.05, 1.0, 10.0])
+    @pytest.mark.parametrize("where", ["centred", "beside", "left-tail", "right-tail"])
+    def test_matches_mpmath(self, where, width):
+        mu, sigma = 50.0, 3.7
+        a = {"centred": -width / 2, "beside": 0.5, "left-tail": -4.5 - width, "right-tail": 4.5}[where]
+        lower = mu + a * sigma
+        dist = TruncatedNormal(mu=mu, sigma=sigma, lower=lower, upper=lower + width * sigma)
+        expected = variance_by_mpmath(dist)
+        assert abs(dist.variance - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("lower, upper", [(6.5, 16.5), (-16.5, -6.5), (7.0, 8.0), (-1000.0, 1000.0)])
+    def test_far_tails_and_wide_intervals_match_mpmath(self, lower, upper):
+        dist = TruncatedNormal(mu=0.0, sigma=1.0, lower=lower, upper=upper)
+        expected = variance_by_mpmath(dist)
+        assert abs(dist.variance - expected) <= 1e-12 * expected
 
 class TestMirrorSymmetry:
     """D on [lower, upper] and -D, which is TN(-mu, sigma) on [-upper, -lower],

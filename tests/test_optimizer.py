@@ -2,16 +2,23 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from procurekit import optimizer
+from procurekit.cli import main
 from procurekit.demand import TruncatedNormal
 from procurekit.economics import MarketEconomics, SupplierProfile
 from procurekit.errors import (
     DegenerateEconomicsError,
     NegativeUnitCostError,
     ProcureKitError,
+    SolverCheckError,
     ThresholdNotFoundError,
     ValidationError,
 )
@@ -25,7 +32,7 @@ from procurekit.optimizer import (
 )
 from procurekit.profit import Decision, expected_profit_value
 
-from procurekit.scenarios import _cell_coordinates, preset
+from procurekit.scenarios import _cell_coordinates, preset, run
 
 from helpers import (
     baseline_demand,
@@ -217,6 +224,30 @@ class TestOptimize:
         assert opt.kkt.max_residual <= 1e-4
         assert opt.breakdown.expected_profit >= expected_profit_value(market, suppliers, demand, at_zero)
 
+    def test_near_tie_goes_to_the_root(self):
+        # The slope root sits at about 1.8e-14: its profit and alpha = 0's
+        # differ only by rounding, so the root, whose KKT audit closes, wins.
+        market = MarketEconomics(
+            price=138.42552999334464,
+            salvage=49.164,
+            penalty=53.585481033512984,
+            a1=4.102850697658757,
+            a2=5.921867806096658,
+            a3=8844.806,
+            nu=1.1145208059416503,
+        )
+        suppliers = (
+            SupplierProfile(id=3, base_cost=94.16365559646174, beta=0.36586580609132946),
+            SupplierProfile(id=2, base_cost=111.02681491648407, beta=0.7636625566324998),
+            SupplierProfile(id=1, base_cost=94.94304510870296, beta=0.268160600814476),
+        )
+        demand = TruncatedNormal(
+            mu=61.83484628014254, sigma=8.886360157760103, lower=40.10989667920212, upper=70.75193667646182
+        )
+        opt = optimize(market, suppliers, demand)
+        assert 0.0 < opt.alpha_star < 1e-13
+        assert opt.kkt.max_residual <= 1e-9
+
     def test_right_tail_demand_closes_kkt(self):
         # Demand 7 to 8 parent sigmas right of mu: the fractile quantile and
         # the KKT probabilities both come from the upper-tail frame.
@@ -317,6 +348,128 @@ class TestSolveBatch:
 
     def test_empty_batch(self):
         assert _solve_batch([]) == []
+
+
+def count_slope_calls(monkeypatch) -> list:
+    """Patch _Envelope.slope to record one entry per call, i.e. per lock-step round."""
+    calls = []
+    slope = optimizer._Envelope.slope
+
+    def counted(self, alphas):
+        calls.append(len(alphas))
+        return slope(self, alphas)
+
+    monkeypatch.setattr(optimizer._Envelope, "slope", counted)
+    return calls
+
+
+def market_with_root_at(alpha: float, nu: float, **overrides) -> MarketEconomics:
+    """A baseline-like market whose envelope slope vanishes at alpha."""
+    market = baseline_market(nu=nu, **overrides)
+    q = optimal_quantity_given_alpha(market, SUPPLIERS, DEMAND, alpha).total
+    return dataclasses.replace(market, a3=market.a1 * q / (nu * alpha ** (nu - 1.0)))
+
+
+def justified(env, lo: float, hi: float, root: float) -> bool:
+    """root is a bound whose slope sign makes it binding, or one of two
+    adjacent floats across which the slope turns from positive to not."""
+
+    def slope(x: float) -> float:
+        return float(env.slope(np.array([[x]]))[0, 0])
+
+    if not lo <= root <= hi:
+        return False
+    if (root == lo and slope(lo) <= 0.0) or (root == hi and slope(hi) >= 0.0):
+        return True
+    up, down = np.nextafter(root, np.inf), np.nextafter(root, -np.inf)
+    return (slope(root) > 0.0 >= slope(up) and up <= hi) or (slope(down) > 0.0 >= slope(root) and down >= lo)
+
+
+class TestSlopeRoots:
+    def test_few_slope_evaluations_per_solve(self, monkeypatch):
+        calls = count_slope_calls(monkeypatch)
+        counts = []
+        for cell in perfbench_solve_problems(7):
+            calls.clear()
+            optimize(*cell)
+            counts.append(len(calls))
+        # Spreading every round's 33 points evenly needs about 9.3 per solve.
+        assert np.mean(counts) <= 3.5 and max(counts) <= 12
+
+    def test_s9_takes_few_lock_step_rounds(self, monkeypatch):
+        calls = count_slope_calls(monkeypatch)
+        run(preset("s9"))
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize("alpha", [1e-14, 1e-10, 1e-6, 1e-3])
+    @pytest.mark.parametrize("nu", [1.06, 1.15, 1.25, 1.39])
+    def test_near_zero_roots_close_kkt_in_few_rounds(self, monkeypatch, nu, alpha):
+        # Here alpha**(nu - 1) bends sharply, which stalls a secant taken in alpha.
+        market = market_with_root_at(alpha, nu)
+        calls = count_slope_calls(monkeypatch)
+        opt = optimize(market, SUPPLIERS, DEMAND)
+        assert opt.kkt.max_residual <= 1e-9
+        assert len(calls) <= 5
+        assert opt.alpha_star == pytest.approx(alpha, rel=1e-6)
+
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.floats(min_value=1.05, max_value=3.0),
+                st.floats(min_value=-15.0, max_value=-0.5),
+                st.floats(min_value=-18.0, max_value=-1.7),
+                st.floats(min_value=-18.0, max_value=-1.7),
+                st.one_of(st.just(math.nan), st.floats(min_value=-0.5, max_value=1.5)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_root_is_justified(self, cells):
+        rows, brackets, estimates = [], [], []
+        for nu, log_alpha, log_left, log_right, where in cells:
+            market = market_with_root_at(10.0**log_alpha, nu)
+            rows.append(optimizer._Envelope.row(market, SUPPLIERS[2], DEMAND))
+            # The bracket need not hold the root, and the estimate may lie
+            # anywhere near the bracket, or be missing.
+            lo = max(0.0, 10.0**log_alpha - 10.0**log_left)
+            hi = min(1.0, 10.0**log_alpha + 10.0**log_right)
+            brackets.append((lo, hi))
+            estimates.append(lo + where * (hi - lo))
+        env = optimizer._Envelope(np.array(rows))
+        lo, hi = (np.array(side) for side in zip(*brackets))
+        roots = optimizer._slope_roots(env, lo, hi, np.array(estimates))
+        for k, root in enumerate(roots):
+            assert justified(env.take([k]), lo[k], hi[k], float(root)), (cells[k], root)
+
+
+class TestSolverPostcondition:
+    @pytest.fixture
+    def unpolished(self, monkeypatch):
+        # A root-finder that returns its bracket's midpoint, about the grid argmax.
+        monkeypatch.setattr(optimizer, "_slope_roots", lambda env, lo, hi, est: 0.5 * (lo + hi))
+
+    def test_optimize_exits_2_with_one_error_line(self, unpolished, tmp_path):
+        result = CliRunner().invoke(main, ["optimize", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith('error: {"kind": "runtime", "message": "KKT max_residual ')
+        assert not (tmp_path / "optimum.json").exists()
+        with pytest.raises(SolverCheckError, match="exceeds 1e-06 x"):
+            optimize(MARKET, SUPPLIERS, DEMAND)
+
+    def test_scenario_cells_become_failed_rows(self, unpolished):
+        rows = run(preset("s1"))
+        assert rows and all(row.status.startswith("SolverCheckError: KKT max_residual ") for row in rows)
+        assert all(math.isnan(row.alpha_star) for row in rows)
+
+    def test_passes_at_the_optimum(self):
+        # Residuals at the solver's own answers sit far inside the bound.
+        for cell in perfbench_solve_problems(7)[:40]:
+            market, _, _ = cell
+            opt = optimize(*cell)
+            assert opt.kkt.max_residual <= 1e-9 * max(market.price + market.penalty, market.a1 * opt.q_star)
 
 
 class TestKKTReport:
