@@ -4,6 +4,11 @@ Every command is deterministic given its inputs and seed, and writes output
 files atomically after all computation finishes, so a failed run never
 leaves a partial file. Exit codes: 0 success, 1 validation, 2 runtime,
 3 I/O. Monetary columns carry a ``_usd`` suffix.
+
+Every table (results, trajectory, fits, heatmap, histogram) is a list of
+records: one dict per row, from column name to value in column order.
+``_table`` writes any of them as CSV or JSON, so a new column is one new key
+in the record builder.
 """
 
 from __future__ import annotations
@@ -40,44 +45,6 @@ _MONEY_FIELDS = frozenset(
     }
 )
 
-_RESULT_METRICS = (
-    "alpha_star",
-    "q_star",
-    "expected_profit_usd",
-    "fill_rate",
-    "penalty_rate",
-    "std_error",
-    "kkt_max_residual",
-    "status",
-)
-
-_TRAJECTORY_COLUMNS = (
-    "scenario_id",
-    "cycle",
-    "a3_usd",
-    "alpha",
-    "q",
-    "expected_profit_usd",
-    "fill_rate",
-    "penalty_rate",
-    "std_error",
-    "status",
-)
-
-_FIT_COLUMNS = (
-    "rank",
-    "family",
-    "params",
-    "n_free_params",
-    "log_likelihood",
-    "aic",
-    "bic",
-    "ks_statistic",
-    "rmse",
-    "sample_size",
-    "notes",
-)
-
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -95,15 +62,6 @@ def _cell_text(value: object) -> str:
     return str(value)
 
 
-def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell_text(v) for v in row])
-    return buffer.getvalue()
-
-
 def _json_value(value: object) -> object:
     """NaN and infinities become null so the output stays strict JSON."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -115,17 +73,23 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _table(stem: str, header: tuple[str, ...], rows: list[tuple], fmt: str) -> tuple[str, str]:
+def _table(stem: str, records: list[dict], fmt: str) -> tuple[str, str]:
     """One table as ``(stem.csv, CSV text)`` or ``(stem.json, JSON text)``.
 
-    JSON rows are objects keyed by the header: tuples take their CSV cell
-    text and non-finite numbers become null.
+    Each record maps column name to value, in column order. The records must
+    be non-empty and share their keys in the same order: the CSV header is
+    the first record's keys. JSON rows are the records, with tuples taking
+    their CSV cell text and non-finite numbers becoming null.
     """
     if fmt == "csv":
-        return f"{stem}.csv", _csv_text(header, rows)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(records[0])
+        writer.writerows([_cell_text(v) for v in record.values()] for record in records)
+        return f"{stem}.csv", buffer.getvalue()
     payload = [
-        {k: _json_value(_cell_text(v) if isinstance(v, tuple) else v) for k, v in zip(header, row)}
-        for row in rows
+        {k: _json_value(_cell_text(v) if isinstance(v, tuple) else v) for k, v in record.items()}
+        for record in records
     ]
     return f"{stem}.json", _json_text(payload)
 
@@ -214,54 +178,54 @@ def cmd_optimize(config_path, seed, replications, out_dir) -> None:
     )
 
 
-def _result_row(result: ScenarioResult, param_paths: tuple[str, ...]) -> tuple:
+def _result_row(result: ScenarioResult, param_paths: tuple[str, ...]) -> dict:
     coords = dict(result.coordinates)
-    return (
-        result.scenario_id,
-        result.cell_index,
-        *(coords[p] for p in param_paths),
-        result.alpha_star,
-        result.q_star,
-        result.expected_profit,
-        result.fill_rate,
-        result.penalty_rate,
-        result.std_error,
-        result.kkt_max_residual,
-        result.status,
-    )
+    return {
+        "scenario_id": result.scenario_id,
+        "cell_index": result.cell_index,
+        **{path: coords[path] for path in param_paths},
+        "alpha_star": result.alpha_star,
+        "q_star": result.q_star,
+        "expected_profit_usd": result.expected_profit,
+        "fill_rate": result.fill_rate,
+        "penalty_rate": result.penalty_rate,
+        "std_error": result.std_error,
+        "kkt_max_residual": result.kkt_max_residual,
+        "status": result.status,
+    }
 
 
-def _trajectory_row(result: ScenarioResult) -> tuple:
+def _trajectory_row(result: ScenarioResult) -> dict:
     coords = dict(result.coordinates)
-    return (
-        result.scenario_id,
-        coords["cycle"],
-        coords["market.a3"],
-        result.alpha_star,
-        result.q_star,
-        result.expected_profit,
-        result.fill_rate,
-        result.penalty_rate,
-        result.std_error,
-        result.status,
-    )
+    return {
+        "scenario_id": result.scenario_id,
+        "cycle": coords["cycle"],
+        "a3_usd": coords["market.a3"],
+        "alpha": result.alpha_star,
+        "q": result.q_star,
+        "expected_profit_usd": result.expected_profit,
+        "fill_rate": result.fill_rate,
+        "penalty_rate": result.penalty_rate,
+        "std_error": result.std_error,
+        "status": result.status,
+    }
 
 
 def _heatmap_outputs(
     spec: ScenarioSpec, results: list[ScenarioResult]
-) -> tuple[str, str]:
+) -> list[tuple[str, str]]:
     (x_path, xs), (y_path, ys) = spec.axes
     grid = np.full((len(xs), len(ys)), math.nan)
-    rows = []
+    records = []
     for result in results:
         coords = dict(result.coordinates)
         x, y = coords[x_path], coords[y_path]
         grid[xs.index(x), ys.index(y)] = result.alpha_star
-        rows.append((x, y, result.alpha_star))
+        records.append({"x": x, "y": y, "value": result.alpha_star})
     svg = render_heatmap_svg(
         xs, ys, grid, x_label=x_path, y_label=y_path, title=f"{spec.id}: alpha_star"
     )
-    return _csv_text(("x", "y", "value"), rows), svg
+    return [_table("heatmap", records, "csv"), ("heatmap.svg", svg)]
 
 
 @main.command("scenario")
@@ -305,16 +269,12 @@ def cmd_scenario(target, seed, replications, jobs, out_dir, fmt) -> None:
 
     results = run(spec, jobs=jobs)
     if spec.dynamic is not None:
-        rows = [_trajectory_row(r) for r in results]
-        outputs = [_table("trajectory", _TRAJECTORY_COLUMNS, rows, fmt)]
+        outputs = [_table("trajectory", [_trajectory_row(r) for r in results], fmt)]
     else:
         param_paths = tuple(path for path, _ in spec.axes)
-        header = ("scenario_id", "cell_index", *param_paths, *_RESULT_METRICS)
-        rows = [_result_row(r, param_paths) for r in results]
-        outputs = [_table("results", header, rows, fmt)]
+        outputs = [_table("results", [_result_row(r, param_paths) for r in results], fmt)]
         if spec.sampler == "grid" and len(spec.axes) == 2:
-            heatmap_csv, heatmap_svg = _heatmap_outputs(spec, results)
-            outputs += [("heatmap.csv", heatmap_csv), ("heatmap.svg", heatmap_svg)]
+            outputs += _heatmap_outputs(spec, results)
 
     out = Path(out_dir)
     for name, text in outputs:
@@ -348,32 +308,33 @@ def cmd_fit(data_csv, families_text, out_dir, fmt) -> None:
     if not comparison.reports:
         raise ValidationError("no family produced a usable fit")
 
-    rows = []
-    for rank, report in enumerate(comparison.reports, start=1):
-        params = "; ".join(
-            f"{name}={value:.6g}" for name, value in zip(report.param_names, report.params)
-        )
-        rows.append(
-            (
-                rank,
-                report.family,
-                params,
-                report.n_free_params,
-                report.log_likelihood,
-                report.aic,
-                report.bic,
-                report.ks_statistic,
-                report.rmse,
-                report.sample_size,
-                "; ".join(report.notes),
-            )
-        )
-    name, text = _table("fits", _FIT_COLUMNS, rows, fmt)
+    records = [
+        {
+            "rank": rank,
+            "family": report.family,
+            "params": "; ".join(
+                f"{name}={value:.6g}" for name, value in zip(report.param_names, report.params)
+            ),
+            "n_free_params": report.n_free_params,
+            "log_likelihood": report.log_likelihood,
+            "aic": report.aic,
+            "bic": report.bic,
+            "ks_statistic": report.ks_statistic,
+            "rmse": report.rmse,
+            "sample_size": report.sample_size,
+            "notes": "; ".join(report.notes),
+        }
+        for rank, report in enumerate(comparison.reports, start=1)
+    ]
+    name, text = _table("fits", records, fmt)
     path = Path(out_dir) / name
     _atomic_write(path, text)
     click.echo(f"{'rank':<5}{'family':<20}{'aic':>14}{'bic':>14}{'ks':>10}{'rmse':>12}")
-    for row in rows:
-        click.echo(f"{row[0]:<5}{row[1]:<20}{row[5]:>14.2f}{row[6]:>14.2f}{row[7]:>10.4f}{row[8]:>12.6f}")
+    for r in records:
+        click.echo(
+            f"{r['rank']:<5}{r['family']:<20}{r['aic']:>14.2f}{r['bic']:>14.2f}"
+            f"{r['ks_statistic']:>10.4f}{r['rmse']:>12.6f}"
+        )
     click.echo(f"wrote {path}")
 
 
@@ -405,14 +366,13 @@ def cmd_sample(config_path, mu, sigma, lower, upper, n, seed, out_dir) -> None:
 
     samples_text = "demand\n" + "\n".join(repr(float(d)) for d in draws) + "\n"
     density, edges = np.histogram(draws, bins=40, density=True)
-    histogram_rows = [
-        (float(edges[i]), float(edges[i + 1]), float(density[i])) for i in range(len(density))
+    histogram = [
+        {"bin_left": float(left), "bin_right": float(right), "density": float(height)}
+        for left, right, height in zip(edges[:-1], edges[1:], density)
     ]
     out = Path(out_dir)
     _atomic_write(out / "samples.csv", samples_text)
-    _atomic_write(
-        out / "histogram.csv", _csv_text(("bin_left", "bin_right", "density"), histogram_rows)
-    )
+    _atomic_write(out / "histogram.csv", _table("histogram", histogram, "csv")[1])
     click.echo(
         f"wrote {n} draws from TruncatedNormal(mu={demand.mu}, sigma={demand.sigma}, "
         f"lower={demand.lower}, upper={demand.upper}) to {out / 'samples.csv'}"

@@ -183,7 +183,8 @@ class TruncatedNormal:
         """Draw n samples by inverse-CDF transform of rng.random(n)."""
         if n < 0:
             raise ValidationError(f"sample size must be nonnegative, got {n}")
-        return self.quantile(rng.random(n)) if n else np.empty(0)
+        # rng.random lies in [0, 1) by contract, so quantile's range check is skipped
+        return self.params.quantile(rng.random(n)) if n else np.empty(0)
 
     # -- moments and partial expectations -------------------------------------
 

@@ -134,12 +134,27 @@ def fit(
     # sorting makes every downstream sum and scan order-independent
     x = np.sort(x)
     if family == "truncated-normal":
-        return _fit_truncated_normal(x, fixed_bounds)
-    if fixed_bounds is not None:
+        fitted = _fit_truncated_normal(x, fixed_bounds)
+    elif fixed_bounds is not None:
         raise ValidationError("fixed_bounds applies only to the truncated-normal family")
-    if family == "pareto":
-        return _fit_pareto(x)
-    return _fit_negative_binomial(x)
+    elif family == "pareto":
+        fitted = _fit_pareto(x)
+    else:
+        fitted = _fit_negative_binomial(x)
+    n = fitted.sample.size
+    return FitReport(
+        family=family,
+        params=fitted.params,
+        param_names=fitted.param_names,
+        n_free_params=_FREE_PARAMS,
+        log_likelihood=fitted.log_likelihood,
+        aic=2.0 * _FREE_PARAMS - 2.0 * fitted.log_likelihood,
+        bic=_FREE_PARAMS * math.log(n) - 2.0 * fitted.log_likelihood,
+        rmse=_histogram_rmse(fitted.sample, fitted.density),
+        ks_statistic=fitted.ks(fitted.sample, fitted.cdf),
+        sample_size=n,
+        notes=fitted.notes,
+    )
 
 
 def compare(
@@ -195,10 +210,22 @@ def read_demand_series(path: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _information_criteria(log_likelihood: float, n: int) -> tuple[float, float]:
-    aic = 2.0 * _FREE_PARAMS - 2.0 * log_likelihood
-    bic = _FREE_PARAMS * math.log(n) - 2.0 * log_likelihood
-    return aic, bic
+@dataclass(frozen=True)
+class _Fitted:
+    """What a family's fitter hands back for ``fit`` to score.
+
+    ``sample`` is the sorted data the family was fitted to; ``ks`` is the
+    Kolmogorov-Smirnov convention (continuous or discrete) that suits it.
+    """
+
+    params: tuple[float, ...]
+    param_names: tuple[str, ...]
+    log_likelihood: float
+    sample: np.ndarray
+    density: Callable[[np.ndarray], np.ndarray]
+    cdf: Callable[[np.ndarray], np.ndarray]
+    ks: Callable[[np.ndarray, Callable[[np.ndarray], np.ndarray]], float]
+    notes: tuple[str, ...] = ()
 
 
 def _ks_continuous(sorted_x: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -247,7 +274,7 @@ def _log_interval_mass(a_std, b_std):
 
 def _fit_truncated_normal(
     x: np.ndarray, fixed_bounds: tuple[float, float] | None
-) -> FitReport:
+) -> _Fitted:
     # scipy.optimize costs more to import than the rest of the package; only
     # fitting needs it, so it loads here rather than with procurekit.
     from scipy.optimize import brentq, minimize_scalar
@@ -340,24 +367,13 @@ def _fit_truncated_normal(
         z = np.clip((v - mu_hat) / sigma_hat, a_hat, b_hat)
         return np.minimum(np.exp(_log_interval_mass(a_hat, z) - log_mass_hat), 1.0)
 
-    log_likelihood = -float(result.fun)
-    aic, bic = _information_criteria(log_likelihood, n)
-    return FitReport(
-        family="truncated-normal",
-        params=(mu_hat, sigma_hat, lower, upper),
-        param_names=("mu", "sigma", "lower", "upper"),
-        n_free_params=_FREE_PARAMS,
-        log_likelihood=log_likelihood,
-        aic=aic,
-        bic=bic,
-        rmse=_histogram_rmse(x, density),
-        ks_statistic=_ks_continuous(x, cdf),
-        sample_size=n,
-        notes=tuple(notes),
+    return _Fitted(
+        (mu_hat, sigma_hat, lower, upper), ("mu", "sigma", "lower", "upper"),
+        -float(result.fun), x, density, cdf, _ks_continuous, tuple(notes),
     )
 
 
-def _fit_pareto(x: np.ndarray) -> FitReport:
+def _fit_pareto(x: np.ndarray) -> _Fitted:
     if x[0] <= 0.0:
         raise ValidationError("pareto requires strictly positive data")
     scale = float(x[0])
@@ -388,22 +404,12 @@ def _fit_pareto(x: np.ndarray) -> FitReport:
         )
         return np.where(v >= scale, np.exp(log_body), 0.0)
 
-    aic, bic = _information_criteria(log_likelihood, n)
-    return FitReport(
-        family="pareto",
-        params=(shape, scale),
-        param_names=("shape", "scale"),
-        n_free_params=_FREE_PARAMS,
-        log_likelihood=log_likelihood,
-        aic=aic,
-        bic=bic,
-        rmse=_histogram_rmse(x, density),
-        ks_statistic=_ks_continuous(x, cdf),
-        sample_size=n,
+    return _Fitted(
+        (shape, scale), ("shape", "scale"), log_likelihood, x, density, cdf, _ks_continuous
     )
 
 
-def _fit_negative_binomial(x: np.ndarray) -> FitReport:
+def _fit_negative_binomial(x: np.ndarray) -> _Fitted:
     from scipy.optimize import minimize_scalar
 
     counts = np.rint(x).astype(np.int64)
@@ -463,20 +469,9 @@ def _fit_negative_binomial(x: np.ndarray) -> FitReport:
         inside = betainc(r_hat, np.maximum(v, 0.0) + 1.0, p_hat)
         return np.where(v < 0.0, 0.0, inside)
 
-    aic, bic = _information_criteria(log_likelihood, n)
-    floats = counts.astype(float)
-    return FitReport(
-        family="negative-binomial",
-        params=(r_hat, p_hat),
-        param_names=("r", "p"),
-        n_free_params=_FREE_PARAMS,
-        log_likelihood=log_likelihood,
-        aic=aic,
-        bic=bic,
-        rmse=_histogram_rmse(floats, pmf),
-        ks_statistic=_ks_discrete(counts, cdf),
-        sample_size=n,
-        notes=(
+    return _Fitted(
+        (r_hat, p_hat), ("r", "p"), log_likelihood, counts.astype(float), pmf, cdf, _ks_discrete,
+        (
             "observations rounded to the nearest integer before fitting",
             "KS uses the discrete convention: supremum over observed support points",
         ),

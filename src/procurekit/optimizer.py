@@ -137,12 +137,12 @@ def optimal_quantity_given_alpha(
 
     All volume goes to the cheapest supplier (ties to the lowest id); the
     total is the demand quantile at the critical fractile, clamped to the
-    demand support. A fractile <= 0 (cost at or above price + penalty) pins
-    the order at the lower support edge.
+    demand support. A fractile <= 0 (cost at or above price + penalty) means
+    every unit loses money, so nothing is ordered.
     """
     idx, cost = cheapest_supplier(market, suppliers, alpha)
     fractile = critical_fractile(market, cost)
-    q_total = demand.quantile(min(max(fractile, 0.0), 1.0))
+    q_total = demand.quantile(min(fractile, 1.0)) if fractile > 0.0 else 0.0
     quantities = [0.0] * len(suppliers)
     quantities[idx] = q_total
     return Decision(alpha=alpha, quantities=tuple(quantities))
@@ -190,7 +190,8 @@ class _Envelope:
     def cost_and_order(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cost = self.base_cost - self.a1 * alphas - self.a2_beta
         fractile = (self.margin - cost) / self.spread
-        return cost, self.demand.quantile(np.minimum(np.maximum(fractile, 0.0), 1.0))
+        q = self.demand.quantile(np.minimum(np.maximum(fractile, 0.0), 1.0))
+        return cost, np.where(fractile > 0.0, q, 0.0)
 
     def profit(self, alphas: np.ndarray, cost: np.ndarray, q: np.ndarray) -> np.ndarray:
         revenue, salvage, penalty, _ = expected_sales_terms(self, self.demand, q)

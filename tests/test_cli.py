@@ -1,13 +1,17 @@
 """End-to-end CLI tests: files written, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 from click.testing import CliRunner
 
+from procurekit import cli
 from procurekit.cli import main
+from procurekit.config import load_config
+from procurekit.scenarios import preset, run
 
 runner = CliRunner()
 
@@ -134,6 +138,69 @@ class TestScenario:
     def test_rejects_unknown_format(self, tmp_path):
         result = invoke("scenario", "s1", "--format", "xml", "--out", tmp_path)
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("target", ["preset", "spec file"])
+    def test_seed_and_replications_override_the_spec(self, tmp_path, target):
+        if target == "preset":
+            arg, spec = "s1", preset("s1")
+        else:
+            arg = tmp_path / "spec.yaml"
+            arg.write_text(
+                "scenario:\n  id: mini\n  seed: 3\n  replications: 150\n"
+                "  axes:\n    - {path: market.a3, values: [1000.0, 3000.0]}\n"
+            )
+            spec = load_config(arg).scenario
+        result = invoke("scenario", arg, "--seed", 17, "--replications", 120, "--out", tmp_path)
+        assert result.exit_code == 0, result.output
+        overridden = dataclasses.replace(spec, seed=17, replications=120)
+        paths = tuple(path for path, _ in spec.axes)
+        expected = [cli._result_row(r, paths) for r in run(overridden)]
+        assert (tmp_path / "results.csv").read_text() == cli._table("results", expected, "csv")[1]
+        as_given = [cli._result_row(r, paths) for r in run(spec)]
+        assert as_given != expected
+
+
+def header_line(path):
+    with open(path) as handle:
+        return handle.readline().rstrip("\n")
+
+
+class TestHeaders:
+    """Columns never reorder; new ones are only appended (docs/formats.md)."""
+
+    METRICS = (
+        "alpha_star,q_star,expected_profit_usd,fill_rate,penalty_rate,std_error,"
+        "kkt_max_residual,status"
+    )
+
+    def test_results_and_heatmap(self, tmp_path):
+        spec = tmp_path / "grid.yaml"
+        spec.write_text(
+            "scenario:\n  id: mini\n  replications: 100\n  axes:\n"
+            "    - {path: market.a3, values: [1000.0, 2000.0]}\n"
+            "    - {path: demand.sigma, values: [6.0, 10.0]}\n"
+        )
+        assert invoke("scenario", spec, "--out", tmp_path).exit_code == 0
+        assert header_line(tmp_path / "results.csv") == (
+            "scenario_id,cell_index,market.a3,demand.sigma," + self.METRICS
+        )
+        assert header_line(tmp_path / "heatmap.csv") == "x,y,value"
+
+    def test_trajectory(self, tmp_path):
+        assert invoke("scenario", "s11", "--replications", 100, "--out", tmp_path).exit_code == 0
+        assert header_line(tmp_path / "trajectory.csv") == (
+            "scenario_id,cycle,a3_usd,alpha,q,expected_profit_usd,fill_rate,penalty_rate,"
+            "std_error,status"
+        )
+
+    def test_fits_and_histogram(self, tmp_path):
+        assert invoke("sample", "--n", 1000, "--seed", 5, "--out", tmp_path).exit_code == 0
+        assert header_line(tmp_path / "histogram.csv") == "bin_left,bin_right,density"
+        assert invoke("fit", tmp_path / "samples.csv", "--out", tmp_path).exit_code == 0
+        assert header_line(tmp_path / "fits.csv") == (
+            "rank,family,params,n_free_params,log_likelihood,aic,bic,ks_statistic,rmse,"
+            "sample_size,notes"
+        )
 
 
 def csv_cell(value):

@@ -142,6 +142,15 @@ class TestTruncatedNormalFit:
         b = fit("truncated-normal", shuffled, fixed_bounds=(30.0, 70.0))
         assert a == b
 
+    def test_u_shaped_sample_caps_the_scale_with_a_note(self):
+        # mass piled at both ends of the support: the likelihood keeps
+        # rising with sigma, up to the ten-support-width cap
+        rng = np.random.default_rng(0)
+        data = np.concatenate([rng.uniform(0.0, 1.0, 200), rng.uniform(9.0, 10.0, 200)])
+        report = fit("truncated-normal", data, fixed_bounds=(0.0, 10.0))
+        assert any("scale estimate capped" in note for note in report.notes)
+        assert report.params[1] == pytest.approx(100.0, rel=1e-6)
+
     def test_heavy_tail_data_yield_a_noted_boundary_fit(self):
         rng = np.random.default_rng(11)
         data = 30.0 * (1.0 + rng.pareto(1.5, size=4_000))

@@ -87,10 +87,13 @@ class TestInnerSolve:
         dec = optimal_quantity_given_alpha(MARKET, twins, DEMAND, 0.1)
         assert dec.quantities[1] > 0.0 and dec.quantities[0] == 0.0
 
-    def test_nonpositive_fractile_pins_order_at_lower_edge(self):
+    def test_nonpositive_fractile_orders_nothing(self):
+        # every unit costs more than it can earn (price + penalty = 190)
         dear = (SupplierProfile(id=1, base_cost=250.0, beta=0.0),)
         dec = optimal_quantity_given_alpha(MARKET, dear, DEMAND, 0.0)
-        assert dec.total == DEMAND.lower
+        assert dec.total == 0.0
+        at_margin = (SupplierProfile(id=1, base_cost=190.0, beta=0.0),)
+        assert optimal_quantity_given_alpha(MARKET, at_margin, DEMAND, 0.0).total == 0.0
 
     def test_cost_equal_to_salvage_orders_the_cap(self):
         cheap = (SupplierProfile(id=1, base_cost=20.0, beta=0.0),)
@@ -127,6 +130,20 @@ class TestOptimize:
         star = envelope(opt.alpha_star)
         assert star >= envelope(min(1.0, opt.alpha_star + 0.01)) - 1e-12
         assert star >= envelope(max(0.0, opt.alpha_star - 0.01)) - 1e-12
+
+    def test_no_paying_unit_orders_nothing_and_closes_kkt(self, tmp_path):
+        dear = (SupplierProfile(id=1, base_cost=250.0, beta=0.0),)
+        opt = optimize(MARKET, dear, DEMAND)
+        assert opt.alpha_star == 0.0 and opt.q_star == 0.0
+        assert opt.decision == optimal_quantity_given_alpha(MARKET, dear, DEMAND, 0.0)
+        assert opt.breakdown.expected_profit == pytest.approx(-MARKET.penalty * DEMAND.mean)
+        assert opt.kkt.max_residual == 0.0
+        config = tmp_path / "dear.yaml"
+        config.write_text("suppliers:\n  - id: 1\n    base_cost: 250.0\n    beta: 0.0\n")
+        args = ["optimize", "--config", str(config), "--out", str(tmp_path)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "alpha_star=0.000000 q_star=0.0000 expected_profit_usd=-2000.00" in result.output
 
     def test_agrees_with_alpha_grid_oracle(self):
         opt = optimize(MARKET, SUPPLIERS, DEMAND)
