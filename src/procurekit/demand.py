@@ -74,11 +74,15 @@ class TruncatedNormalParams(NamedTuple):
     sign: object
 
     def quantile(self, u):
-        """Inverse CDF at u, assumed to lie in [0, 1]."""
+        """Inverse CDF at u, assumed to lie in [0, 1]; an array, 0-d for scalars."""
         p = self.cdf_lower + u * (self.sign * self.mass)
         x = self.mu + (self.sign * self.sigma) * _norm_quantile(np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16))
-        x = np.minimum(np.maximum(x, self.lower), self.upper)
-        return np.where(u == 0.0, self.lower, np.where(u == 1.0, self.upper, x))
+        # The clamped x is a fresh array of the broadcast shape (made 0-d
+        # from a scalar), so the bounds are pinned in place.
+        x = np.asarray(np.minimum(np.maximum(x, self.lower), self.upper))
+        np.copyto(x, self.lower, where=u == 0.0)
+        np.copyto(x, self.upper, where=u == 1.0)
+        return x
 
     def expected_excess(self, q):
         """E[(D - q)^+] at supply level q."""
@@ -165,9 +169,10 @@ class TruncatedNormal:
         z = (x - self.mu) / self.sigma
         sign, cdf_lower, mass = self.params.sign, self.params.cdf_lower, self.params.mass
         raw = sign * (_norm_cdf(sign * z) - cdf_lower) / mass
-        return _float_or_array(
-            np.where(x <= self.lower, 0.0, np.where(x >= self.upper, 1.0, np.clip(raw, 0.0, 1.0)))
-        )
+        # np.clip(raw, 0.0, 1.0) without its Python wrapper; with the zero
+        # first, np.maximum keeps a -0.0 as np.clip does.
+        clipped = np.minimum(np.maximum(0.0, raw), 1.0)
+        return _float_or_array(np.where(x <= self.lower, 0.0, np.where(x >= self.upper, 1.0, clipped)))
 
     def quantile(self, u):
         """Inverse CDF at u in [0, 1] (scalar or array).

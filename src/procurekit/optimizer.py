@@ -285,10 +285,11 @@ def _slope_roots(env: _Envelope, lo: np.ndarray, hi: np.ndarray, est: np.ndarray
     return roots
 
 
-def _decide(market, suppliers, demand, at_grid: Decision, at_root: Decision) -> Decision:
+def _decide(market, suppliers, demand, at_grid: Decision, grid_profit: float, at_root: Decision) -> Decision:
     """The order at the slope root, unless the grid point earns more by over
-    _TIE_TOLERANCE relative profit; both orders come from the batch."""
-    grid_profit = expected_profit_value(market, suppliers, demand, at_grid)
+    _TIE_TOLERANCE relative profit. Both orders and the grid point's profit
+    come from the batch, which computes that profit with the same operations
+    as expected_profit_value."""
     root_profit = expected_profit_value(market, suppliers, demand, at_root)
     return at_root if root_profit >= grid_profit - _TIE_TOLERANCE * abs(grid_profit) else at_grid
 
@@ -343,7 +344,8 @@ def _solve_batch(
     t = _power(_GRID, env.nu_less_one, q.shape)
     g = env.a1 * q - env.a3_nu * t
     cell = np.arange(len(live))
-    best_index = np.argmax(env.profit(_GRID, cost, q), axis=1)
+    profits = env.profit(_GRID, cost, q)
+    best_index = np.argmax(profits, axis=1)
     best = _GRID[best_index]
     # The grid step where the slope should change sign: right of the argmax
     # if the slope there is positive, else left of it.
@@ -355,14 +357,14 @@ def _solve_batch(
         env, np.maximum(0.0, best - _GRID_STEP), np.minimum(1.0, best + _GRID_STEP), np.where(brackets, est, np.nan)
     )
     q_root = env.cost_and_order(roots[:, None])[1][:, 0]
-    for i, winner, alpha_grid, total_grid, alpha_root, total_root in zip(
-        live, winners, best, q[cell, best_index], roots, q_root
+    for i, winner, alpha_grid, total_grid, profit_grid, alpha_root, total_root in zip(
+        live, winners, best, q[cell, best_index], profits[cell, best_index], roots, q_root
     ):
         count = len(cells[i][1])
         try:
             at_grid = _order(float(alpha_grid), float(total_grid), winner, count)
             at_root = _order(float(alpha_root), float(total_root), winner, count)
-            results[i] = _decide(*cells[i], at_grid, at_root)
+            results[i] = _decide(*cells[i], at_grid, float(profit_grid), at_root)
         except ProcureKitError as exc:
             results[i] = exc
     return results

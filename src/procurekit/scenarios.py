@@ -222,7 +222,8 @@ def _apply_coordinate(
     demand: TruncatedNormal,
     path: str,
     value: object,
-    build_rng: np.random.Generator,
+    seed: int,
+    index: int,
 ) -> tuple[MarketEconomics, tuple[SupplierProfile, ...], TruncatedNormal]:
     scope, _, field = path.partition(".")
     if scope == "market":
@@ -232,6 +233,9 @@ def _apply_coordinate(
     lo, hi = (float(v) for v in value)
     if not 0.0 <= lo <= hi <= 1.0:
         raise ValidationError(f"beta_range must satisfy 0 <= low <= high <= 1, got {value!r}")
+    # The cell's supplier stream is made only here, where it is drawn; axis
+    # paths are distinct, so a cell draws from it at most once.
+    build_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NS_BUILD, index)))
     redrawn = tuple(
         dataclasses.replace(s, beta=float(build_rng.uniform(lo, hi))) for s in suppliers
     )
@@ -258,11 +262,8 @@ def _build_cell(
     spec: ScenarioSpec, index: int, coords: tuple
 ) -> tuple[MarketEconomics, tuple[SupplierProfile, ...], TruncatedNormal]:
     market, suppliers, demand = spec.market, spec.suppliers, spec.demand
-    build_rng = np.random.default_rng(
-        np.random.SeedSequence(spec.seed, spawn_key=(_NS_BUILD, index))
-    )
     for path, value in coords:
-        market, suppliers, demand = _apply_coordinate(market, suppliers, demand, path, value, build_rng)
+        market, suppliers, demand = _apply_coordinate(market, suppliers, demand, path, value, spec.seed, index)
     return market, suppliers, demand
 
 

@@ -9,11 +9,13 @@ slow routes that share no formulas with them.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
 
 from procurekit.optimizer import optimize
+from procurekit.profit import ProfitBreakdown
 
 
 def simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int = 10_000) -> float:
@@ -70,3 +72,40 @@ def bisect_adoption_threshold(market, suppliers, demand, a3_low: float, a3_high:
         else:
             lo = mid
     return hi
+
+
+def breakdown_by_numpy_reductions(market, suppliers, demand, decision, draws: np.ndarray) -> ProfitBreakdown:
+    """Monte Carlo breakdown of a decision over draws, reduced by numpy's own
+    .mean(), .std(ddof=1) and np.partition, term for term as
+    profit.breakdown_from_draws defines it."""
+    n = draws.size
+    q_total = decision.total
+    served = np.minimum(q_total, draws)
+    leftover = q_total - served
+    shortfall = draws - served
+    procurement = float(
+        sum(market.unit_cost(s, decision.alpha) * q for s, q in zip(suppliers, decision.quantities) if q > 0.0)
+    )
+    adoption = market.adoption_cost(decision.alpha)
+    revenue = market.price * float(served.mean())
+    salvage = market.salvage * float(leftover.mean())
+    penalty = market.penalty * float(shortfall.mean())
+    per_rep = market.price * served + market.salvage * leftover - market.penalty * shortfall - (procurement + adoption)
+    fill_mean = cvar10 = math.nan
+    if demand.lower > 0.0:
+        fills = served / draws
+        k = max(1, n // 10)
+        fill_mean = float(fills.mean())
+        cvar10 = float(np.partition(fills, k - 1)[:k].mean())
+    return ProfitBreakdown(
+        expected_revenue=revenue,
+        expected_salvage=salvage,
+        expected_penalty=penalty,
+        procurement_cost=procurement,
+        adoption_cost=adoption,
+        expected_profit=revenue + salvage - penalty - procurement - adoption,
+        fill_rate_mean=fill_mean,
+        penalty_rate=float(shortfall.mean()) / float(draws.mean()),
+        fill_rate_cvar10=cvar10,
+        std_error=float(per_rep.std(ddof=1)) / math.sqrt(n),
+    )

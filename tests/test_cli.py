@@ -53,6 +53,17 @@ class TestOptimize:
         assert not (tmp_path / "optimum.json").exists()
 
 
+    def test_zero_mean_demand_is_one_error_line(self, tmp_path):
+        config = tmp_path / "zero-mean.yaml"
+        config.write_text("demand:\n  mu: 0.0\n  sigma: 1.0\n  lower: -1.0\n  upper: 1.0\n")
+        result = invoke("optimize", "--config", config, "--out", tmp_path)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and "positive mean demand, got mean 0.0" in line
+        assert not (tmp_path / "optimum.json").exists()
+
+
 class TestScenario:
     def test_adoption_cost_tail_preset(self, tmp_path):
         result = invoke("scenario", "s8", "--replications", 300, "--out", tmp_path)

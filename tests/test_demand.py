@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from procurekit.demand import TruncatedNormal
+from procurekit.demand import TruncatedNormal, TruncatedNormalParams
 from procurekit.errors import InvalidDistributionError, ValidationError
 
 from oracles import excess_by_quadrature, moment, simpson
@@ -130,6 +130,28 @@ class TestQuantile:
     def test_monotone(self, u1, u2):
         lo, hi = sorted((u1, u2))
         assert SKEWED.quantile(lo) <= SKEWED.quantile(hi) + 1e-12
+
+
+class TestQuantileEndpoints:
+    # Unpinned, the inverse CDF at u = 0 lands 6e-15 above lower on the
+    # second, and at u = 1 below upper on the first and third.
+    DISTS = [BASELINE, TruncatedNormal(mu=39.2, sigma=17.9, lower=22.9, upper=74.7), CASES[-1]]
+    U = np.array([[0.0, 0.3, 1.0, 0.0], [1.0, 0.0, 0.5, 1.0], [0.0, 1.0, 0.0, 0.9]])
+
+    def test_draw_vectors_pin_both_bounds(self):
+        for dist, u in zip(self.DISTS, self.U):
+            x = dist.params.quantile(u)
+            assert x[u == 0.0].tolist() == [dist.lower] * int((u == 0.0).sum())
+            assert x[u == 1.0].tolist() == [dist.upper] * int((u == 1.0).sum())
+
+    def test_cell_columns_pin_each_cells_bounds(self):
+        columns = TruncatedNormalParams(*(np.array(field)[:, None] for field in zip(*(d.params for d in self.DISTS))))
+        x = columns.quantile(self.U)
+        assert x.shape == self.U.shape
+        for row, (dist, u) in enumerate(zip(self.DISTS, self.U)):
+            assert x[row].tolist() == dist.params.quantile(u).tolist()
+            assert x[row][u == 0.0].tolist() == [dist.lower] * int((u == 0.0).sum())
+            assert x[row][u == 1.0].tolist() == [dist.upper] * int((u == 1.0).sum())
 
 
 class TestSampling:

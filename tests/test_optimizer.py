@@ -366,6 +366,21 @@ class TestSolveBatch:
     def test_empty_batch(self):
         assert _solve_batch([]) == []
 
+    def test_grid_profit_is_the_scalar_profit(self, monkeypatch):
+        checked = []
+        decide = optimizer._decide
+
+        def recording(market, suppliers, demand, at_grid, grid_profit, at_root):
+            scalar = expected_profit_value(market, suppliers, demand, at_grid)
+            checked.append((grid_profit.hex(), scalar.hex()))
+            return decide(market, suppliers, demand, at_grid, grid_profit, at_root)
+
+        monkeypatch.setattr(optimizer, "_decide", recording)
+        cells = perfbench_solve_problems(7) + preset_cells("s9", 1.5)
+        _solve_batch(cells)
+        assert len(checked) == len(cells)
+        assert [batch for batch, _ in checked] == [scalar for _, scalar in checked]
+
 
 def count_slope_calls(monkeypatch) -> list:
     """Patch _Envelope.slope to record one entry per call, i.e. per lock-step round."""

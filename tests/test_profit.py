@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from procurekit.errors import ValidationError
+from procurekit.optimizer import optimize
 from procurekit.profit import (
     Decision,
+    _mean,
+    _sample_std,
     breakdown_from_draws,
     expected_profit_closed_form,
     expected_profit_monte_carlo,
@@ -15,7 +19,7 @@ from procurekit.profit import (
 )
 
 from helpers import baseline_demand, baseline_market, baseline_suppliers
-from oracles import simpson
+from oracles import breakdown_by_numpy_reductions, simpson
 
 MARKET = baseline_market()
 SUPPLIERS = baseline_suppliers()
@@ -191,6 +195,53 @@ class TestMonteCarlo:
             expected_profit_monte_carlo(
                 MARKET, SUPPLIERS, DEMAND, DECISIONS[0], 1, np.random.default_rng(0)
             )
+
+
+def bits(breakdown) -> list[str]:
+    return [float(v).hex() for v in dataclasses.astuple(breakdown)]
+
+
+class TestDrawReductions:
+    # Sizes on both sides of numpy's 8-way unrolled and 128-element pairwise
+    # summation blocks.
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 127, 128, 129, 5000, 100001])
+    def test_mean_and_sample_std_equal_numpy(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.normal(50.0, 8.0, n), rng.random(n) * 1e6 - 3e5, 1.0 + rng.random(n) * 1e-9):
+            assert _mean(values) == float(values.mean())
+            assert _sample_std(values) == float(values.std(ddof=1))
+
+    @pytest.mark.parametrize(
+        "demand", [DEMAND, baseline_demand(mu=1.0, sigma=1.0, lower=-1.0, upper=3.0)], ids=["positive", "from -1"]
+    )
+    @pytest.mark.parametrize("n", [2, 9, 129, 5000])
+    def test_breakdown_equals_numpy_reductions(self, demand, n):
+        draws = demand.sample(np.random.default_rng(n), n)
+        kept = draws.copy()
+        for decision in DECISIONS:
+            got = breakdown_from_draws(MARKET, SUPPLIERS, demand, decision, draws)
+            assert bits(got) == bits(breakdown_by_numpy_reductions(MARKET, SUPPLIERS, demand, decision, draws))
+        assert np.array_equal(draws, kept)
+
+
+class TestNonpositiveMeanDemand:
+    # Symmetric about zero: the mean is exactly 0.0.
+    DEMAND = baseline_demand(mu=0.0, sigma=1.0, lower=-1.0, upper=1.0)
+
+    def test_closed_form_names_the_mean(self):
+        with pytest.raises(ValidationError, match="positive mean demand, got mean 0.0"):
+            expected_profit_closed_form(MARKET, SUPPLIERS, self.DEMAND, DECISIONS[0])
+
+    def test_monte_carlo_names_the_mean(self):
+        with pytest.raises(ValidationError, match="positive mean demand, got mean -"):
+            expected_profit_monte_carlo(
+                MARKET, SUPPLIERS, baseline_demand(mu=-0.5, sigma=1.0, lower=-1.0, upper=1.0),
+                DECISIONS[0], 100, np.random.default_rng(0),
+            )
+
+    def test_optimize_raises_validation_error(self):
+        with pytest.raises(ValidationError, match="mean 0.0"):
+            optimize(MARKET, SUPPLIERS, self.DEMAND)
 
 
 class TestFillRateDistribution:

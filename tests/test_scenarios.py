@@ -15,10 +15,14 @@ from procurekit.baseline import (
 )
 from procurekit.errors import ProcureKitError, RankDeficientDesignError, ValidationError
 from procurekit.optimizer import optimize
+from procurekit.demand import TruncatedNormal
 from procurekit.scenarios import (
+    _NS_BUILD,
     PRESET_IDS,
     DynamicSpec,
     ScenarioSpec,
+    _build_cell,
+    _cell_coordinates,
     adaptive_alpha_update,
     latin_hypercube,
     preset,
@@ -264,6 +268,34 @@ class TestGridRun:
         assert rows == again
         # same range in two cells still differs: cell index keys the redraw
         assert rows[0].q_star != rows[1].q_star
+
+    def test_beta_range_draws_the_cells_build_stream(self):
+        spec = preset("s4")
+        for index, coords in enumerate(_cell_coordinates(spec)):
+            ((_, (lo, hi)),) = coords
+            stream = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(_NS_BUILD, index)))
+            expected = [float(stream.uniform(lo, hi)) for _ in spec.suppliers]
+            assert [s.beta for s in _build_cell(spec, index, coords)[1]] == expected
+
+    @pytest.mark.parametrize("preset_id, cells", [("s1", 0), ("s9", 0), ("s4", 3)])
+    def test_build_stream_only_for_beta_range_cells(self, monkeypatch, preset_id, cells):
+        keys = []
+        seed_sequence = np.random.SeedSequence
+
+        def recording(*args, **kwargs):
+            keys.append(kwargs.get("spawn_key"))
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", recording)
+        run(preset(preset_id, replications=50))
+        assert [key for key in keys if key[0] == _NS_BUILD] == [(_NS_BUILD, i) for i in range(cells)]
+
+    def test_nonpositive_mean_demand_becomes_error_row(self):
+        demand = TruncatedNormal(mu=0.5, sigma=1.0, lower=-1.0, upper=1.0)
+        rows = run(small_spec(demand=demand, axes=(("demand.mu", (0.5, 0.0)),)))
+        assert rows[0].status == "ok"
+        assert rows[1].status == "ValidationError: penalty rate needs a positive mean demand, got mean 0.0"
+        assert math.isnan(rows[1].penalty_rate)
 
     def test_bad_beta_range_becomes_error_row(self):
         rows = run(small_spec(axes=(("suppliers.beta_range", ((0.9, 0.1),)),)))
