@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .optimizer import _checked_kkt, _solve_batch, optimal_quantity_given_alpha
-from .profit import Decision, breakdown_from_draws, expected_profit_monte_carlo
+from .profit import Decision, ProfitBreakdown, breakdown_from_draws, expected_profit_monte_carlo
 
 SAMPLERS = ("grid", "latin-hypercube")
 
@@ -45,6 +45,14 @@ _NS_CELL_MC = 0
 _NS_DESIGN = 1
 _NS_DYNAMIC = 2
 _NS_BUILD = 3
+
+
+def _is_real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,11 +73,13 @@ class DynamicSpec:
     alpha_initial: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cycles, int) or self.cycles < 1:
+        if not _is_int(self.cycles) or self.cycles < 1:
             raise ValidationError(f"cycles must be a positive integer, got {self.cycles!r}")
         # NaN passes every ordered comparison below, so finiteness comes first.
         for name in ("a3_initial", "a3_decline", "learning_rate", "target_penalty", "alpha_initial"):
             value = getattr(self, name)
+            if not _is_real(value):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
         final_a3 = self.a3_initial - self.a3_decline * (self.cycles - 1)
@@ -121,9 +131,12 @@ class ScenarioSpec:
             raise ValidationError("scenario id must be nonempty")
         if self.sampler not in SAMPLERS:
             raise ValidationError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
+        for name in ("replications", "lhs_samples", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.replications < 2:
             raise ValidationError(f"replications must be at least 2, got {self.replications}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         for axis in self.axes:
             if len(axis) != 2 or not isinstance(axis[0], str):
@@ -158,20 +171,23 @@ class ScenarioResult:
     """One evaluated cell or cycle.
 
     ``coordinates`` holds the (parameter path, value) pairs that define the
-    cell. Failed cells carry the failure text in ``status`` and NaN metrics;
-    the run continues past them.
+    cell. This class is the one statement of the row schema: every metric
+    defaults to NaN, so a row leaves NaN what its stage does not measure (a
+    dynamic cycle has no KKT audit), and a failed cell is its identity, NaN
+    in every metric and the failure text in ``status``. The run continues
+    past failed cells.
     """
 
     scenario_id: str
     cell_index: int
     coordinates: tuple[tuple[str, object], ...]
-    alpha_star: float
-    q_star: float
-    expected_profit: float
-    fill_rate: float
-    penalty_rate: float
-    kkt_max_residual: float
-    std_error: float
+    alpha_star: float = math.nan
+    q_star: float = math.nan
+    expected_profit: float = math.nan
+    fill_rate: float = math.nan
+    penalty_rate: float = math.nan
+    kkt_max_residual: float = math.nan
+    std_error: float = math.nan
     status: str = "ok"
 
 
@@ -188,10 +204,6 @@ def _validate_path(path: str) -> None:
     if scope == "suppliers" and field == "beta_range":
         return
     raise ValidationError(f"unsupported parameter path {path!r}")
-
-
-def _is_real(value: object) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _validate_axis_values(path: str, values: tuple, sampler: str) -> None:
@@ -242,22 +254,6 @@ def _apply_coordinate(
     return market, redrawn, demand
 
 
-def _failed_row(spec: ScenarioSpec, index: int, coords: tuple, exc: ProcureKitError) -> ScenarioResult:
-    return ScenarioResult(
-        scenario_id=spec.id,
-        cell_index=index,
-        coordinates=coords,
-        alpha_star=math.nan,
-        q_star=math.nan,
-        expected_profit=math.nan,
-        fill_rate=math.nan,
-        penalty_rate=math.nan,
-        kkt_max_residual=math.nan,
-        std_error=math.nan,
-        status=f"{type(exc).__name__}: {exc}",
-    )
-
-
 def _build_cell(
     spec: ScenarioSpec, index: int, coords: tuple
 ) -> tuple[MarketEconomics, tuple[SupplierProfile, ...], TruncatedNormal]:
@@ -267,26 +263,17 @@ def _build_cell(
     return market, suppliers, demand
 
 
-def _solved_row(
-    spec: ScenarioSpec, index: int, coords: tuple, cell: tuple, decision: Decision
-) -> ScenarioResult:
-    market, suppliers, demand = cell
-    kkt = _checked_kkt(market, suppliers, demand, decision)
-    mc_rng = np.random.default_rng(
-        np.random.SeedSequence(spec.seed, spawn_key=(_NS_CELL_MC, index))
-    )
-    breakdown = expected_profit_monte_carlo(market, suppliers, demand, decision, spec.replications, mc_rng)
-    return ScenarioResult(
-        scenario_id=spec.id,
-        cell_index=index,
-        coordinates=coords,
+def _measured(decision: Decision, breakdown: ProfitBreakdown, **extra: float) -> dict[str, float]:
+    """A row's metric fields from a decision, its Monte Carlo breakdown and,
+    in ``extra``, the metrics of the stages that only some rows run."""
+    return dict(
         alpha_star=decision.alpha,
         q_star=decision.total,
         expected_profit=breakdown.expected_profit,
         fill_rate=breakdown.fill_rate_mean,
         penalty_rate=breakdown.penalty_rate,
-        kkt_max_residual=kkt.max_residual,
         std_error=breakdown.std_error,
+        **extra,
     )
 
 
@@ -323,22 +310,31 @@ def run(spec: ScenarioSpec, jobs: int = 1) -> list[ScenarioResult]:
     if spec.dynamic is not None:
         return run_dynamic(spec)
     coordinates = _cell_coordinates(spec)
-    rows: dict[int, ScenarioResult] = {}
+    # One outcome per cell: its metric fields, or the error that stopped it.
+    outcomes: dict[int, dict[str, float] | ProcureKitError] = {}
     cells = {}
     for index, coords in enumerate(coordinates):
         try:
             cells[index] = _build_cell(spec, index, coords)
         except ProcureKitError as exc:
-            rows[index] = _failed_row(spec, index, coords, exc)
+            outcomes[index] = exc
     for (index, cell), solved in zip(cells.items(), _solve_batch(list(cells.values()))):
-        coords = coordinates[index]
         try:
             if isinstance(solved, ProcureKitError):
                 raise solved
-            rows[index] = _solved_row(spec, index, coords, cell, solved)
+            kkt = _checked_kkt(*cell, solved)
+            mc_rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(_NS_CELL_MC, index)))
+            breakdown = expected_profit_monte_carlo(*cell, solved, spec.replications, mc_rng)
+            outcomes[index] = _measured(solved, breakdown, kkt_max_residual=kkt.max_residual)
         except ProcureKitError as exc:
-            rows[index] = _failed_row(spec, index, coords, exc)
-    return [rows[index] for index in range(len(coordinates))]
+            outcomes[index] = exc
+    rows = []
+    for index, coords in enumerate(coordinates):
+        outcome = outcomes[index]
+        if isinstance(outcome, ProcureKitError):
+            outcome = {"status": f"{type(outcome).__name__}: {outcome}"}
+        rows.append(ScenarioResult(spec.id, index, coords, **outcome))
+    return rows
 
 
 def adaptive_alpha_update(
@@ -369,20 +365,8 @@ def run_dynamic(spec: ScenarioSpec) -> list[ScenarioResult]:
         market_t = dataclasses.replace(spec.market, a3=dyn.a3_at(cycle))
         decision = optimal_quantity_given_alpha(market_t, spec.suppliers, spec.demand, alpha)
         breakdown = breakdown_from_draws(market_t, spec.suppliers, spec.demand, decision, draws)
-        rows.append(
-            ScenarioResult(
-                scenario_id=spec.id,
-                cell_index=cycle - 1,
-                coordinates=(("cycle", cycle), ("market.a3", dyn.a3_at(cycle))),
-                alpha_star=alpha,
-                q_star=decision.total,
-                expected_profit=breakdown.expected_profit,
-                fill_rate=breakdown.fill_rate_mean,
-                penalty_rate=breakdown.penalty_rate,
-                kkt_max_residual=math.nan,
-                std_error=breakdown.std_error,
-            )
-        )
+        coords = (("cycle", cycle), ("market.a3", dyn.a3_at(cycle)))
+        rows.append(ScenarioResult(spec.id, cycle - 1, coords, **_measured(decision, breakdown)))
         alpha = adaptive_alpha_update(
             alpha, breakdown.penalty_rate, dyn.learning_rate, dyn.target_penalty
         )

@@ -54,22 +54,21 @@ def produce(root: Path) -> dict[str, str]:
     return digests
 
 
+def changed(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """Files whose digest differs, or that only one side has."""
+    return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+
+
 def test_outputs_match_golden_digests(tmp_path):
-    golden = json.loads(DIGESTS.read_text())
-    produced = produce(tmp_path)
-    changed = sorted(k for k in golden.keys() & produced.keys() if golden[k] != produced[k])
-    assert changed == []
-    assert sorted(produced.keys() - golden.keys()) == []
-    assert sorted(golden.keys() - produced.keys()) == []
+    assert changed(json.loads(DIGESTS.read_text()), produce(tmp_path)) == []
 
 
 def update() -> None:
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as root:
         new = produce(Path(root))
-    for name in sorted(old.keys() | new.keys()):
-        if old.get(name) != new.get(name):
-            print(name)
+    for name in changed(old, new):
+        print(name)
     DIGESTS.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
 
 

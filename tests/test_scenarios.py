@@ -20,6 +20,7 @@ from procurekit.scenarios import (
     _NS_BUILD,
     PRESET_IDS,
     DynamicSpec,
+    ScenarioResult,
     ScenarioSpec,
     _build_cell,
     _cell_coordinates,
@@ -83,6 +84,11 @@ class TestDynamicSpec:
             ("target_penalty", math.nan),
             ("target_penalty", math.inf),
             ("alpha_initial", math.nan),
+            ("cycles", True),
+            ("cycles", 10.0),
+            ("a3_initial", True),
+            ("learning_rate", "0.05"),
+            ("target_penalty", None),
         ],
     )
     def test_rejects_bad_settings(self, field, value):
@@ -112,6 +118,21 @@ class TestDynamicSpec:
 
 
 class TestScenarioSpecValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replications", 2.5),
+            ("replications", True),
+            ("lhs_samples", 5.5),
+            ("seed", True),
+            ("seed", 7.0),
+        ],
+    )
+    def test_rejects_mistyped_counts(self, field, value):
+        lhs = dict(sampler="latin-hypercube", lhs_samples=5, axes=(("demand.sigma", (5.0, 15.0)),))
+        with pytest.raises(ValidationError, match=field):
+            small_spec(**{**lhs, field: value})
+
     def test_rejects_empty_id(self):
         with pytest.raises(ValidationError, match="id"):
             small_spec(id="")
@@ -310,6 +331,44 @@ class TestGridRun:
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValidationError, match="jobs"):
             run(small_spec(), jobs=0)
+
+
+class TestFailedRows:
+    """A failed cell keeps its identity and status; every other field is NaN."""
+
+    METRICS = [
+        f.name
+        for f in dataclasses.fields(ScenarioResult)
+        if f.name not in ("scenario_id", "cell_index", "coordinates", "status")
+    ]
+
+    def assert_failed(self, row, error):
+        assert row.status.startswith(f"{error}: ")
+        assert all(math.isnan(getattr(row, name)) for name in self.METRICS), row
+
+    def test_build_error(self):
+        rows = run(small_spec(axes=(("demand.sigma", (8.0, -3.0)),)))
+        self.assert_failed(rows[1], "InvalidDistributionError")
+        assert (rows[1].scenario_id, rows[1].cell_index, rows[1].coordinates) == ("test", 1, (("demand.sigma", -3.0),))
+
+    def test_solve_errors(self):
+        spec = small_spec(axes=(("market.salvage", (0.0, 95.0)), ("market.a1", (5.0, 100.0))))
+        rows = run(spec)
+        assert rows[0].status == "ok"
+        self.assert_failed(rows[1], "NegativeUnitCostError")
+        self.assert_failed(rows[2], "DegenerateEconomicsError")
+        self.assert_failed(rows[3], "DegenerateEconomicsError")
+
+    def test_error_after_the_solve(self):
+        demand = TruncatedNormal(mu=0.5, sigma=1.0, lower=-1.0, upper=1.0)
+        rows = run(small_spec(demand=demand, axes=(("demand.mu", (0.5, 0.0)),)))
+        self.assert_failed(rows[1], "ValidationError")
+
+    def test_cycle_rows_leave_only_the_kkt_audit_nan(self):
+        for row in run(preset("s11", replications=200)):
+            metrics = {name: getattr(row, name) for name in self.METRICS}
+            assert math.isnan(metrics.pop("kkt_max_residual"))
+            assert all(math.isfinite(v) for v in metrics.values()), metrics
 
 
 class TestParallelDeterminism:
