@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -214,14 +215,13 @@ def _trajectory_row(result: ScenarioResult) -> dict:
 def _heatmap_outputs(
     spec: ScenarioSpec, results: list[ScenarioResult]
 ) -> list[tuple[str, str]]:
+    # Rows follow the grid's product order, last axis fastest; a value may repeat.
     (x_path, xs), (y_path, ys) = spec.axes
-    grid = np.full((len(xs), len(ys)), math.nan)
-    records = []
-    for result in results:
-        coords = dict(result.coordinates)
-        x, y = coords[x_path], coords[y_path]
-        grid[xs.index(x), ys.index(y)] = result.alpha_star
-        records.append({"x": x, "y": y, "value": result.alpha_star})
+    grid = np.reshape([result.alpha_star for result in results], (len(xs), len(ys)))
+    records = [
+        {"x": x, "y": y, "value": result.alpha_star}
+        for (x, y), result in zip(itertools.product(xs, ys), results)
+    ]
     svg = render_heatmap_svg(
         xs, ys, grid, x_label=x_path, y_label=y_path, title=f"{spec.id}: alpha_star"
     )

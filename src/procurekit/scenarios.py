@@ -82,7 +82,7 @@ class DynamicSpec:
                 raise ValidationError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
-        final_a3 = self.a3_initial - self.a3_decline * (self.cycles - 1)
+        final_a3 = self.a3_at(self.cycles)
         if self.a3_initial <= 0.0 or final_a3 <= 0.0:
             raise ValidationError(
                 "adoption cost scale must stay positive over the horizon; "
@@ -141,10 +141,7 @@ class ScenarioSpec:
         for axis in self.axes:
             if len(axis) != 2 or not isinstance(axis[0], str):
                 raise ValidationError(f"axes entries must be (path, values) pairs, got {axis!r}")
-            _validate_path(axis[0])
-            if len(axis[1]) == 0:
-                raise ValidationError(f"axis {axis[0]!r} has no values")
-            _validate_axis_values(axis[0], axis[1], self.sampler)
+            _validate_axis(axis[0], axis[1], self.sampler)
         paths = [path for path, _ in self.axes]
         if len(set(paths)) != len(paths):
             raise ValidationError(f"axis paths must be distinct, got {paths}")
@@ -191,29 +188,26 @@ class ScenarioResult:
     status: str = "ok"
 
 
-_MARKET_FIELDS = frozenset(f.name for f in dataclasses.fields(MarketEconomics))
-_DEMAND_FIELDS = frozenset(f.name for f in dataclasses.fields(TruncatedNormal))
+_AXIS_FIELDS = {
+    "market": frozenset(f.name for f in dataclasses.fields(MarketEconomics)),
+    "demand": frozenset(f.name for f in dataclasses.fields(TruncatedNormal)),
+    "suppliers": frozenset({"beta_range"}),
+}
 
 
-def _validate_path(path: str) -> None:
-    scope, _, field = path.partition(".")
-    if scope == "market" and field in _MARKET_FIELDS:
-        return
-    if scope == "demand" and field in _DEMAND_FIELDS:
-        return
-    if scope == "suppliers" and field == "beta_range":
-        return
-    raise ValidationError(f"unsupported parameter path {path!r}")
-
-
-def _validate_axis_values(path: str, values: tuple, sampler: str) -> None:
-    """Shape check of one axis, so that building a cell meets only domain errors.
+def _validate_axis(path: str, values: tuple, sampler: str) -> None:
+    """Path and value-shape check of one axis; a cell build then meets only domain errors.
 
     ``market.*`` and ``demand.*`` values are real numbers (in a Latin
     hypercube, the two ends of the range); ``suppliers.beta_range`` values
     are (low, high) pairs of real numbers, which a grid alone can sweep.
     """
-    if path != "suppliers.beta_range":
+    scope, _, field = path.partition(".")
+    if field not in _AXIS_FIELDS.get(scope, ()):
+        raise ValidationError(f"unsupported parameter path {path!r}")
+    if len(values) == 0:
+        raise ValidationError(f"axis {path!r} has no values")
+    if scope != "suppliers":
         if not all(_is_real(v) for v in values):
             raise ValidationError(f"axis {path!r} values must be real numbers, got {values!r}")
         return
@@ -228,38 +222,37 @@ def _validate_axis_values(path: str, values: tuple, sampler: str) -> None:
             raise ValidationError(f"axis {path!r} values must be (low, high) pairs, got {value!r}")
 
 
-def _apply_coordinate(
-    market: MarketEconomics,
-    suppliers: tuple[SupplierProfile, ...],
-    demand: TruncatedNormal,
-    path: str,
-    value: object,
-    seed: int,
-    index: int,
-) -> tuple[MarketEconomics, tuple[SupplierProfile, ...], TruncatedNormal]:
-    scope, _, field = path.partition(".")
-    if scope == "market":
-        return dataclasses.replace(market, **{field: float(value)}), suppliers, demand
-    if scope == "demand":
-        return market, suppliers, dataclasses.replace(demand, **{field: float(value)})
-    lo, hi = (float(v) for v in value)
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ValidationError(f"beta_range must satisfy 0 <= low <= high <= 1, got {value!r}")
-    # The cell's supplier stream is made only here, where it is drawn; axis
-    # paths are distinct, so a cell draws from it at most once.
-    build_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NS_BUILD, index)))
-    redrawn = tuple(
-        dataclasses.replace(s, beta=float(build_rng.uniform(lo, hi))) for s in suppliers
-    )
-    return market, redrawn, demand
-
-
 def _build_cell(
     spec: ScenarioSpec, index: int, coords: tuple
 ) -> tuple[MarketEconomics, tuple[SupplierProfile, ...], TruncatedNormal]:
-    market, suppliers, demand = spec.market, spec.suppliers, spec.demand
+    """The (market, suppliers, demand) of one cell, each built once.
+
+    All of the cell's coordinates are collected first, so each model is
+    validated once, in its final state, and the order of the axes never
+    decides whether a cell builds; a model that no coordinate touches is
+    the spec's own object. A cell that breaks more than one model reports
+    the first error in this order: its ``beta_range``, then the market, then
+    the demand; within a model, the model's own checks set the order.
+    """
+    changes = {scope: {} for scope in _AXIS_FIELDS}
     for path, value in coords:
-        market, suppliers, demand = _apply_coordinate(market, suppliers, demand, path, value, spec.seed, index)
+        scope, _, field = path.partition(".")
+        changes[scope][field] = value if scope == "suppliers" else float(value)
+    suppliers = spec.suppliers
+    pair = changes["suppliers"].get("beta_range")
+    if pair is not None:
+        lo, hi = (float(v) for v in pair)
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValidationError(f"beta_range must satisfy 0 <= low <= high <= 1, got {pair!r}")
+        # The cell's supplier stream is made only here, where it is drawn.
+        build_rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(_NS_BUILD, index)))
+        suppliers = tuple(
+            dataclasses.replace(s, beta=float(build_rng.uniform(lo, hi))) for s in suppliers
+        )
+    market, demand = (
+        dataclasses.replace(model, **changes[scope]) if changes[scope] else model
+        for scope, model in (("market", spec.market), ("demand", spec.demand))
+    )
     return market, suppliers, demand
 
 
@@ -278,21 +271,16 @@ def _measured(decision: Decision, breakdown: ProfitBreakdown, **extra: float) ->
 
 
 def _cell_coordinates(spec: ScenarioSpec) -> list[tuple[tuple[str, object], ...]]:
+    paths = [path for path, _ in spec.axes]
     if spec.sampler == "latin-hypercube":
         ranges = [(float(values[0]), float(values[1])) for _, values in spec.axes]
         design_rng = np.random.default_rng(
             np.random.SeedSequence(spec.seed, spawn_key=(_NS_DESIGN, 0))
         )
-        design = latin_hypercube(ranges, spec.lhs_samples, design_rng)
-        paths = [path for path, _ in spec.axes]
-        return [
-            tuple((path, float(point)) for path, point in zip(paths, row)) for row in design
-        ]
-    paths = [path for path, _ in spec.axes]
-    value_lists = [values for _, values in spec.axes]
-    return [
-        tuple(zip(paths, combo)) for combo in itertools.product(*value_lists)
-    ]
+        rows = latin_hypercube(ranges, spec.lhs_samples, design_rng).tolist()
+    else:
+        rows = itertools.product(*(values for _, values in spec.axes))
+    return [tuple(zip(paths, row)) for row in rows]
 
 
 def run(spec: ScenarioSpec, jobs: int = 1) -> list[ScenarioResult]:
@@ -362,10 +350,11 @@ def run_dynamic(spec: ScenarioSpec) -> list[ScenarioResult]:
     alpha = dyn.alpha_initial
     rows: list[ScenarioResult] = []
     for cycle in range(1, dyn.cycles + 1):
-        market_t = dataclasses.replace(spec.market, a3=dyn.a3_at(cycle))
+        a3 = dyn.a3_at(cycle)
+        market_t = dataclasses.replace(spec.market, a3=a3)
         decision = optimal_quantity_given_alpha(market_t, spec.suppliers, spec.demand, alpha)
         breakdown = breakdown_from_draws(market_t, spec.suppliers, spec.demand, decision, draws)
-        coords = (("cycle", cycle), ("market.a3", dyn.a3_at(cycle)))
+        coords = (("cycle", cycle), ("market.a3", a3))
         rows.append(ScenarioResult(spec.id, cycle - 1, coords, **_measured(decision, breakdown)))
         alpha = adaptive_alpha_update(
             alpha, breakdown.penalty_rate, dyn.learning_rate, dyn.target_penalty
@@ -434,7 +423,50 @@ def variance_decomposition(samples: np.ndarray, responses: np.ndarray) -> np.nda
     return 100.0 * weights / total
 
 
-PRESET_IDS = ("s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11")
+# Each preset's ScenarioSpec fields that differ from the baseline model.
+_PRESETS = {
+    "s1": dict(axes=(("demand.sigma", (5.0, 8.0, 12.0, 15.0)),)),
+    "s2": dict(axes=(("demand.upper", (65.0, 70.0, 75.0, 80.0)),)),
+    "s3": dict(
+        axes=(
+            ("demand.sigma", (5.0, 8.0, 12.0, 15.0)),
+            ("demand.upper", (65.0, 70.0, 75.0, 80.0)),
+        )
+    ),
+    "s4": dict(axes=(("suppliers.beta_range", ((0.4, 0.6), (0.3, 0.7), (0.1, 0.9))),)),
+    "s5": dict(axes=(("market.a3", (500.0, 1000.0, 2000.0, 3000.0, 4000.0)),)),
+    "s6": dict(axes=(("market.a1", (2.0, 3.5, 5.0)), ("market.a3", (500.0, 2000.0, 4000.0)))),
+    "s7": dict(axes=(("demand.sigma", (5.0, 8.0, 12.0)), ("market.a3", (500.0, 2000.0, 4000.0)))),
+    "s8": dict(axes=(("market.a3", (10_000.0, 20_000.0, 40_000.0, 60_000.0, 80_000.0)),)),
+    "s9": dict(
+        axes=(
+            ("demand.sigma", (5.0, 15.0)),
+            ("demand.upper", (65.0, 80.0)),
+            ("market.a3", (500.0, 4000.0)),
+        ),
+        sampler="latin-hypercube",
+        lhs_samples=100,
+    ),
+    "s10": dict(
+        axes=(
+            ("demand.sigma", (5.0, 7.5, 10.0, 12.5, 15.0)),
+            ("market.a3", (500.0, 1375.0, 2250.0, 3125.0, 4000.0)),
+        )
+    ),
+    "s11": dict(
+        demand=dataclasses.replace(BASELINE_DEMAND, sigma=12.0),
+        dynamic=DynamicSpec(
+            cycles=10,
+            a3_initial=3000.0,
+            a3_decline=200.0,
+            learning_rate=0.05,
+            target_penalty=0.05,
+            alpha_initial=0.2,
+        ),
+    ),
+}
+
+PRESET_IDS = tuple(_PRESETS)
 
 
 def preset(
@@ -443,78 +475,8 @@ def preset(
     replications: int = DEFAULT_REPLICATIONS,
 ) -> ScenarioSpec:
     """Build one of the shipped scenario presets s1 through s11."""
-    base = dict(
-        id=preset_id,
-        market=BASELINE_MARKET,
-        suppliers=BASELINE_SUPPLIERS,
-        demand=BASELINE_DEMAND,
-        seed=seed,
-        replications=replications,
-    )
-    if preset_id == "s1":
-        return ScenarioSpec(axes=(("demand.sigma", (5.0, 8.0, 12.0, 15.0)),), **base)
-    if preset_id == "s2":
-        return ScenarioSpec(axes=(("demand.upper", (65.0, 70.0, 75.0, 80.0)),), **base)
-    if preset_id == "s3":
-        return ScenarioSpec(
-            axes=(
-                ("demand.sigma", (5.0, 8.0, 12.0, 15.0)),
-                ("demand.upper", (65.0, 70.0, 75.0, 80.0)),
-            ),
-            **base,
-        )
-    if preset_id == "s4":
-        return ScenarioSpec(
-            axes=(("suppliers.beta_range", ((0.4, 0.6), (0.3, 0.7), (0.1, 0.9))),), **base
-        )
-    if preset_id == "s5":
-        return ScenarioSpec(
-            axes=(("market.a3", (500.0, 1000.0, 2000.0, 3000.0, 4000.0)),), **base
-        )
-    if preset_id == "s6":
-        return ScenarioSpec(
-            axes=(("market.a1", (2.0, 3.5, 5.0)), ("market.a3", (500.0, 2000.0, 4000.0))),
-            **base,
-        )
-    if preset_id == "s7":
-        return ScenarioSpec(
-            axes=(("demand.sigma", (5.0, 8.0, 12.0)), ("market.a3", (500.0, 2000.0, 4000.0))),
-            **base,
-        )
-    if preset_id == "s8":
-        return ScenarioSpec(
-            axes=(("market.a3", (10_000.0, 20_000.0, 40_000.0, 60_000.0, 80_000.0)),), **base
-        )
-    if preset_id == "s9":
-        return ScenarioSpec(
-            axes=(
-                ("demand.sigma", (5.0, 15.0)),
-                ("demand.upper", (65.0, 80.0)),
-                ("market.a3", (500.0, 4000.0)),
-            ),
-            sampler="latin-hypercube",
-            lhs_samples=100,
-            **base,
-        )
-    if preset_id == "s10":
-        return ScenarioSpec(
-            axes=(
-                ("demand.sigma", (5.0, 7.5, 10.0, 12.5, 15.0)),
-                ("market.a3", (500.0, 1375.0, 2250.0, 3125.0, 4000.0)),
-            ),
-            **base,
-        )
-    if preset_id == "s11":
-        base["demand"] = dataclasses.replace(BASELINE_DEMAND, sigma=12.0)
-        return ScenarioSpec(
-            dynamic=DynamicSpec(
-                cycles=10,
-                a3_initial=3000.0,
-                a3_decline=200.0,
-                learning_rate=0.05,
-                target_penalty=0.05,
-                alpha_initial=0.2,
-            ),
-            **base,
-        )
-    raise ValidationError(f"unknown preset {preset_id!r}; expected one of {PRESET_IDS}")
+    if preset_id not in PRESET_IDS:
+        raise ValidationError(f"unknown preset {preset_id!r}; expected one of {PRESET_IDS}")
+    settings = dict(market=BASELINE_MARKET, suppliers=BASELINE_SUPPLIERS, demand=BASELINE_DEMAND)
+    settings.update(_PRESETS[preset_id])
+    return ScenarioSpec(id=preset_id, seed=seed, replications=replications, **settings)

@@ -104,6 +104,40 @@ class TestScenario:
         results = read_rows(tmp_path / "results.csv")
         assert {r["demand.sigma"] for r in results} == {"6.0", "10.0"}
 
+    @pytest.mark.parametrize(
+        "x_axis",
+        [
+            "{path: market.a3, values: [1000.0, 1000.0]}",
+            "{path: suppliers.beta_range, values: [[0.3, 0.7], [0.3, 0.7]]}",
+        ],
+        ids=["a3", "beta_range"],
+    )
+    def test_heatmap_places_repeated_axis_values_by_position(self, tmp_path, x_axis):
+        spec = tmp_path / "grid.yaml"
+        spec.write_text(
+            "replications: 200\n"
+            "scenario:\n"
+            "  id: repeat\n"
+            "  axes:\n"
+            f"    - {x_axis}\n"
+            "    - {path: demand.sigma, values: [8.0, 12.0]}\n"
+        )
+        result = invoke("scenario", spec, "--out", tmp_path)
+        assert result.exit_code == 0, result.output
+        alphas = [float(r["alpha_star"]) for r in read_rows(tmp_path / "results.csv")]
+        assert [float(r["value"]) for r in read_rows(tmp_path / "heatmap.csv")] == alphas
+        spec_obj = load_config(spec).scenario
+        svg = cli.render_heatmap_svg(
+            spec_obj.axes[0][1],
+            spec_obj.axes[1][1],
+            [alphas[:2], alphas[2:]],
+            x_label=spec_obj.axes[0][0],
+            y_label="demand.sigma",
+            title="repeat: alpha_star",
+        )
+        assert (tmp_path / "heatmap.svg").read_text() == svg
+        assert "#cccccc" not in svg
+
     def test_results_are_byte_identical_across_jobs(self, tmp_path):
         for jobs, name in ((1, "a"), (3, "b")):
             result = invoke(

@@ -1,10 +1,11 @@
 """Golden digests: every output file of the shipped commands, byte for byte.
 
 The golden set is what ``optimize`` and ``scenario s1`` ... ``s11`` write at
-default settings, each scenario in ``--format csv`` and ``--format json``:
-39 files. ``tests/golden_digests.json`` holds the sha256 of each, keyed by
-``<command>/<file name>``, and the test regenerates them through
-``CliRunner`` in process and compares.
+default settings, each scenario in ``--format csv`` and ``--format json``,
+what ``sample`` writes at default settings, and what ``fit`` writes from that
+``samples.csv`` in both formats: 43 files. ``tests/golden_digests.json``
+holds the sha256 of each, keyed by ``<command>/<file name>``, and the test
+regenerates them through ``CliRunner`` in process and compares.
 
 The digests pin numpy's random streams and its summation order as they are
 on the machine that wrote them, as well as the model's numbers: a numpy
@@ -37,6 +38,12 @@ COMMANDS = {
         for preset_id in PRESET_IDS
         for fmt in ("csv", "json")
     },
+    "sample": ("sample",),
+    # ``{root}`` is the directory the commands write under; ``sample`` runs first.
+    **{
+        f"fit-{fmt}": ("fit", "{root}/sample/samples.csv", "--format", fmt)
+        for fmt in ("csv", "json")
+    },
 }
 
 
@@ -46,7 +53,7 @@ def produce(root: Path) -> dict[str, str]:
     digests = {}
     for name, args in COMMANDS.items():
         out = root / name
-        result = runner.invoke(main, [*args, "--out", str(out)])
+        result = runner.invoke(main, [*(a.format(root=root) for a in args), "--out", str(out)])
         if result.exit_code != 0:
             raise AssertionError(f"{name} exited {result.exit_code}: {result.output}")
         for path in sorted(out.iterdir()):

@@ -371,6 +371,59 @@ class TestFailedRows:
             assert all(math.isfinite(v) for v in metrics.values()), metrics
 
 
+class TestCellBuiltOnce:
+    """A cell's models are built once from all of its coordinates, so the
+    order of its axes never decides whether it solves."""
+
+    BOUNDS = (("demand.lower", (75.0,)), ("demand.upper", (90.0,)))
+
+    @pytest.mark.parametrize("axes", [BOUNDS, BOUNDS[::-1]], ids=["lower-first", "upper-first"])
+    def test_bounds_past_the_base_upper_solve_in_either_order(self, axes):
+        (row,) = run(small_spec(axes=axes))
+        opt = optimize(
+            BASELINE_MARKET,
+            BASELINE_SUPPLIERS,
+            dataclasses.replace(BASELINE_DEMAND, lower=75.0, upper=90.0),
+        )
+        assert row.status == "ok"
+        assert (row.alpha_star, row.q_star) == (opt.alpha_star, opt.q_star)
+        assert row.alpha_star == 0.01644605340336964
+
+    def test_lhs_over_both_bounds_solves_every_cell(self):
+        spec = small_spec(
+            axes=(("demand.lower", (72.0, 80.0)), ("demand.upper", (85.0, 95.0))),
+            sampler="latin-hypercube",
+            lhs_samples=5,
+        )
+        assert [row.status for row in run(spec)] == ["ok"] * 5
+
+    def test_untouched_models_are_the_specs_own(self):
+        spec = small_spec()
+        market, suppliers, demand = _build_cell(spec, 0, (("demand.sigma", 12.0),))
+        assert market is spec.market and suppliers is spec.suppliers
+        assert demand == dataclasses.replace(spec.demand, sigma=12.0)
+
+    @pytest.mark.parametrize(
+        "axes, error",
+        [
+            ((("demand.sigma", (-1.0,)), ("market.salvage", (150.0,))), "ValidationError: salvage"),
+            ((("market.salvage", (150.0,)), ("demand.sigma", (-1.0,))), "ValidationError: salvage"),
+            (
+                (
+                    ("demand.sigma", (-1.0,)),
+                    ("market.salvage", (150.0,)),
+                    ("suppliers.beta_range", ((0.9, 0.1),)),
+                ),
+                "ValidationError: beta_range",
+            ),
+        ],
+        ids=["demand-first", "market-first", "with-beta-range"],
+    )
+    def test_broken_models_report_beta_range_then_market_then_demand(self, axes, error):
+        (row,) = run(small_spec(axes=axes))
+        assert row.status.startswith(error)
+
+
 class TestParallelDeterminism:
     def test_process_pool_matches_serial_run(self):
         spec = small_spec(
@@ -522,6 +575,9 @@ class TestPresets:
             assert spec.id == pid
             assert spec.seed == DEFAULT_SEED
             assert spec.replications == DEFAULT_REPLICATIONS
+
+    def test_preset_ids_in_order(self):
+        assert PRESET_IDS == tuple(f"s{i}" for i in range(1, 12))
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValidationError, match="preset"):
