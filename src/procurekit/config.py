@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import re
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +55,10 @@ def _tracked_loader() -> type:
         return mapping
 
     TrackedLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, construct_tracked_mapping)
+    # YAML 1.1 floats need a decimal point; read 1e3 and 1e308 as floats too.
+    TrackedLoader.add_implicit_resolver(
+        "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789")
+    )
     return TrackedLoader
 
 

@@ -164,10 +164,22 @@ class TruncatedNormal:
         return _float_or_array(np.where(inside, _norm_pdf(z) / (self.sigma * self.params.mass), 0.0))
 
     def cdf(self, x):
-        """P(D <= x) for scalar or array x."""
+        """P(D <= x) for scalar or array x.
+
+        A float x stays a Python float through the same erfc call and the same
+        operations as an array element, so both give the same bits.
+        """
+        sign, cdf_lower, mass = self.params.sign, self.params.cdf_lower, self.params.mass
+        if isinstance(x, float):
+            if x <= self.lower:
+                return 0.0
+            if x >= self.upper:
+                return 1.0
+            raw = sign * (_norm_cdf(sign * ((x - self.mu) / self.sigma)) - cdf_lower) / mass
+            # np.minimum(np.maximum(0.0, raw), 1.0): both return raw on a tie or a NaN.
+            return float(1.0 if raw > 1.0 else 0.0 if raw < 0.0 else raw)
         x = np.asarray(x, dtype=float)
         z = (x - self.mu) / self.sigma
-        sign, cdf_lower, mass = self.params.sign, self.params.cdf_lower, self.params.mass
         raw = sign * (_norm_cdf(sign * z) - cdf_lower) / mass
         # np.clip(raw, 0.0, 1.0) without its Python wrapper; with the zero
         # first, np.maximum keeps a -0.0 as np.clip does.
@@ -177,8 +189,24 @@ class TruncatedNormal:
     def quantile(self, u):
         """Inverse CDF at u in [0, 1] (scalar or array).
 
-        Raises ValidationError if any u falls outside [0, 1].
+        A float u stays a Python float through the same ndtri call and the
+        same operations as TruncatedNormalParams.quantile, so both give the
+        same bits. Raises ValidationError if any u falls outside [0, 1].
         """
+        if isinstance(u, float):
+            if not 0.0 <= u <= 1.0:
+                raise ValidationError("quantile argument must lie in [0, 1]")
+            if u == 0.0:
+                return float(self.lower)
+            if u == 1.0:
+                return float(self.upper)
+            params = self.params
+            p = params.cdf_lower + u * (params.sign * params.mass)
+            # np.maximum and np.minimum return their second argument on a tie.
+            p = p if p > 1e-300 else 1e-300
+            x = params.mu + (params.sign * params.sigma) * _norm_quantile(p if p < 1.0 - 1e-16 else 1.0 - 1e-16)
+            x = x if x > params.lower else params.lower
+            return float(x if x < params.upper else params.upper)
         u = np.asarray(u, dtype=float)
         if not np.all((u >= 0.0) & (u <= 1.0)):
             raise ValidationError("quantile argument must lie in [0, 1]")
@@ -229,7 +257,22 @@ class TruncatedNormal:
         return math.sqrt(self.variance)
 
     def expected_excess(self, q):
-        """E[(D - q)^+], the expected demand above a supply level q (scalar or array)."""
+        """E[(D - q)^+], the expected demand above a supply level q (scalar or array).
+
+        A float q stays a Python float through the same erfc and exp calls and
+        the same operations as TruncatedNormalParams.expected_excess, so both
+        give the same bits.
+        """
+        if isinstance(q, float):
+            params = self.params
+            if q >= params.upper:
+                return 0.0
+            if q <= params.lower:
+                return float(params.mean - q)
+            t = (q - params.mu) / params.sigma
+            tail = params.sign * (params.cdf_upper - _norm_cdf(params.sign * t))
+            inside = (params.mu - q) * tail + params.sigma * (_norm_pdf(t) - params.pdf_upper)
+            return float(inside / params.mass)
         return _float_or_array(self.params.expected_excess(np.asarray(q, dtype=float)))
 
     def expected_min(self, q: float) -> float:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .demand import _GL_NODES, _GL_WEIGHTS, TruncatedNormal
+from .demand import _GL_NODES, _GL_WEIGHTS, TruncatedNormal, _norm_pdf
 from .economics import MarketEconomics, SupplierProfile
 from .errors import ValidationError
 
@@ -135,32 +135,34 @@ def _sample_std(values: np.ndarray) -> float:
 
 
 def _mean_inverse(demand: TruncatedNormal, lo: float, hi: float) -> float:
-    """integral of f(x)/x over [lo, hi]; requires lo > 0."""
+    """integral of f(x)/x over [lo, hi], a part of the demand interval; requires lo > 0."""
     if hi <= lo:
         return 0.0
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid + half * _GL_NODES
-    return float(half * np.sum(_GL_WEIGHTS * demand.pdf(x) / x))
+    # demand.pdf(x) without its bounds mask: the nodes lie inside [lo, hi].
+    params = demand.params
+    density = _norm_pdf((x - params.mu) / params.sigma) / (params.sigma * params.mass)
+    return float(half * np.add.reduce(_GL_WEIGHTS * density / x))
 
 
-def _closed_form_fill_mean(demand: TruncatedNormal, q: float) -> float:
+def _closed_form_fills(demand: TruncatedNormal, q: float) -> tuple[float, float]:
+    """Mean fill rate and the mean of its worst decile at supply level q.
+
+    Fill is nonincreasing in demand, so the worst decile of fills is exactly
+    the top decile of demand. Above the 90% quantile both integrate f(x)/x
+    over [q, upper], which is computed once.
+    """
     if q >= demand.upper:
-        return 1.0
-    start = max(q, demand.lower)
-    return demand.cdf(q) + q * _mean_inverse(demand, start, demand.upper)
-
-
-def _closed_form_cvar10(demand: TruncatedNormal, q: float) -> float:
-    # Fill is nonincreasing in demand, so the worst decile of fills is exactly
-    # the top decile of demand.
-    if q >= demand.upper:
-        return 1.0
+        return 1.0, 1.0
+    cdf = demand.cdf(q)
     q90 = demand.quantile(0.9)
-    if q <= q90:
-        return 10.0 * q * _mean_inverse(demand, q90, demand.upper)
-    full = demand.cdf(q) - 0.9
-    return 10.0 * (full + q * _mean_inverse(demand, q, demand.upper))
+    tail = _mean_inverse(demand, max(q, demand.lower), demand.upper)
+    fill_mean = cdf + q * tail
+    if q > q90:
+        return fill_mean, 10.0 * (cdf - 0.9 + q * tail)
+    return fill_mean, 10.0 * q * _mean_inverse(demand, q90, demand.upper)
 
 
 def expected_sales_terms(market: MarketEconomics, demand: TruncatedNormal, q_total):
@@ -221,8 +223,7 @@ def expected_profit_closed_form(
     profit = revenue + salvage - penalty - procurement - adoption
 
     if demand.lower > 0.0:
-        fill_mean = _closed_form_fill_mean(demand, q_total)
-        cvar10 = _closed_form_cvar10(demand, q_total)
+        fill_mean, cvar10 = _closed_form_fills(demand, q_total)
     else:
         fill_mean = math.nan
         cvar10 = math.nan

@@ -157,9 +157,9 @@ class ScenarioSpec:
                     f"latin-hypercube sampler requires lhs_samples >= 2, got {self.lhs_samples}"
                 )
             for path, values in self.axes:
-                if len(values) != 2 or not values[0] < values[1]:
+                if len(values) != 2 or not values[0] < values[1] or not all(map(math.isfinite, values)):
                     raise ValidationError(
-                        f"latin-hypercube axis {path!r} needs a (low, high) range, got {values!r}"
+                        f"latin-hypercube axis {path!r} needs a finite (low, high) range, got {values!r}"
                     )
 
 

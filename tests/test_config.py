@@ -98,6 +98,13 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="must be a number"):
             parse_config("demand:\n  sigma: true\n")
 
+    def test_exponent_without_decimal_point_is_a_float(self):
+        # YAML 1.1 alone reads 1e3 as the string '1e3'.
+        assert parse_config("market: {a3: 1e3}\n").market.a3 == 1000.0
+        assert parse_config("demand: {mu: -5E+1, lower: -1_0e0}\n").demand.lower == -10.0
+        with pytest.raises(ValidationError, match="a3 must be finite, got inf"):
+            parse_config("market: {a3: 1e309}\n")
+
     def test_every_model_field_round_trips(self):
         # every field differs from the baseline and from its neighbours, so a
         # key read into the wrong field or left at its default shows
@@ -293,6 +300,21 @@ class TestScenarioSection:
         [line] = result.stderr.splitlines()
         assert line.startswith("error: ") and f"dynamic: {field} must be finite" in line
         assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_axis_value_with_exponent_is_a_float(self):
+        text = "scenario:\n  id: x\n  axes:\n    - path: market.a3\n      values: [1e308, 2e3]\n"
+        assert parse_config(text).scenario.axes == (("market.a3", (1e308, 2000.0)),)
+
+    def test_non_finite_lhs_range_names_file_and_line(self, tmp_path):
+        config = tmp_path / "lhs.yaml"
+        config.write_text(
+            "scenario:\n  id: lhs\n  sampler: latin-hypercube\n  lhs_samples: 5\n"
+            "  axes:\n    - path: market.a3\n      values: [500, .inf]\n"
+        )
+        result = CliRunner().invoke(main, ["scenario", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        [line] = result.stderr.splitlines()
+        assert f"{config}:2: config.scenario: latin-hypercube axis 'market.a3' needs a finite (low, high) range" in line
 
     def test_scenario_id_required(self):
         with pytest.raises(ValidationError, match="missing required key 'id'"):

@@ -301,3 +301,77 @@ class TestMirrorSymmetry:
             # E[(D - x)^+] = E[(x' - M)^+] with x' = -x, M = -D, and
             # E[(x' - M)^+] = x' - E[M] + E[(M - x')^+].
             close(dist.expected_excess(x), -x - mirror.mean + mirror.expected_excess(-x), scale)
+
+
+@st.composite
+def truncated_normals(draw):
+    """Intervals around mu, left of it and right of it (the mirror frame), some narrow."""
+    mu = draw(st.floats(min_value=-100.0, max_value=100.0))
+    sigma = draw(st.floats(min_value=0.1, max_value=50.0))
+    # Distance in sigmas from mu to the bound nearer it; negative straddles mu.
+    near = draw(st.floats(min_value=-3.0, max_value=6.0))
+    width = sigma * draw(st.sampled_from([1e-6, 1e-3, 0.5, 2.0, 8.0])) * draw(st.floats(min_value=1.0, max_value=2.0))
+    if draw(st.booleans()):
+        lower = mu + near * sigma
+        upper = lower + width
+    else:
+        upper = mu - near * sigma
+        lower = upper - width
+    try:
+        return TruncatedNormal(mu=mu, sigma=sigma, lower=lower, upper=upper)
+    except InvalidDistributionError:
+        assume(False)
+
+
+def bits(value) -> str:
+    return float(value).hex()
+
+
+class TestFloatBranch:
+    """A float argument takes Python floats through the same ufuncs as an
+    array and gives the same bits as that argument in an array, 0-d or not."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cdf_and_expected_excess(self, data):
+        dist = data.draw(truncated_normals())
+        lo, hi = dist.lower, dist.upper
+        edges = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf),
+                 math.nextafter(hi, -math.inf), math.nextafter(hi, math.inf),
+                 lo - (hi - lo), hi + (hi - lo), dist.mu, 0.0, -0.0]
+        x = data.draw(st.one_of(st.sampled_from(edges), st.floats(min_value=lo, max_value=hi),
+                                st.floats(min_value=-1e6, max_value=1e6)))
+        for method in (dist.cdf, dist.expected_excess):
+            value = method(x)
+            assert type(value) is float
+            assert bits(value) == bits(method(np.float64(x))) == bits(method(np.asarray(x)))
+            assert bits(value) == bits(method(np.array([dist.mean, x]))[1])
+
+    def test_cdf_keeps_the_negative_zero_of_the_array_clip(self):
+        # Just above lower in the mirror frame Phi(-z) still equals Phi(-a),
+        # so raw is -0.0, which np.maximum(0.0, raw) keeps.
+        dist = TruncatedNormal(mu=0.0, sigma=50.0, lower=0.001, upper=100.0)
+        x = math.nextafter(0.001, 1.0)
+        assert bits(dist.cdf(x)) == bits(dist.cdf(np.asarray(x))) == "-0x0.0p+0"
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_quantile(self, data):
+        dist = data.draw(truncated_normals())
+        u = data.draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 0.9, math.nextafter(1.0, 0.0)]),
+                                st.floats(min_value=0.0, max_value=1.0)))
+        value = dist.quantile(u)
+        assert type(value) is float
+        assert bits(value) == bits(dist.quantile(np.float64(u))) == bits(dist.quantile(np.asarray(u)))
+        assert bits(value) == bits(dist.quantile(np.array([0.5, u]))[1])
+
+    @given(u=st.one_of(st.floats(max_value=-5e-324), st.floats(min_value=math.nextafter(1.0, 2.0)),
+                       st.just(math.nan)))
+    @settings(max_examples=100, deadline=None)
+    def test_quantile_out_of_range_raises_alike(self, u):
+        raised = []
+        for argument in (u, np.asarray(u)):
+            with pytest.raises(ValidationError) as info:
+                BASELINE.quantile(argument)
+            raised.append(str(info.value))
+        assert raised == ["quantile argument must lie in [0, 1]"] * 2

@@ -5,7 +5,11 @@ default settings, each scenario in ``--format csv`` and ``--format json``,
 what ``sample`` writes at default settings, and what ``fit`` writes from that
 ``samples.csv`` in both formats: 43 files. ``tests/golden_digests.json``
 holds the sha256 of each, keyed by ``<command>/<file name>``, and the test
-regenerates them through ``CliRunner`` in process and compares.
+regenerates them through ``CliRunner`` in process and compares. One more
+entry pins the solver beyond the baseline: a sha256 over ``optimize`` on
+the 120 problems of perfbench's ``solve_problems(7)`` (2 to 6 suppliers,
+demand windows in both tails), each problem's alpha*, Q*, expected profit,
+mean fill rate, fill CVaR10 and KKT max_residual written with ``float.hex``.
 
 The digests pin numpy's random streams and its summation order as they are
 on the machine that wrote them, as well as the model's numbers: a numpy
@@ -27,9 +31,14 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from procurekit.cli import main
+from procurekit.optimizer import optimize
 from procurekit.scenarios import PRESET_IDS
 
+from helpers import perfbench_solve_problems
+
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+SOLVER_SEED = 7
+SOLVER_KEY = f"solver/perfbench-solve-{SOLVER_SEED}"
 
 COMMANDS = {
     "optimize": ("optimize",),
@@ -47,8 +56,21 @@ COMMANDS = {
 }
 
 
+def solver_digest() -> str:
+    """sha256 over the optimize results of perfbench's solve problems of SOLVER_SEED."""
+    digest = hashlib.sha256()
+    for cell in perfbench_solve_problems(SOLVER_SEED):
+        result = optimize(*cell)
+        b = result.breakdown
+        values = (result.alpha_star, result.q_star, b.expected_profit, b.fill_rate_mean, b.fill_rate_cvar10,
+                  result.kkt.max_residual)
+        digest.update((" ".join(float(v).hex() for v in values) + "\n").encode())
+    return digest.hexdigest()
+
+
 def produce(root: Path) -> dict[str, str]:
-    """Run every golden command under ``root``; sha256 of each file it wrote."""
+    """Run every golden command under ``root``; sha256 of each file it wrote,
+    and the solver pin under SOLVER_KEY."""
     runner = CliRunner()
     digests = {}
     for name, args in COMMANDS.items():
@@ -58,6 +80,7 @@ def produce(root: Path) -> dict[str, str]:
             raise AssertionError(f"{name} exited {result.exit_code}: {result.output}")
         for path in sorted(out.iterdir()):
             digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    digests[SOLVER_KEY] = solver_digest()
     return digests
 
 

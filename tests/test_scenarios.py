@@ -219,6 +219,12 @@ class TestScenarioSpecValidation:
                 axes=(("demand.sigma", (15.0, 5.0)),),
             )
 
+    @pytest.mark.parametrize("values", [(500.0, math.inf), (-math.inf, 5.0), (5.0, math.nan)])
+    def test_rejects_lhs_axis_with_non_finite_end(self, values):
+        # At construction, not later in latin_hypercube, so a config error names its file and line.
+        with pytest.raises(ValidationError, match=r"needs a finite \(low, high\) range"):
+            small_spec(sampler="latin-hypercube", lhs_samples=10, axes=(("market.a3", values),))
+
     def test_rejects_dynamic_with_axes(self):
         dyn = DynamicSpec(
             cycles=2,
