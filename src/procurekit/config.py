@@ -55,9 +55,12 @@ def _tracked_loader() -> type:
         return mapping
 
     TrackedLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, construct_tracked_mapping)
-    # YAML 1.1 floats need a decimal point; read 1e3 and 1e308 as floats too.
+    # YAML 1.1 floats with an exponent need a decimal point and a signed
+    # exponent; read 1e3, 2.5e3 and .5e3 as floats too.
     TrackedLoader.add_implicit_resolver(
-        "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789")
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
     )
     return TrackedLoader
 
@@ -108,6 +111,10 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         line = exc.problem_mark.line + 1 if exc.problem_mark else 0
         raise ValidationError(f"{source}:{line}: invalid YAML: {exc.problem}") from exc
     except yaml.YAMLError as exc:
+        raise ValidationError(f"{source}: invalid YAML: {exc}") from exc
+    except ValueError as exc:
+        # A scalar that resolves to a type but not a value: a date such as
+        # 2020-13-01, or an integer of more digits than int() converts.
         raise ValidationError(f"{source}: invalid YAML: {exc}") from exc
     if raw is None:
         raw = {}
@@ -197,7 +204,16 @@ class _Section:
             raise self.error(f"{key} must be {_KIND_NAMES[kind]}, got {_unstamped(value)!r}")
         if minimum is not None and value < minimum:
             raise self.error(f"{key} must be at least {minimum}, got {value}")
-        return kind(value)
+        return self.number(key, value) if kind is float else kind(value)
+
+    def number(self, what: str, value: int | float) -> float:
+        """float(value), with an integer beyond float range refused."""
+        try:
+            return float(value)
+        except OverflowError:
+            raise self.error(
+                f"{what} must be a number within float range, got an integer of {len(str(value))} digits"
+            ) from None
 
     def build(self, factory, **kwargs):
         """Construct a model type, prefixing its validation errors with context."""
@@ -252,11 +268,11 @@ def _parse_axis_values(section: _Section, path: str, values: object) -> tuple:
     parsed = []
     for value in values:
         if isinstance(value, list) and all(is_number(v) for v in value):
-            parsed.append(tuple(float(v) for v in value))
+            parsed.append(tuple(section.number(f"axis {path!r} value", v) for v in value))
         elif not is_number(value):
             raise section.error(f"axis {path!r} values must be numbers or lists of numbers, got {_unstamped(value)!r}")
         else:
-            parsed.append(float(value))
+            parsed.append(section.number(f"axis {path!r} value", value))
     return tuple(parsed)
 
 

@@ -11,6 +11,7 @@ one uniform draw per sample, so draws depend only on the seed and count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,10 +42,22 @@ def _norm_quantile(p):
     return special.ndtri(p)
 
 
-# Gauss-Legendre nodes and weights on [-1, 1] for smooth integrals over the
-# demand interval (the variance here, the fill-rate integrals in profit);
-# 200 points is far beyond the accuracy anything downstream consumes.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(200)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 200-point Gauss-Legendre rule on [-1, 1].
+
+    They are the bits of numpy.polynomial.legendre.leggauss(200), stored as
+    package data, so importing the package runs no LAPACK eigensolve.
+    """
+    with open(os.path.join(os.path.dirname(__file__), "gauss_legendre_200.txt"), encoding="ascii") as table:
+        rows = [line.split() for line in table if not line.startswith("#")]
+    nodes, weights = ([float.fromhex(value) for value in column] for column in zip(*rows))
+    return np.array(nodes), np.array(weights)
+
+
+# Gauss-Legendre nodes and weights for smooth integrals over the demand
+# interval (the variance here, the fill-rate integrals in profit); 200 points
+# is far beyond the accuracy anything downstream consumes.
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre()
 
 
 class TruncatedNormalParams(NamedTuple):

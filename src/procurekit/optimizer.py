@@ -11,7 +11,8 @@ polished by a root-find on the closed-form envelope derivative
 a1 * Q*(alpha) - adoption_cost_slope(alpha): a multisection whose rounds are
 aimed by a secant in t = alpha**(nu - 1), in which that derivative is nearly
 linear. Many problems (the cells of a scenario) share that array program;
-optimize is the same program on a batch of one. Since Q*(alpha) does not
+optimize is the same program on a batch of one, whose root-find keeps its
+per-round bookkeeping in floats and gets the same bits. Since Q*(alpha) does not
 involve a3, the adoption threshold is a closed form in Q* at the display
 cutoff.
 
@@ -229,6 +230,64 @@ def _points(lo: np.ndarray, hi: np.ndarray, est, half_width, uniform: np.ndarray
     return xs
 
 
+def _maximum(a: float, b: float) -> float:
+    """np.maximum on floats: a NaN wins, and on a tie the second argument."""
+    return a if a > b or a != a else b
+
+
+def _minimum(a: float, b: float) -> float:
+    """np.minimum on floats: a NaN wins, and on a tie the second argument."""
+    return a if a < b or a != a else b
+
+
+def _window(lo: float, hi: float, est: float, half_width: float, uniform: bool) -> np.ndarray:
+    """_points of one cell from floats: the same operations on a (1, 33) row."""
+    width = hi - lo
+    if uniform:
+        est, half_width = lo + 0.5 * width, _UNIFORM_HALF_WIDTH * width
+    else:
+        est = _minimum(_maximum(est, lo), hi)
+    start, stop = _maximum(est - half_width, lo), _minimum(est + half_width, hi)
+    xs = np.empty((1, _SECTIONS + 1))
+    xs[0, 0], xs[0, -1] = lo, hi
+    np.minimum(start + (stop - start) * _WINDOW, hi, out=xs[0, 1:-1])
+    return xs
+
+
+def _slope_root(env: _Envelope, lo: float, hi: float, est: float) -> float:
+    """_slope_roots of a one-cell env, with the bookkeeping of each round in
+    Python floats around the same slope evaluations, so the same bits.
+
+    The powers of the secant take the exponent as a one-element array: as a
+    float, an exponent of 0.5 or 2 would take numpy's sqrt or square (see
+    _power). est lies in [0, 1] or is NaN, where math.ulp equals np.spacing.
+    """
+    exponent = env.nu_less_one[:, 0]
+    inverse = 1.0 / exponent
+    uniform = math.isnan(est)
+    xs = _window(lo, hi, est, _FIRST_HALF_WIDTH, uniform)
+    x, s = xs[0].tolist(), env.slope(xs)[0].tolist()
+    if s[0] <= 0.0:
+        return lo
+    if s[-1] >= 0.0:
+        return hi
+    for _ in range(_MAX_ROUNDS):
+        # argmin of s[1:] > 0, which is 0 when every slope there is positive.
+        section = next((k for k in range(_SECTIONS) if not s[k + 1] > 0.0), 0)
+        lo, hi, s_lo, s_hi = x[section], x[section + 1], s[section], s[section + 1]
+        if math.nextafter(lo, hi) >= hi:
+            return 0.5 * (lo + hi)
+        width = hi - lo
+        t_lo, t_hi = np.power(lo, exponent).item(), np.power(hi, exponent).item()
+        est = np.power(t_lo + (t_hi - t_lo) * (s_lo / (s_lo - s_hi)), inverse).item()
+        half_width = _maximum(0.5 * width * _minimum(2.0**-10, 10.0 * width), 16.0 * math.ulp(est))
+        missed = not uniform and section in (0, _SECTIONS - 1)
+        uniform = missed or half_width >= _UNIFORM_HALF_WIDTH * width
+        xs = _window(lo, hi, est, half_width, uniform)
+        x, s = xs[0].tolist(), env.slope(xs)[0].tolist()
+    return 0.5 * (lo + hi)
+
+
 def _slope_roots(env: _Envelope, lo: np.ndarray, hi: np.ndarray, est: np.ndarray) -> np.ndarray:
     """Root of each cell's envelope slope inside [lo, hi], or the binding endpoint.
 
@@ -246,7 +305,13 @@ def _slope_roots(env: _Envelope, lo: np.ndarray, hi: np.ndarray, est: np.ndarray
     uniform round, so every two rounds shrink a bracket at least 32-fold:
     _MAX_ROUNDS bounds the loop. A cell drops out once its bracket ends are
     adjacent floats.
+
+    A batch of one cell, as optimize solves, takes the same rounds in
+    _slope_root, whose bookkeeping is in Python floats; its bits equal those
+    this array path gives the same cell in any batch.
     """
+    if lo.size == 1:
+        return np.array([_slope_root(env, lo.item(), hi.item(), est.item())])
     uniform = np.isnan(est)
     s = env.slope(xs := _points(lo, hi, est, _FIRST_HALF_WIDTH, uniform))
     # A slope nonpositive at the left edge means profit falls on the bracket;
@@ -388,7 +453,9 @@ def optimize(
     max(price + penalty, a1 * Q*). The returned alpha is stored at full
     precision; display layers round it. This is the batch solve of scenario
     runs on a batch of one cell, so it agrees with any scenario cell bit for
-    bit.
+    bit; its root-find takes the one-cell path of _slope_roots, which keeps
+    the bookkeeping of each round in Python floats and gives the bits of the
+    array path.
     """
     (decision,) = _solve_batch([(market, suppliers, demand)])
     if isinstance(decision, ProcureKitError):

@@ -157,9 +157,10 @@ class ScenarioSpec:
                     f"latin-hypercube sampler requires lhs_samples >= 2, got {self.lhs_samples}"
                 )
             for path, values in self.axes:
-                if len(values) != 2 or not values[0] < values[1] or not all(map(math.isfinite, values)):
+                if len(values) != 2 or not values[0] < values[1] or not math.isfinite(values[1] - values[0]):
                     raise ValidationError(
-                        f"latin-hypercube axis {path!r} needs a finite (low, high) range, got {values!r}"
+                        f"latin-hypercube axis {path!r} needs a finite (low, high) range of finite width, "
+                        f"got {values!r}"
                     )
 
 
@@ -377,8 +378,8 @@ def latin_hypercube(
     design = np.empty((n, len(ranges)))
     for j, (lo, hi) in enumerate(ranges):
         lo, hi = float(lo), float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValidationError(f"dimension {j} needs finite low < high, got ({lo}, {hi})")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValidationError(f"dimension {j} needs finite low < high with a finite width, got ({lo}, {hi})")
         strata = rng.permutation(n)
         offsets = rng.random(n)
         design[:, j] = lo + (strata + offsets) / n * (hi - lo)

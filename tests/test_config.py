@@ -105,6 +105,23 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="a3 must be finite, got inf"):
             parse_config("market: {a3: 1e309}\n")
 
+    def test_exponent_with_unsigned_exponent_is_a_float(self):
+        # YAML 1.1 alone reads 2.5e3 and .5e3 as strings; it needs 2.5e+3.
+        assert parse_config("market: {a3: 2.5e3}\n").market.a3 == 2500.0
+        assert parse_config("market: {a3: .5e3, a1: 2.E1}\n").market.a3 == 500.0
+        assert parse_config("demand: {mu: -5.0e1, lower: -1_0.5e0}\n").demand.lower == -10.5
+        with pytest.raises(ValidationError, match="a3 must be a number, got '2.5e3e3'"):
+            parse_config("market: {a3: 2.5e3e3}\n")
+
+    def test_integer_beyond_float_range_is_a_validation_error(self):
+        huge = "1" + "0" * 400
+        with pytest.raises(ValidationError, match=r"<config>:1: config.market: a3 must be a number within float range"):
+            parse_config(f"market: {{a3: {huge}}}\n")
+        with pytest.raises(ValidationError, match=r"axis 'market.a3' value must be a number within float range"):
+            parse_config(f"scenario:\n  id: x\n  axes:\n    - path: market.a3\n      values: [1, {huge}]\n")
+        with pytest.raises(ValidationError, match="<config>: invalid YAML: Exceeds the limit"):
+            parse_config("market: {a3: 1" + "0" * 5000 + "}\n")
+
     def test_every_model_field_round_trips(self):
         # every field differs from the baseline and from its neighbours, so a
         # key read into the wrong field or left at its default shows
@@ -304,6 +321,38 @@ class TestScenarioSection:
     def test_axis_value_with_exponent_is_a_float(self):
         text = "scenario:\n  id: x\n  axes:\n    - path: market.a3\n      values: [1e308, 2e3]\n"
         assert parse_config(text).scenario.axes == (("market.a3", (1e308, 2000.0)),)
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (
+                "optimize",
+                "market:\n  a3: 1" + "0" * 400 + "\n",
+                ":2: config.market: a3 must be a number within float range",
+            ),
+            (
+                "scenario",
+                "scenario:\n  id: x\n  axes:\n    - path: market.a3\n      values: [1" + "0" * 400 + "]\n",
+                ":4: config.scenario.axes[0]: axis 'market.a3' value must be a number within float range",
+            ),
+            (
+                "scenario",
+                "scenario:\n  id: lhs\n  sampler: latin-hypercube\n  lhs_samples: 3\n"
+                "  axes:\n    - path: market.a3\n      values: [-1e+308, 1e+308]\n",
+                ":2: config.scenario: latin-hypercube axis 'market.a3' needs a finite (low, high) range of finite width",
+            ),
+        ],
+        ids=["market-integer", "axis-integer", "lhs-width"],
+    )
+    def test_out_of_range_numbers_name_file_and_line(self, tmp_path, command, text, message):
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        args = ["optimize", "--config", str(config)] if command == "optimize" else ["scenario", str(config)]
+        result = CliRunner().invoke(main, [*args, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and f"{config}{message}" in line
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_lhs_range_names_file_and_line(self, tmp_path):
         config = tmp_path / "lhs.yaml"

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from procurekit import demand
 from procurekit.demand import TruncatedNormal, TruncatedNormalParams
 from procurekit.errors import InvalidDistributionError, ValidationError
 
@@ -264,6 +269,28 @@ class TestVarianceOracle:
         dist = TruncatedNormal(mu=0.0, sigma=1.0, lower=lower, upper=upper)
         expected = variance_by_mpmath(dist)
         assert abs(dist.variance - expected) <= 1e-12 * expected
+
+
+class TestGaussLegendreTable:
+    def test_table_is_leggauss_200(self):
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        assert np.array_equal(demand._GL_NODES, nodes) and np.array_equal(demand._GL_WEIGHTS, weights)
+
+    def test_import_and_optimize_run_no_leggauss(self):
+        src = str(Path(demand.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = (
+            "import numpy.polynomial.legendre as legendre\n"
+            "def refuse(*args):\n"
+            "    raise AssertionError('leggauss called')\n"
+            "legendre.leggauss = refuse\n"
+            "import procurekit\n"
+            "opt = procurekit.optimize(procurekit.BASELINE_MARKET, procurekit.BASELINE_SUPPLIERS, procurekit.BASELINE_DEMAND)\n"
+            "print(opt.breakdown.fill_rate_mean > 0.0)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stdout.strip()) == (0, "True"), out.stderr
+
 
 class TestMirrorSymmetry:
     """D on [lower, upper] and -D, which is TN(-mu, sigma) on [-upper, -lower],

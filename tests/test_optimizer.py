@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from procurekit import optimizer
@@ -474,6 +474,66 @@ class TestSlopeRoots:
         roots = optimizer._slope_roots(env, lo, hi, np.array(estimates))
         for k, root in enumerate(roots):
             assert justified(env.take([k]), lo[k], hi[k], float(root)), (cells[k], root)
+
+    # Demand windows around mu, right of it (upper tails) and left of it.
+    WINDOWS = (DEMAND, baseline_demand(lower=60.0, upper=90.0), baseline_demand(lower=5.0, upper=30.0))
+
+    @given(
+        cells=st.lists(
+            st.tuples(
+                # nu - 1 or 1 / (nu - 1) of 0.5 or 2 is where numpy takes sqrt or square.
+                st.sampled_from([1.5, 2.0, 3.0]) | st.floats(min_value=1.05, max_value=3.0),
+                st.floats(min_value=-15.0, max_value=-0.5),
+                st.sampled_from(range(len(WINDOWS))),
+                # a3 off the designed root pushes the root out past an end of the
+                # bracket; a1 = 0 makes the slope nonpositive from alpha = 0 on.
+                st.sampled_from([1.0, 1e-6, 1e6, "a1 = 0"]),
+                # A side of inf reaches alpha = 0 or 1.
+                st.floats(min_value=-18.0, max_value=-1.7) | st.just(math.inf),
+                st.floats(min_value=-18.0, max_value=-1.7) | st.just(math.inf),
+                # NaN: no grid bracket, so a uniform first round; far off: a miss.
+                st.one_of(st.just(math.nan), st.floats(min_value=-0.5, max_value=1.5)),
+            ),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batch_of_one_takes_the_rounds_of_the_batch(self, cells):
+        # A batch of one runs _slope_root, and larger ones the array path: the
+        # same points each round, so the same root, bit for bit.
+        rows, lo, hi, estimates = [], [], [], []
+        for nu, log_alpha, window, a3_scale, log_left, log_right, where in cells:
+            alpha, demand = 10.0**log_alpha, self.WINDOWS[window]
+            if a3_scale == "a1 = 0":
+                market = baseline_market(nu=nu, a1=0.0)
+            else:
+                market = baseline_market(nu=nu)
+                q = optimal_quantity_given_alpha(market, SUPPLIERS, demand, alpha).total
+                market = dataclasses.replace(market, a3=a3_scale * market.a1 * q / (nu * alpha ** (nu - 1.0)))
+            rows.append(optimizer._Envelope.row(market, SUPPLIERS[2], demand))
+            lo.append(max(0.0, alpha - 10.0**log_left))
+            hi.append(min(1.0, alpha + 10.0**log_right))
+            estimates.append(lo[-1] + where * (hi[-1] - lo[-1]))
+        assume(len(set(rows)) == len(rows))
+        env = optimizer._Envelope(np.array(rows))
+        lo, hi, estimates = np.array(lo), np.array(hi), np.array(estimates)
+        points = []
+        slope = optimizer._Envelope.slope
+
+        def recording(self, alphas):
+            points.extend(zip(map(bytes, self.table), (row.tolist() for row in alphas)))
+            return slope(self, alphas)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer._Envelope, "slope", recording)
+            together = optimizer._slope_roots(env, lo, hi, estimates)
+            in_batch = list(points)
+            for k in range(len(cells)):
+                points.clear()
+                (alone,) = optimizer._slope_roots(env.take([k]), lo[k : k + 1], hi[k : k + 1], estimates[k : k + 1])
+                assert [xs for _, xs in points] == [xs for row, xs in in_batch if row == bytes(env.table[k])]
+                assert alone.hex() == together[k].hex(), cells[k]
 
 
 class TestSolverPostcondition:

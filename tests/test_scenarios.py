@@ -219,7 +219,8 @@ class TestScenarioSpecValidation:
                 axes=(("demand.sigma", (15.0, 5.0)),),
             )
 
-    @pytest.mark.parametrize("values", [(500.0, math.inf), (-math.inf, 5.0), (5.0, math.nan)])
+    # The last has finite ends, but high - low is inf, and so would every sample be.
+    @pytest.mark.parametrize("values", [(500.0, math.inf), (-math.inf, 5.0), (5.0, math.nan), (-1e308, 1e308)])
     def test_rejects_lhs_axis_with_non_finite_end(self, values):
         # At construction, not later in latin_hypercube, so a config error names its file and line.
         with pytest.raises(ValidationError, match=r"needs a finite \(low, high\) range"):
@@ -508,6 +509,14 @@ class TestLatinHypercube:
     def test_rejects_inverted_range(self):
         with pytest.raises(ValidationError, match="low < high"):
             latin_hypercube([(5.0, 5.0)], 10, np.random.default_rng(0))
+
+    def test_rejects_range_whose_width_overflows(self):
+        with pytest.raises(ValidationError, match="finite width"):
+            latin_hypercube([(0.0, 1.0), (-1e308, 1e308)], 10, np.random.default_rng(0))
+
+    def test_widest_finite_range_samples_inside_it(self):
+        design = latin_hypercube([(-8e307, 8e307)], 10, np.random.default_rng(0))
+        assert np.all(np.isfinite(design)) and np.all(np.abs(design) <= 8e307)
 
 
 class TestVarianceDecomposition:
