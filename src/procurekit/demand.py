@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import InvalidDistributionError, ValidationError
+from .errors import InvalidDistributionError, ValidationError, check_finite
 
 __all__ = ["TruncatedNormal", "TruncatedNormalParams"]
 
@@ -136,9 +136,7 @@ class TruncatedNormal:
 
     def __post_init__(self) -> None:
         for name in ("mu", "sigma", "lower", "upper"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidDistributionError(f"{name} must be finite, got {value!r}")
+            check_finite(name, getattr(self, name), InvalidDistributionError)
         if self.sigma <= 0.0:
             raise InvalidDistributionError(f"sigma must be positive, got {self.sigma}")
         if not self.lower < self.upper:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NegativeUnitCostError, ValidationError
+from .errors import NegativeUnitCostError, ValidationError, check_finite
 
 __all__ = [
     "DEFAULT_READINESS_WEIGHTS",
@@ -34,7 +34,8 @@ _WEIGHT_SUM_TOL = 1e-12
 
 
 def _check_unit_interval(name: str, value: float) -> None:
-    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+    # NaN, inf and an integer beyond float range all fail the comparison.
+    if not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
@@ -97,7 +98,8 @@ class SupplierProfile:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.base_cost <= 0.0 or not math.isfinite(self.base_cost):
+        check_finite("base_cost", self.base_cost)
+        if self.base_cost <= 0.0:
             raise ValidationError(f"base_cost must be positive, got {self.base_cost!r}")
         _check_unit_interval("beta", self.beta)
 
@@ -133,9 +135,7 @@ class MarketEconomics:
     def __post_init__(self) -> None:
         # NaN passes every ordered comparison below, so finiteness comes first.
         for name in ("price", "salvage", "penalty", "a1", "a2", "a3", "nu"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            check_finite(name, getattr(self, name))
         if self.price <= 0.0:
             raise ValidationError(f"price must be positive, got {self.price!r}")
         if not 0.0 <= self.salvage < self.price:

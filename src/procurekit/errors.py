@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: validation problems exit 1, runtime
 failures exit 2, I/O errors exit 3.
 """
 
+import math
+
 
 class ProcureKitError(Exception):
     """Base class for package-specific failures."""
@@ -43,3 +45,17 @@ class ThresholdNotFoundError(ProcureKitError, RuntimeError):
 
 class SolverCheckError(ProcureKitError, RuntimeError):
     """A solved decision failed the solver's KKT postcondition."""
+
+
+def check_finite(name: str, value, error: type[ValidationError] = ValidationError) -> None:
+    """Raise ``error`` naming ``name`` unless the number ``value`` is finite as a float.
+
+    NaN and inf are refused, and so is an integer beyond float range, on
+    which math.isfinite would raise a bare OverflowError.
+    """
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise error(f"{name} must be finite, got an integer beyond float range") from None
+    if not finite:
+        raise error(f"{name} must be finite, got {value!r}")

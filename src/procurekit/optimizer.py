@@ -7,14 +7,14 @@ cheapest supplier and order up to the critical fractile
 lowers every cost by the same amount, the cheapest supplier does not depend
 on alpha, and the outer problem is one curve in alpha. It is evaluated on the
 fixed grid 0, 0.01, ..., 1 as one array program, and the grid argmax is then
-polished by a root-find on the closed-form envelope derivative
-a1 * Q*(alpha) - adoption_cost_slope(alpha): a multisection whose rounds are
-aimed by a secant in t = alpha**(nu - 1), in which that derivative is nearly
-linear. Many problems (the cells of a scenario) share that array program;
-optimize is the same program on a batch of one, whose root-find keeps its
-per-round bookkeeping in floats and gets the same bits. Since Q*(alpha) does not
-involve a3, the adoption threshold is a closed form in Q* at the display
-cutoff.
+polished by solving the stationarity of the envelope,
+a1 * Q*(alpha) = adoption_cost_slope(alpha). In t = alpha**(nu - 1) that is
+the fixed point t = a1 * Q*(alpha) / (a3 * nu) of a map that does not
+decrease, iterated within one grid step of the argmax. Many problems (the
+cells of a scenario) share that array program, with their fixed-point
+steps in lock-step; optimize is the same program on a batch of one. Since
+Q*(alpha) does not involve a3, the adoption threshold is a closed form in
+Q* at the display cutoff.
 
 KKT residuals are computed from closed-form probabilities and reported with
 the multipliers, so a caller can audit any decision, optimal or not; a
@@ -54,19 +54,11 @@ _ACTIVE_TOL = 1e-9
 # The alpha grid of the envelope argmax; linspace keeps 1.0 an exact endpoint.
 _GRID_STEP = 0.01
 _GRID = np.linspace(0.0, 1.0, 101)
-# Multisection of the envelope slope: 33 points, so 32 sections, per round.
-# lo and hi are two of the points; the other 31 split a window around a
-# secant estimate of the root into 30 sections. The first window has half
-# width _FIRST_HALF_WIDTH; a uniform round's window is the middle 15/16 of
-# the bracket, and no window is wider, so no window section spans more than
-# 1/32 of its bracket.
-_SECTIONS = 32
-_WINDOW = np.arange(_SECTIONS - 1) / (_SECTIONS - 2)
-_FIRST_HALF_WIDTH = 2.0**-5 * _GRID_STEP
-_UNIFORM_HALF_WIDTH = (_SECTIONS - 2) / (2 * _SECTIONS)
-# Every two rounds shrink a bracket at least 32-fold, so 2**-1074 is reached
-# from a bracket of width 1 within 2 * 215 rounds.
-_MAX_ROUNDS = 2 * 215
+# A solve takes about four fixed-point steps; 1,500 random problems with nu
+# from 1.005 to 4 and narrow demand windows in both tails took at most seven.
+_MAX_STEPS = 64
+# adoption_threshold tries the closed-form a3* and this many floats above it.
+_THRESHOLD_FLOATS = 64
 # A decision whose KKT max_residual exceeds this many USD per unit of
 # max(price + penalty, a1 * Q*) fails the solver's postcondition.
 _KKT_TOLERANCE = 1e-6
@@ -198,156 +190,53 @@ class _Envelope:
         revenue, salvage, penalty, _ = expected_sales_terms(self, self.demand, q)
         return revenue + salvage - penalty - cost * q - self.a3 * _power(alphas, self.nu, cost.shape)
 
-    def slope(self, alphas: np.ndarray) -> np.ndarray:
-        """a1 * Q*(alpha) - adoption_cost_slope(alpha)."""
-        return self.a1 * self.cost_and_order(alphas)[1] - self.a3_nu * _power(alphas, self.nu_less_one, alphas.shape)
+    def step(self, t: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """alpha = t**(1/(nu - 1)) and the projected map
+        P(t) = min(max(T(t), t_lo), t_hi), T(t) = a1 * Q*(alpha) / (a3 * nu).
 
-    def secant(self, lo: np.ndarray, s_lo: np.ndarray, hi: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
-        """Zero of the chord through the slopes s_lo > 0 >= s_hi at lo and hi,
-        taken in t = alpha**(nu - 1), in which the slope is nearly linear.
-
-        Q*(alpha) moves little, so the slope is close to c - a3*nu*t; in
-        alpha, the curvature of alpha**(nu - 1) near 0 stalls a secant when
-        nu < 2.
+        Stationarity a1 * Q*(alpha) = a3 * nu * alpha**(nu - 1) reads t = T(t),
+        and T does not decrease, because Q* does not decrease in alpha. With
+        a3 = 0, T is inf and projects to t_hi; a 0/0 NaN projects to t_lo.
         """
-        shape = (lo.size, 1)
-        t_lo, t_hi = _power(lo[:, None], self.nu_less_one, shape), _power(hi[:, None], self.nu_less_one, shape)
-        t = t_lo + (t_hi - t_lo) * (s_lo / (s_lo - s_hi))[:, None]
-        return _power(t, 1.0 / self.nu_less_one, shape)[:, 0]
+        alpha = _power(t, 1.0 / self.nu_less_one, t.shape)
+        mapped = self.a1 * self.cost_and_order(alpha)[1] / self.a3_nu
+        return alpha, np.minimum(np.fmax(mapped, t_lo), t_hi)
 
 
-def _points(lo: np.ndarray, hi: np.ndarray, est, half_width, uniform: np.ndarray) -> np.ndarray:
-    """lo, then 31 points spread evenly over [est - half_width, est + half_width]
-    clipped to the bracket, or over its middle 15/16 where uniform, then hi:
-    one row per cell, ascending."""
-    width = hi - lo
-    est = np.where(uniform, lo + 0.5 * width, np.minimum(np.maximum(est, lo), hi))
-    half_width = np.where(uniform, _UNIFORM_HALF_WIDTH * width, half_width)
-    start, stop = np.maximum(est - half_width, lo), np.minimum(est + half_width, hi)
-    xs = np.empty((lo.size, _SECTIONS + 1))
-    xs[:, 0], xs[:, -1] = lo, hi
-    np.minimum(start[:, None] + (stop - start)[:, None] * _WINDOW, hi[:, None], out=xs[:, 1:-1])
-    return xs
+def _fixed_point(
+    env: _Envelope, t_lo: np.ndarray, t_hi: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed point of each cell's projected map P on [t_lo, t_hi], from start,
+    as (t, alpha = t**(1/(nu - 1))).
 
-
-def _maximum(a: float, b: float) -> float:
-    """np.maximum on floats: a NaN wins, and on a tie the second argument."""
-    return a if a > b or a != a else b
-
-
-def _minimum(a: float, b: float) -> float:
-    """np.minimum on floats: a NaN wins, and on a tie the second argument."""
-    return a if a < b or a != a else b
-
-
-def _window(lo: float, hi: float, est: float, half_width: float, uniform: bool) -> np.ndarray:
-    """_points of one cell from floats: the same operations on a (1, 33) row."""
-    width = hi - lo
-    if uniform:
-        est, half_width = lo + 0.5 * width, _UNIFORM_HALF_WIDTH * width
-    else:
-        est = _minimum(_maximum(est, lo), hi)
-    start, stop = _maximum(est - half_width, lo), _minimum(est + half_width, hi)
-    xs = np.empty((1, _SECTIONS + 1))
-    xs[0, 0], xs[0, -1] = lo, hi
-    np.minimum(start + (stop - start) * _WINDOW, hi, out=xs[0, 1:-1])
-    return xs
-
-
-def _slope_root(env: _Envelope, lo: float, hi: float, est: float) -> float:
-    """_slope_roots of a one-cell env, with the bookkeeping of each round in
-    Python floats around the same slope evaluations, so the same bits.
-
-    The powers of the secant take the exponent as a one-element array: as a
-    float, an exponent of 0.5 or 2 would take numpy's sqrt or square (see
-    _power). est lies in [0, 1] or is NaN, where math.ulp equals np.spacing.
+    P does not decrease, so from any start its iterates move one way and
+    converge (Ortega and Rheinboldt 1970, monotone iteration). At the ulp
+    scale rounding can break that order, so each cell keeps the direction of
+    its first step and stops at the first step that does not move strictly
+    that way, reporting the iterate before it; a cell still moving after
+    _MAX_STEPS reports its last evaluated iterate. The cells step in lock-step
+    and leave the batch as they stop. Every operation is elementwise, so a
+    cell's bits do not depend on its batch.
     """
-    exponent = env.nu_less_one[:, 0]
-    inverse = 1.0 / exponent
-    uniform = math.isnan(est)
-    xs = _window(lo, hi, est, _FIRST_HALF_WIDTH, uniform)
-    x, s = xs[0].tolist(), env.slope(xs)[0].tolist()
-    if s[0] <= 0.0:
-        return lo
-    if s[-1] >= 0.0:
-        return hi
-    for _ in range(_MAX_ROUNDS):
-        # argmin of s[1:] > 0, which is 0 when every slope there is positive.
-        section = next((k for k in range(_SECTIONS) if not s[k + 1] > 0.0), 0)
-        lo, hi, s_lo, s_hi = x[section], x[section + 1], s[section], s[section + 1]
-        if math.nextafter(lo, hi) >= hi:
-            return 0.5 * (lo + hi)
-        width = hi - lo
-        t_lo, t_hi = np.power(lo, exponent).item(), np.power(hi, exponent).item()
-        est = np.power(t_lo + (t_hi - t_lo) * (s_lo / (s_lo - s_hi)), inverse).item()
-        half_width = _maximum(0.5 * width * _minimum(2.0**-10, 10.0 * width), 16.0 * math.ulp(est))
-        missed = not uniform and section in (0, _SECTIONS - 1)
-        uniform = missed or half_width >= _UNIFORM_HALF_WIDTH * width
-        xs = _window(lo, hi, est, half_width, uniform)
-        x, s = xs[0].tolist(), env.slope(xs)[0].tolist()
-    return 0.5 * (lo + hi)
-
-
-def _slope_roots(env: _Envelope, lo: np.ndarray, hi: np.ndarray, est: np.ndarray) -> np.ndarray:
-    """Root of each cell's envelope slope inside [lo, hi], or the binding endpoint.
-
-    Multisection in lock-step, aimed by a safeguarded secant (Brent 1973):
-    each round evaluates the slope of every open cell at lo, at 31 points
-    spread over a narrow window around an estimate of the root, and at hi,
-    and keeps the first section where the slope turns nonpositive, so the
-    bracket keeps s(lo) > 0 >= s(hi). The first round's estimate est comes
-    from the grid (NaN for none); each later one is the secant
-    (_Envelope.secant) between the new bracket ends. A round is uniform,
-    its points spread evenly over the bracket, for a cell without an
-    estimate, one whose sign change fell outside its last window (a miss),
-    and one whose window would span 15/16 of the bracket or more. A window
-    section spans at most 1/32 of its bracket and a miss is followed by a
-    uniform round, so every two rounds shrink a bracket at least 32-fold:
-    _MAX_ROUNDS bounds the loop. A cell drops out once its bracket ends are
-    adjacent floats.
-
-    A batch of one cell, as optimize solves, takes the same rounds in
-    _slope_root, whose bookkeeping is in Python floats; its bits equal those
-    this array path gives the same cell in any batch.
-    """
-    if lo.size == 1:
-        return np.array([_slope_root(env, lo.item(), hi.item(), est.item())])
-    uniform = np.isnan(est)
-    s = env.slope(xs := _points(lo, hi, est, _FIRST_HALF_WIDTH, uniform))
-    # A slope nonpositive at the left edge means profit falls on the bracket;
-    # one still nonnegative at the right edge means that edge binds.
-    roots = np.where(s[:, 0] <= 0.0, lo, hi)
-    active = np.flatnonzero(~(s[:, 0] <= 0.0) & ~(s[:, -1] >= 0.0))
-    if not active.size:
-        return roots
-    if active.size < roots.size:
-        xs, s, env, uniform = xs[active], s[active], env.take(active), uniform[active]
-    starts = np.arange(0, xs.size, _SECTIONS + 1)
-    for _ in range(_MAX_ROUNDS):
-        # The new bracket is the first section whose right end has a slope
-        # that is not positive; left is the flat index of its left end.
-        section = (s[:, 1:] > 0.0).argmin(axis=1)
-        left = starts + section
-        flat_x, flat_s = xs.ravel(), s.ravel()
-        lo, hi, s_lo, s_hi = flat_x[left], flat_x[left + 1], flat_s[left], flat_s[left + 1]
-        closed = np.nextafter(lo, hi) >= hi
-        if closed.any():
-            roots[active[closed]] = 0.5 * (lo[closed] + hi[closed])
-            if closed.all():
-                return roots
-            still = ~closed
-            active, env, starts = active[still], env.take(still), starts[: still.sum()]
-            lo, hi, s_lo, s_hi = lo[still], hi[still], s_lo[still], s_hi[still]
-            section, uniform = section[still], uniform[still]
-        width, est = hi - lo, env.secant(lo, s_lo, hi, s_hi)
-        # The secant's error shrinks about with the square of the width; the
-        # window keeps a tenfold margin over that, and 16 floats either side.
-        half_width = np.maximum(0.5 * width * np.minimum(2.0**-10, 10.0 * width), 16.0 * np.spacing(est))
-        missed = ~uniform & ((section == 0) | (section == _SECTIONS - 1))
-        uniform = missed | (half_width >= _UNIFORM_HALF_WIDTH * width)
-        s = env.slope(xs := _points(lo, hi, est, half_width, uniform))
-    roots[active] = 0.5 * (lo + hi)
-    return roots
+    t_out, alpha_out = np.empty(start.size), np.empty(start.size)
+    cells = np.arange(start.size)
+    t, t_lo, t_hi = start[:, None], t_lo[:, None], t_hi[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(_MAX_STEPS):
+            alpha, mapped = env.step(t, t_lo, t_hi)
+            if not step:
+                direction = np.sign(mapped - t)
+            done = ~((mapped - t) * direction > 0.0)[:, 0] | (step == _MAX_STEPS - 1)
+            t_out[cells[done]], alpha_out[cells[done]] = t[done, 0], alpha[done, 0]
+            if done.all():
+                break
+            if done.any():
+                keep = ~done
+                cells, env, mapped, t_lo, t_hi, direction = (
+                    cells[keep], env.take(keep), mapped[keep], t_lo[keep], t_hi[keep], direction[keep]
+                )
+            t = mapped
+    return t_out, alpha_out
 
 
 def _decide(market, suppliers, demand, at_grid: Decision, grid_profit: float, at_root: Decision) -> Decision:
@@ -371,9 +260,10 @@ def _solve_batch(
     """Optimal decision of each (market, suppliers, demand) cell, or its error.
 
     The cells share one array program: every cell's envelope and slope are
-    evaluated on the fixed alpha grid in one pass, then their slopes are
-    root-found in lock-step within one grid step of each grid argmax, aimed
-    by the grid secant next to it. A cell whose grid meets a cost <= 0 or
+    evaluated on the fixed alpha grid in one pass, then each cell's
+    stationarity is solved by _fixed_point, in lock-step, on the bracket of
+    one grid step either side of its grid argmax; a fixed point at an end of
+    the bracket reports that end exactly. A cell whose grid meets a cost <= 0 or
     below salvage, or a negative order, gets the error the scalar inner
     solve raises at the first such grid alpha. A cell's result does not
     depend on the other cells.
@@ -417,10 +307,15 @@ def _solve_batch(
     left = np.minimum(np.maximum(best_index - (g[cell, best_index] <= 0.0), 0), _GRID.size - 2)
     g_left, g_right = g[cell, left], g[cell, left + 1]
     brackets = (g_left > 0.0) & (g_right <= 0.0)
-    est = env.secant(_GRID[left], np.where(brackets, g_left, 1.0), _GRID[left + 1], np.where(brackets, g_right, -1.0))
-    roots = _slope_roots(
-        env, np.maximum(0.0, best - _GRID_STEP), np.minimum(1.0, best + _GRID_STEP), np.where(brackets, est, np.nan)
-    )
+    lo, hi = np.maximum(0.0, best - _GRID_STEP), np.minimum(1.0, best + _GRID_STEP)
+    t_lo, t_hi = (_power(end[:, None], env.nu_less_one, (end.size, 1))[:, 0] for end in (lo, hi))
+    # Start from the zero of the grid's secant in t, where the slope is nearly
+    # linear, or without a sign change from the middle of [t_lo, t_hi].
+    t_left, t_right = t[cell, left], t[cell, left + 1]
+    share = np.divide(g_left, g_left - g_right, out=np.zeros_like(g_left), where=brackets)
+    start = np.where(brackets, t_left + (t_right - t_left) * share, 0.5 * (t_lo + t_hi))
+    t_root, alpha_root = _fixed_point(env, t_lo, t_hi, start)
+    roots = np.where(t_root == t_lo, lo, np.where(t_root == t_hi, hi, alpha_root))
     q_root = env.cost_and_order(roots[:, None])[1][:, 0]
     for i, winner, alpha_grid, total_grid, profit_grid, alpha_root, total_root in zip(
         live, winners, best, q[cell, best_index], profits[cell, best_index], roots, q_root
@@ -443,19 +338,20 @@ def optimize(
     """Maximize expected profit over alpha in [0, 1] and the order vector.
 
     The envelope is evaluated on the fixed alpha grid 0, 0.01, ..., 1 as one
-    array program and its argmax taken. The envelope slope
-    a1 * Q*(alpha) - adoption_cost_slope(alpha) is then root-found within one
-    grid step of that argmax, to adjacent floats, by multisection aimed with
-    a secant in t = alpha**(nu - 1) (about three slope evaluations per
-    solve). The root is kept unless the grid point earns more by over
-    _TIE_TOLERANCE relative profit. Raises SolverCheckError when the KKT
-    max_residual of the result exceeds _KKT_TOLERANCE times
-    max(price + penalty, a1 * Q*). The returned alpha is stored at full
-    precision; display layers round it. This is the batch solve of scenario
-    runs on a batch of one cell, so it agrees with any scenario cell bit for
-    bit; its root-find takes the one-cell path of _slope_roots, which keeps
-    the bookkeeping of each round in Python floats and gives the bits of the
-    array path.
+    array program and its argmax taken. Within one grid step of that argmax,
+    the stationarity a1 * Q*(alpha) = adoption_cost_slope(alpha) is then
+    solved as the fixed point t = a1 * Q*(alpha) / (a3 * nu) in
+    t = alpha**(nu - 1), projected onto the bracket: Q* does not decrease in
+    alpha, so the iterates move one way, and they stop when a step no longer
+    moves (about four steps per solve). The root is kept unless the grid
+    point earns more by over _TIE_TOLERANCE relative profit. Raises
+    SolverCheckError when the KKT max_residual of the result exceeds
+    _KKT_TOLERANCE times max(price + penalty, a1 * Q*); that includes an
+    alpha* below the smallest double (nu near 1 with a large a3), which
+    rounds to 0 where the slope does not vanish. The returned alpha is stored
+    at full precision; display layers round it. This is the batch solve of
+    scenario runs on a batch of one cell, so it agrees with any scenario
+    cell bit for bit.
     """
     (decision,) = _solve_batch([(market, suppliers, demand)])
     if isinstance(decision, ProcureKitError):
@@ -549,26 +445,27 @@ def adoption_threshold(
     g(alpha) = a1 * Q*(alpha) - a3 * nu * alpha**(nu - 1) is nonpositive at c
     exactly when a3 >= a3* = a1 * Q*(c) / (nu * c**(nu - 1)). That makes a3*
     the threshold if alpha* does not increase with a3 and g crosses zero once
-    near c. At a3* the slope root sits on the cutoff, so the result is a3* or
-    the next float up, whichever optimize first reports below c. Returns
-    a3_low when a3* <= a3_low; raises ThresholdNotFoundError when the result
-    lies above a3_high, or when neither value reports zero.
+    near c. At a3* the root sits on the cutoff, and rounding decides on which
+    side of it the reported root falls (up to three floats above a3* on the
+    36 cells of the bisection test), so the result is the first of a3* and
+    the _THRESHOLD_FLOATS floats above it at which optimize reports alpha*
+    below c. Returns a3_low when a3* <= a3_low; raises
+    ThresholdNotFoundError when the result lies above a3_high, or when none
+    of those values reports zero.
     """
     if not 0.0 < a3_low < a3_high:
         raise ValidationError(f"need 0 < a3_low < a3_high, got [{a3_low!r}, {a3_high!r}]")
     cutoff = _GRID_STEP / 2.0
     q_cutoff = optimal_quantity_given_alpha(market, suppliers, demand, cutoff).total
-    a3_star = market.a1 * q_cutoff / (market.nu * cutoff ** (market.nu - 1.0))
+    a3 = a3_star = market.a1 * q_cutoff / (market.nu * cutoff ** (market.nu - 1.0))
     if a3_star <= a3_low:
         return a3_low
-
-    def reported_zero(a3: float) -> bool:
+    for _ in range(_THRESHOLD_FLOATS + 1):
         if a3 > a3_high:
             raise ThresholdNotFoundError(f"alpha* still at or above {cutoff} at a3={a3_high}; widen the range")
-        return optimize(dataclasses.replace(market, a3=a3), suppliers, demand).alpha_star < cutoff
-
-    if reported_zero(a3_star):
-        return a3_star
-    if reported_zero(a3_up := math.nextafter(a3_star, math.inf)):
-        return a3_up
-    raise ThresholdNotFoundError(f"alpha* still at or above {cutoff} at a3={a3_up!r}, just above the closed form")
+        if optimize(dataclasses.replace(market, a3=a3), suppliers, demand).alpha_star < cutoff:
+            return a3
+        a3 = math.nextafter(a3, math.inf)
+    raise ThresholdNotFoundError(
+        f"alpha* still at or above {cutoff} up to {_THRESHOLD_FLOATS} floats above the closed form a3={a3_star!r}"
+    )

@@ -34,6 +34,7 @@ from .errors import (
     ProcureKitError,
     RankDeficientDesignError,
     ValidationError,
+    check_finite,
 )
 from .optimizer import _checked_kkt, _solve_batch, optimal_quantity_given_alpha
 from .profit import Decision, ProfitBreakdown, breakdown_from_draws, expected_profit_monte_carlo
@@ -80,8 +81,7 @@ class DynamicSpec:
             value = getattr(self, name)
             if not _is_real(value):
                 raise ValidationError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            check_finite(name, value)
         final_a3 = self.a3_at(self.cycles)
         if self.a3_initial <= 0.0 or final_a3 <= 0.0:
             raise ValidationError(
@@ -223,6 +223,14 @@ def _validate_axis(path: str, values: tuple, sampler: str) -> None:
             raise ValidationError(f"axis {path!r} values must be (low, high) pairs, got {value!r}")
 
 
+def _as_float(value: float) -> float:
+    """float(value), but an integer beyond float range as it is, for its model to refuse by name."""
+    try:
+        return float(value)
+    except OverflowError:
+        return value
+
+
 def _build_cell(
     spec: ScenarioSpec, index: int, coords: tuple
 ) -> tuple[MarketEconomics, tuple[SupplierProfile, ...], TruncatedNormal]:
@@ -238,7 +246,7 @@ def _build_cell(
     changes = {scope: {} for scope in _AXIS_FIELDS}
     for path, value in coords:
         scope, _, field = path.partition(".")
-        changes[scope][field] = value if scope == "suppliers" else float(value)
+        changes[scope][field] = value if scope == "suppliers" else _as_float(value)
     suppliers = spec.suppliers
     pair = changes["suppliers"].get("beta_range")
     if pair is not None:

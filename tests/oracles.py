@@ -1,15 +1,16 @@
 """Independent reference implementations used to check closed forms.
 
 Everything here is deliberately brute force: composite Simpson quadrature,
-plain Monte Carlo, finite differences, exhaustive grid argmax, and bisection
-over whole solves. The point is to validate the analytic code paths against
-slow routes that share no formulas with them.
+plain Monte Carlo, finite differences, exhaustive grid argmax, bisection
+over whole solves, and a 40-digit mpmath solve. The point is to validate the
+analytic code paths against slow routes that share no formulas with them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
 from typing import Callable
 
 import numpy as np
@@ -72,6 +73,59 @@ def bisect_adoption_threshold(market, suppliers, demand, a3_low: float, a3_high:
         else:
             lo = mid
     return hi
+
+
+REFERENCE_DIGITS = 40
+
+
+def reference_solve(market, suppliers, demand) -> tuple:
+    """alpha* and Q*(alpha*) to REFERENCE_DIGITS digits, as mpmath numbers.
+
+    Q*(alpha) is the demand quantile at the critical fractile of the cheapest
+    supplier, found by Newton's method on mpmath's normal CDF (on the upper
+    tail for a window right of mu). alpha* is the root of the envelope slope
+    g(alpha) = a1 * Q*(alpha) - a3 * nu * alpha**(nu - 1) on [0, 1], found by
+    a bracketing solve in t = alpha**(nu - 1), or 1 when g(1) >= 0. Assumes
+    Q*(0) > 0 and a single sign change of g, as in a concave problem.
+    """
+    import mpmath
+
+    with mpmath.workdps(REFERENCE_DIGITS):
+        mpf = mpmath.mpf
+        a1, a3, nu = mpf(market.a1), mpf(market.a3), mpf(market.nu)
+        margin = mpf(market.price) + mpf(market.penalty)
+        spread = margin - mpf(market.salvage)
+        cost_at_zero = min(mpf(s.base_cost) - mpf(market.a2) * mpf(s.beta) for s in suppliers)
+        mu, sigma = mpf(demand.mu), mpf(demand.sigma)
+        sign = -1 if demand.lower > demand.mu else 1
+        ends = [sign * (mpf(x) - mu) / sigma for x in (demand.lower, demand.upper)]
+        cdf_lower, cdf_upper = (mpmath.ncdf(z) for z in ends)
+
+        def quantity(alpha):
+            fractile = (margin - (cost_at_zero - a1 * alpha)) / spread
+            if fractile <= 0:
+                return mpf(0)
+            if fractile >= 1:
+                return mpf(demand.upper)
+            # Phi(z) = p in the frame where the window's mass is a difference of lower tails.
+            p = cdf_lower + fractile * (cdf_upper - cdf_lower)
+            z = mpf(statistics.NormalDist().inv_cdf(min(max(float(p), 1e-300), 1.0 - 1e-16)))
+            for _ in range(100):
+                step = (mpmath.ncdf(z) - p) / mpmath.npdf(z)
+                z -= step
+                if abs(step) <= mpf(10) ** (5 - REFERENCE_DIGITS) * max(1, abs(z)):
+                    break
+            return mu + sign * sigma * z
+
+        def slope_in_t(t):
+            return a1 * quantity(t ** (1 / (nu - 1))) - a3 * nu * t
+
+        if slope_in_t(mpf(1)) >= 0:
+            alpha = mpf(1)
+        else:
+            t = mpmath.findroot(slope_in_t, (mpf(0), mpf(1)), solver="anderson")
+            alpha = t ** (1 / (nu - 1))
+        return alpha, quantity(alpha)
 
 
 def breakdown_by_numpy_reductions(market, suppliers, demand, decision, draws: np.ndarray) -> ProfitBreakdown:

@@ -63,6 +63,19 @@ class TestOptimize:
         assert line.startswith("error: ") and "positive mean demand, got mean 0.0" in line
         assert not (tmp_path / "optimum.json").exists()
 
+    def test_alpha_below_the_smallest_double_exits_2(self, tmp_path):
+        # alpha* = (a1 * Q* / (a3 * nu))**(1 / (nu - 1)) is about 1e-474 here:
+        # it rounds to 0, where the slope a1 * Q* = 2.57 is far from 0, so the
+        # KKT audit refuses the answer rather than report alpha* = 0.
+        config = tmp_path / "nu-near-one.yaml"
+        config.write_text("market:\n  nu: 1.005\n  a1: 0.05\n  a3: 600.0\n")
+        result = invoke("optimize", "--config", config, "--out", tmp_path)
+        assert result.exit_code == 2
+        [line] = result.stderr.splitlines()
+        assert line.startswith('error: {"kind": "runtime", "message": "KKT max_residual 2.57')
+        assert "at alpha=0.0," in line
+        assert not (tmp_path / "optimum.json").exists()
+
 
 class TestScenario:
     def test_adoption_cost_tail_preset(self, tmp_path):

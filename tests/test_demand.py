@@ -49,6 +49,13 @@ class TestValidation:
         with pytest.raises(InvalidDistributionError, match=r"captures 1\.129e-19 "):
             TruncatedNormal(mu=0.0, sigma=1.0, lower=9.0, upper=10.0)
 
+    @pytest.mark.parametrize("field", ["mu", "sigma", "lower", "upper"])
+    def test_rejects_integers_beyond_float_range(self, field):
+        params = dict(mu=0.0, sigma=1.0, lower=0.0, upper=1.0)
+        params[field] = 10**400
+        with pytest.raises(InvalidDistributionError, match=f"{field} must be finite"):
+            TruncatedNormal(**params)
+
     def test_rejects_nonfinite_parameters(self):
         with pytest.raises(InvalidDistributionError):
             TruncatedNormal(mu=math.nan, sigma=8.0, lower=30.0, upper=70.0)

@@ -147,6 +147,8 @@ class TestMarketEconomics:
             (dict(a3=math.inf), "a3"),
             (dict(nu=math.inf), "nu"),
             (dict(nu=math.nan), "nu"),
+            (dict(price=10**400), "price"),
+            (dict(a3=-(10**400)), "a3"),
         ],
     )
     def test_rejects_invalid_fields(self, overrides, field):

@@ -382,165 +382,159 @@ class TestSolveBatch:
         assert [batch for batch, _ in checked] == [scalar for _, scalar in checked]
 
 
-def count_slope_calls(monkeypatch) -> list:
-    """Patch _Envelope.slope to record one entry per call, i.e. per lock-step round."""
+def count_steps(monkeypatch) -> list:
+    """Patch _Envelope.step to record the open cells of each lock-step fixed-point step."""
     calls = []
-    slope = optimizer._Envelope.slope
+    step = optimizer._Envelope.step
 
-    def counted(self, alphas):
-        calls.append(len(alphas))
-        return slope(self, alphas)
+    def counted(self, t, t_lo, t_hi):
+        calls.append(len(t))
+        return step(self, t, t_lo, t_hi)
 
-    monkeypatch.setattr(optimizer._Envelope, "slope", counted)
+    monkeypatch.setattr(optimizer._Envelope, "step", counted)
     return calls
 
 
-def market_with_root_at(alpha: float, nu: float, **overrides) -> MarketEconomics:
+def market_with_root_at(alpha: float, nu: float, demand: TruncatedNormal = DEMAND, **overrides) -> MarketEconomics:
     """A baseline-like market whose envelope slope vanishes at alpha."""
     market = baseline_market(nu=nu, **overrides)
-    q = optimal_quantity_given_alpha(market, SUPPLIERS, DEMAND, alpha).total
+    q = optimal_quantity_given_alpha(market, SUPPLIERS, demand, alpha).total
     return dataclasses.replace(market, a3=market.a1 * q / (nu * alpha ** (nu - 1.0)))
 
 
-def justified(env, lo: float, hi: float, root: float) -> bool:
-    """root is a bound whose slope sign makes it binding, or one of two
-    adjacent floats across which the slope turns from positive to not."""
+# Demand windows around mu, right of it (upper tails) and left of it.
+WINDOWS = (DEMAND, baseline_demand(lower=60.0, upper=90.0), baseline_demand(lower=5.0, upper=30.0))
 
-    def slope(x: float) -> float:
-        return float(env.slope(np.array([[x]]))[0, 0])
+fixed_point_cells = st.lists(
+    st.tuples(
+        # nu - 1 or 1 / (nu - 1) of 0.5 or 2 is where numpy takes sqrt or square.
+        st.sampled_from([1.5, 2.0, 3.0]) | st.floats(min_value=1.05, max_value=3.0),
+        st.floats(min_value=-15.0, max_value=-0.5),
+        st.sampled_from(range(len(WINDOWS))),
+        # a3 off the designed root pushes the root out past an end of the
+        # bracket; a1 = 0 makes T vanish, and a3 = 0 makes it infinite.
+        st.sampled_from([1.0, 1e-6, 1e6, "a1 = 0", "a3 = 0"]),
+        # A side of inf reaches alpha = 0 or 1.
+        st.floats(min_value=-18.0, max_value=-1.7) | st.just(math.inf),
+        st.floats(min_value=-18.0, max_value=-1.7) | st.just(math.inf),
+        # Where the start lies, as a share of [t_lo, t_hi]; it may lie outside.
+        st.floats(min_value=-0.5, max_value=1.5),
+    ),
+    min_size=2,
+    max_size=5,
+)
 
-    if not lo <= root <= hi:
-        return False
-    if (root == lo and slope(lo) <= 0.0) or (root == hi and slope(hi) >= 0.0):
-        return True
-    up, down = np.nextafter(root, np.inf), np.nextafter(root, -np.inf)
-    return (slope(root) > 0.0 >= slope(up) and up <= hi) or (slope(down) > 0.0 >= slope(root) and down >= lo)
+
+def fixed_point_inputs(cells) -> tuple:
+    """The envelope of drawn cells and their brackets and starts in t."""
+    rows, t_lo, t_hi, starts = [], [], [], []
+    for nu, log_alpha, window, scale, log_left, log_right, where in cells:
+        alpha, demand = 10.0**log_alpha, WINDOWS[window]
+        if scale == "a1 = 0":
+            market = baseline_market(nu=nu, a1=0.0)
+        elif scale == "a3 = 0":
+            market = baseline_market(nu=nu, a3=0.0)
+        else:
+            market = market_with_root_at(alpha, nu, demand)
+            market = dataclasses.replace(market, a3=scale * market.a3)
+        rows.append(optimizer._Envelope.row(market, SUPPLIERS[2], demand))
+        t_lo.append(max(0.0, alpha - 10.0**log_left) ** (nu - 1.0))
+        t_hi.append(min(1.0, alpha + 10.0**log_right) ** (nu - 1.0))
+        starts.append(max(0.0, t_lo[-1] + where * (t_hi[-1] - t_lo[-1])))
+    return optimizer._Envelope(np.array(rows)), np.array(t_lo), np.array(t_hi), np.array(starts)
 
 
-class TestSlopeRoots:
-    def test_few_slope_evaluations_per_solve(self, monkeypatch):
-        calls = count_slope_calls(monkeypatch)
+class TestFixedPoint:
+    def test_few_steps_per_solve(self, monkeypatch):
+        calls = count_steps(monkeypatch)
         counts = []
         for cell in perfbench_solve_problems(7):
             calls.clear()
             optimize(*cell)
             counts.append(len(calls))
-        # Spreading every round's 33 points evenly needs about 9.3 per solve.
-        assert np.mean(counts) <= 3.5 and max(counts) <= 12
+        # About four: the grid secant starts close, and each step gains digits.
+        assert np.mean(counts) <= 4.5 and max(counts) <= 10
 
-    def test_s9_takes_few_lock_step_rounds(self, monkeypatch):
-        calls = count_slope_calls(monkeypatch)
+    def test_s9_takes_few_lock_step_steps(self, monkeypatch):
+        calls = count_steps(monkeypatch)
         run(preset("s9"))
-        assert len(calls) <= 5
+        assert len(calls) <= 6 and calls[0] == 100
 
     @pytest.mark.parametrize("alpha", [1e-14, 1e-10, 1e-6, 1e-3])
     @pytest.mark.parametrize("nu", [1.06, 1.15, 1.25, 1.39])
-    def test_near_zero_roots_close_kkt_in_few_rounds(self, monkeypatch, nu, alpha):
-        # Here alpha**(nu - 1) bends sharply, which stalls a secant taken in alpha.
+    def test_near_zero_roots_close_kkt_in_few_steps(self, monkeypatch, nu, alpha):
+        # Here alpha**(nu - 1) bends sharply, while t = alpha**(nu - 1) stays linear.
         market = market_with_root_at(alpha, nu)
-        calls = count_slope_calls(monkeypatch)
+        calls = count_steps(monkeypatch)
         opt = optimize(market, SUPPLIERS, DEMAND)
         assert opt.kkt.max_residual <= 1e-9
         assert len(calls) <= 5
         assert opt.alpha_star == pytest.approx(alpha, rel=1e-6)
 
-    @given(
-        cells=st.lists(
-            st.tuples(
-                st.floats(min_value=1.05, max_value=3.0),
-                st.floats(min_value=-15.0, max_value=-0.5),
-                st.floats(min_value=-18.0, max_value=-1.7),
-                st.floats(min_value=-18.0, max_value=-1.7),
-                st.one_of(st.just(math.nan), st.floats(min_value=-0.5, max_value=1.5)),
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_every_root_is_justified(self, cells):
-        rows, brackets, estimates = [], [], []
-        for nu, log_alpha, log_left, log_right, where in cells:
-            market = market_with_root_at(10.0**log_alpha, nu)
-            rows.append(optimizer._Envelope.row(market, SUPPLIERS[2], DEMAND))
-            # The bracket need not hold the root, and the estimate may lie
-            # anywhere near the bracket, or be missing.
-            lo = max(0.0, 10.0**log_alpha - 10.0**log_left)
-            hi = min(1.0, 10.0**log_alpha + 10.0**log_right)
-            brackets.append((lo, hi))
-            estimates.append(lo + where * (hi - lo))
-        env = optimizer._Envelope(np.array(rows))
-        lo, hi = (np.array(side) for side in zip(*brackets))
-        roots = optimizer._slope_roots(env, lo, hi, np.array(estimates))
-        for k, root in enumerate(roots):
-            assert justified(env.take([k]), lo[k], hi[k], float(root)), (cells[k], root)
+    @pytest.mark.parametrize("a1, a3, alpha", [(0.0, 0.0, 0.0), (5.0, 0.0, 1.0), (0.0, 2000.0, 0.0)])
+    def test_degenerate_maps_reach_an_end(self, a1, a3, alpha):
+        # No saving and no adoption cost make T = 0/0, a NaN that projects to
+        # t_lo, the end that a slope which is not positive keeps; a3 = 0 makes
+        # T infinite, which projects to t_hi.
+        assert optimize(baseline_market(a1=a1, a3=a3), SUPPLIERS, DEMAND).alpha_star == alpha
 
-    # Demand windows around mu, right of it (upper tails) and left of it.
-    WINDOWS = (DEMAND, baseline_demand(lower=60.0, upper=90.0), baseline_demand(lower=5.0, upper=30.0))
-
-    @given(
-        cells=st.lists(
-            st.tuples(
-                # nu - 1 or 1 / (nu - 1) of 0.5 or 2 is where numpy takes sqrt or square.
-                st.sampled_from([1.5, 2.0, 3.0]) | st.floats(min_value=1.05, max_value=3.0),
-                st.floats(min_value=-15.0, max_value=-0.5),
-                st.sampled_from(range(len(WINDOWS))),
-                # a3 off the designed root pushes the root out past an end of the
-                # bracket; a1 = 0 makes the slope nonpositive from alpha = 0 on.
-                st.sampled_from([1.0, 1e-6, 1e6, "a1 = 0"]),
-                # A side of inf reaches alpha = 0 or 1.
-                st.floats(min_value=-18.0, max_value=-1.7) | st.just(math.inf),
-                st.floats(min_value=-18.0, max_value=-1.7) | st.just(math.inf),
-                # NaN: no grid bracket, so a uniform first round; far off: a miss.
-                st.one_of(st.just(math.nan), st.floats(min_value=-0.5, max_value=1.5)),
-            ),
-            min_size=2,
-            max_size=5,
-        )
-    )
+    @given(cells=fixed_point_cells)
     @settings(max_examples=100, deadline=None)
-    def test_batch_of_one_takes_the_rounds_of_the_batch(self, cells):
-        # A batch of one runs _slope_root, and larger ones the array path: the
-        # same points each round, so the same root, bit for bit.
-        rows, lo, hi, estimates = [], [], [], []
-        for nu, log_alpha, window, a3_scale, log_left, log_right, where in cells:
-            alpha, demand = 10.0**log_alpha, self.WINDOWS[window]
-            if a3_scale == "a1 = 0":
-                market = baseline_market(nu=nu, a1=0.0)
-            else:
-                market = baseline_market(nu=nu)
-                q = optimal_quantity_given_alpha(market, SUPPLIERS, demand, alpha).total
-                market = dataclasses.replace(market, a3=a3_scale * market.a1 * q / (nu * alpha ** (nu - 1.0)))
-            rows.append(optimizer._Envelope.row(market, SUPPLIERS[2], demand))
-            lo.append(max(0.0, alpha - 10.0**log_left))
-            hi.append(min(1.0, alpha + 10.0**log_right))
-            estimates.append(lo[-1] + where * (hi[-1] - lo[-1]))
-        assume(len(set(rows)) == len(rows))
-        env = optimizer._Envelope(np.array(rows))
-        lo, hi, estimates = np.array(lo), np.array(hi), np.array(estimates)
-        points = []
-        slope = optimizer._Envelope.slope
+    def test_every_root_is_justified(self, cells):
+        # In its bracket; at an end only when P maps that end to itself, so T
+        # reaches or passes it; and the next step moves no further in the
+        # direction of the first.
+        env, t_lo, t_hi, starts = fixed_point_inputs(cells)
+        roots, alphas = optimizer._fixed_point(env, t_lo, t_hi, starts)
+        for k, (t, alpha) in enumerate(zip(roots, alphas)):
+            cell = env.take([k])
 
-        def recording(self, alphas):
-            points.extend(zip(map(bytes, self.table), (row.tolist() for row in alphas)))
-            return slope(self, alphas)
+            def step(x: float) -> tuple[float, float]:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    at, mapped = cell.step(np.array([[x]]), t_lo[k : k + 1, None], t_hi[k : k + 1, None])
+                return at[0, 0], mapped[0, 0]
+
+            assert t_lo[k] <= t <= t_hi[k], cells[k]
+            assert step(t)[0].hex() == alpha.hex()
+            if t == t_lo[k] or t == t_hi[k]:
+                assert step(t)[1] == t, cells[k]
+            direction = np.sign(step(starts[k])[1] - starts[k])
+            assert not (step(t)[1] - t) * direction > 0.0, cells[k]
+
+    @given(cells=fixed_point_cells)
+    @settings(max_examples=100, deadline=None)
+    def test_batch_of_one_takes_the_steps_of_the_batch(self, cells):
+        # The same iterates step by step, so the same root, bit for bit.
+        env, t_lo, t_hi, starts = fixed_point_inputs(cells)
+        assume(len({bytes(row) for row in env.table}) == len(cells))
+        points = []
+        step = optimizer._Envelope.step
+
+        def recording(self, t, lo, hi):
+            points.extend(zip(map(bytes, self.table), t[:, 0].tolist()))
+            return step(self, t, lo, hi)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(optimizer._Envelope, "slope", recording)
-            together = optimizer._slope_roots(env, lo, hi, estimates)
+            patch.setattr(optimizer._Envelope, "step", recording)
+            together = optimizer._fixed_point(env, t_lo, t_hi, starts)
             in_batch = list(points)
             for k in range(len(cells)):
                 points.clear()
-                (alone,) = optimizer._slope_roots(env.take([k]), lo[k : k + 1], hi[k : k + 1], estimates[k : k + 1])
-                assert [xs for _, xs in points] == [xs for row, xs in in_batch if row == bytes(env.table[k])]
-                assert alone.hex() == together[k].hex(), cells[k]
+                one = slice(k, k + 1)
+                alone = optimizer._fixed_point(env.take([k]), t_lo[one], t_hi[one], starts[one])
+                assert [t for _, t in points] == [t for row, t in in_batch if row == bytes(env.table[k])]
+                assert [x[0].hex() for x in alone] == [x[k].hex() for x in together], cells[k]
 
 
 class TestSolverPostcondition:
     @pytest.fixture
     def unpolished(self, monkeypatch):
-        # A root-finder that returns its bracket's midpoint, about the grid argmax.
-        monkeypatch.setattr(optimizer, "_slope_roots", lambda env, lo, hi, est: 0.5 * (lo + hi))
+        # A fixed point that stops at the middle of its bracket in t, near the grid argmax.
+        def midpoint(env, t_lo, t_hi, start):
+            t = 0.5 * (t_lo + t_hi)
+            return t, env.step(t[:, None], t_lo[:, None], t_hi[:, None])[0][:, 0]
+
+        monkeypatch.setattr(optimizer, "_fixed_point", midpoint)
 
     def test_optimize_exits_2_with_one_error_line(self, unpolished, tmp_path):
         result = CliRunner().invoke(main, ["optimize", "--out", str(tmp_path)])

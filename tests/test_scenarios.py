@@ -394,7 +394,7 @@ class TestCellBuiltOnce:
         )
         assert row.status == "ok"
         assert (row.alpha_star, row.q_star) == (opt.alpha_star, opt.q_star)
-        assert row.alpha_star == 0.01644605340336964
+        assert row.alpha_star == 0.01644605340336963
 
     def test_lhs_over_both_bounds_solves_every_cell(self):
         spec = small_spec(
@@ -423,8 +423,10 @@ class TestCellBuiltOnce:
                 ),
                 "ValidationError: beta_range",
             ),
+            ((("market.a3", (10**400,)),), "ValidationError: a3 must be finite"),
+            ((("demand.sigma", (10**400,)), ("market.salvage", (150.0,))), "ValidationError: salvage"),
         ],
-        ids=["demand-first", "market-first", "with-beta-range"],
+        ids=["demand-first", "market-first", "with-beta-range", "beyond-float-range", "beyond-float-range-demand"],
     )
     def test_broken_models_report_beta_range_then_market_then_demand(self, axes, error):
         (row,) = run(small_spec(axes=axes))
