@@ -29,7 +29,7 @@ from .baseline import (
 )
 from .demand import TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
-from .errors import ValidationError
+from .errors import ValidationError, is_finite, is_int, is_real
 from .scenarios import DynamicSpec, ScenarioSpec
 
 _LINE_KEY = "__line__"
@@ -199,8 +199,8 @@ class _Section:
                 raise self.error(f"missing required key {key!r}")
             return default
         value = self.data[key]
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        valid = is_real(value) if kind is float else is_int(value) if kind is int else isinstance(value, kind)
+        if not valid:
             raise self.error(f"{key} must be {_KIND_NAMES[kind]}, got {_unstamped(value)!r}")
         if minimum is not None and value < minimum:
             raise self.error(f"{key} must be at least {minimum}, got {value}")
@@ -208,12 +208,9 @@ class _Section:
 
     def number(self, what: str, value: int | float) -> float:
         """float(value), with an integer beyond float range refused."""
-        try:
-            return float(value)
-        except OverflowError:
-            raise self.error(
-                f"{what} must be a number within float range, got an integer of {len(str(value))} digits"
-            ) from None
+        if isinstance(value, int) and not is_finite(value):
+            raise self.error(f"{what} must be a number within float range, got an integer of {len(str(value))} digits")
+        return float(value)
 
     def build(self, factory, **kwargs):
         """Construct a model type, prefixing its validation errors with context."""
@@ -262,14 +259,11 @@ def _parse_suppliers(root: _Section) -> tuple[SupplierProfile, ...]:
 def _parse_axis_values(section: _Section, path: str, values: object) -> tuple:
     if not isinstance(values, list) or not values:
         raise section.error(f"axis {path!r} needs a nonempty list of values")
-    def is_number(v: object) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
     parsed = []
     for value in values:
-        if isinstance(value, list) and all(is_number(v) for v in value):
+        if isinstance(value, list) and all(map(is_real, value)):
             parsed.append(tuple(section.number(f"axis {path!r} value", v) for v in value))
-        elif not is_number(value):
+        elif not is_real(value):
             raise section.error(f"axis {path!r} values must be numbers or lists of numbers, got {_unstamped(value)!r}")
         else:
             parsed.append(section.number(f"axis {path!r} value", value))

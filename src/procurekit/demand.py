@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import InvalidDistributionError, ValidationError, check_finite
+from .errors import InvalidDistributionError, ValidationError, check_finite, is_int
 
 __all__ = ["TruncatedNormal", "TruncatedNormalParams"]
 
@@ -225,8 +225,9 @@ class TruncatedNormal:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n samples by inverse-CDF transform of rng.random(n)."""
-        if n < 0:
-            raise ValidationError(f"sample size must be nonnegative, got {n}")
+        if not is_int(n) or n < 0:
+            raise ValidationError(f"sample size must be nonnegative, got {n!r}")
+        check_finite("sample size", n)
         # rng.random lies in [0, 1) by contract, so quantile's range check is skipped
         return self.params.quantile(rng.random(n)) if n else np.empty(0)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NegativeUnitCostError, ValidationError, check_finite
+from .errors import NegativeUnitCostError, ValidationError, check_finite, check_unit_interval, is_int, is_real
 
 __all__ = [
     "DEFAULT_READINESS_WEIGHTS",
@@ -31,12 +31,6 @@ __all__ = [
 DEFAULT_READINESS_WEIGHTS: tuple[float, ...] = (0.28, 0.27, 0.20, 0.15, 0.10)
 
 _WEIGHT_SUM_TOL = 1e-12
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    # NaN, inf and an integer beyond float range all fail the comparison.
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def composite_beta(components: Sequence[float], weights: Sequence[float] = DEFAULT_READINESS_WEIGHTS) -> float:
@@ -58,13 +52,13 @@ def composite_beta(components: Sequence[float], weights: Sequence[float] = DEFAU
         raise ValidationError(
             f"got {len(components)} components but {len(weights)} weights"
         )
-    if any(w < 0.0 for w in weights):
+    if not all(is_real(w) and w >= 0.0 for w in weights):
         raise ValidationError("readiness weights must be nonnegative")
     total = math.fsum(weights)
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise ValidationError(f"readiness weights must sum to 1, got {total!r}")
     for i, x in enumerate(components):
-        _check_unit_interval(f"components[{i}]", x)
+        check_unit_interval(f"components[{i}]", x)
     return math.fsum(w * x for w, x in zip(weights, components))
 
 
@@ -80,7 +74,7 @@ class ReadinessComponents:
 
     def __post_init__(self) -> None:
         for name in ("supply_chain", "erp", "cloud", "hr", "security"):
-            _check_unit_interval(name, getattr(self, name))
+            check_unit_interval(name, getattr(self, name))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.supply_chain, self.erp, self.cloud, self.hr, self.security)
@@ -98,10 +92,12 @@ class SupplierProfile:
     beta: float
 
     def __post_init__(self) -> None:
+        if not is_int(self.id):
+            raise ValidationError(f"id must be an integer, got {self.id!r}")
         check_finite("base_cost", self.base_cost)
         if self.base_cost <= 0.0:
             raise ValidationError(f"base_cost must be positive, got {self.base_cost!r}")
-        _check_unit_interval("beta", self.beta)
+        check_unit_interval("beta", self.beta)
 
     @classmethod
     def from_components(
@@ -139,16 +135,10 @@ class MarketEconomics:
         if self.price <= 0.0:
             raise ValidationError(f"price must be positive, got {self.price!r}")
         if not 0.0 <= self.salvage < self.price:
-            raise ValidationError(
-                f"salvage must lie in [0, price), got {self.salvage!r} with price {self.price!r}"
-            )
-        if self.penalty < 0.0:
-            raise ValidationError(f"penalty must be nonnegative, got {self.penalty!r}")
-        for name in ("a1", "a2"):
+            raise ValidationError(f"salvage must lie in [0, price), got {self.salvage!r} with price {self.price!r}")
+        for name in ("penalty", "a1", "a2", "a3"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        if self.a3 < 0.0:
-            raise ValidationError(f"a3 must be nonnegative, got {self.a3!r}")
         if self.nu <= 1.0:
             raise ValidationError(f"nu must exceed 1, got {self.nu!r}")
 
@@ -168,8 +158,8 @@ def unit_cost(base_cost: float, alpha: float, beta: float, a1: float, a2: float)
     Raises NegativeUnitCostError when the reductions drive the cost to zero
     or below, which would make the procurement problem unbounded.
     """
-    _check_unit_interval("alpha", alpha)
-    _check_unit_interval("beta", beta)
+    check_unit_interval("alpha", alpha)
+    check_unit_interval("beta", beta)
     cost = base_cost - a1 * alpha - a2 * beta
     if cost <= 0.0:
         raise NegativeUnitCostError(
@@ -181,13 +171,13 @@ def unit_cost(base_cost: float, alpha: float, beta: float, a1: float, a2: float)
 
 def adoption_cost(alpha: float, a3: float, nu: float) -> float:
     """Convex adoption spend a3 * alpha**nu for alpha in [0, 1]."""
-    _check_unit_interval("alpha", alpha)
+    check_unit_interval("alpha", alpha)
     return a3 * alpha**nu
 
 
 def adoption_cost_slope(alpha: float, a3: float, nu: float) -> float:
     """Marginal adoption cost a3 * nu * alpha**(nu-1); zero at alpha=0 for nu>1."""
-    _check_unit_interval("alpha", alpha)
+    check_unit_interval("alpha", alpha)
     if alpha == 0.0:
         return 0.0
     return a3 * nu * alpha ** (nu - 1.0)

@@ -1,10 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the number rules that
+every public constructor checks with, each stated once: a real number is an
+int, a float or a numpy integer or floating scalar, but never a bool.
 
 The CLI maps these onto exit codes: validation problems exit 1, runtime
 failures exit 2, I/O errors exit 3.
 """
 
 import math
+import numbers
 
 
 class ProcureKitError(Exception):
@@ -47,15 +50,39 @@ class SolverCheckError(ProcureKitError, RuntimeError):
     """A solved decision failed the solver's KKT postcondition."""
 
 
-def check_finite(name: str, value, error: type[ValidationError] = ValidationError) -> None:
-    """Raise ``error`` naming ``name`` unless the number ``value`` is finite as a float.
+def is_real(value: object) -> bool:
+    """True for a real number other than a bool."""
+    # The exact float test spares the common case the ABC check, which costs
+    # about ten times as much; every solve makes dozens of these checks.
+    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
-    NaN and inf are refused, and so is an integer beyond float range, on
-    which math.isfinite would raise a bare OverflowError.
-    """
+
+def is_int(value: object) -> bool:
+    """True for an int or a numpy integer scalar, but not a bool."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def is_finite(value: object) -> bool:
+    """True for a real number that converts to a finite float."""
     try:
-        finite = math.isfinite(value)
+        return is_real(value) and math.isfinite(value)
     except OverflowError:
-        raise error(f"{name} must be finite, got an integer beyond float range") from None
-    if not finite:
-        raise error(f"{name} must be finite, got {value!r}")
+        return False
+
+
+def check_finite(name: str, value, error: type[ValidationError] = ValidationError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a real number that
+    converts to a finite float: a non-number is refused first, then NaN, inf
+    and an integer beyond float range."""
+    if not is_finite(value):
+        if not is_real(value):
+            raise error(f"{name} must be a real number, got {value!r}")
+        shown = "an integer beyond float range" if isinstance(value, int) else repr(value)
+        raise error(f"{name} must be finite, got {shown}")
+
+
+def check_unit_interval(name: str, value) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is a real number in [0, 1]."""
+    # NaN, inf and an integer beyond float range all fail the comparison.
+    if not (is_real(value) and 0.0 <= value <= 1.0):
+        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")

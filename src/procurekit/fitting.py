@@ -27,6 +27,7 @@ from .errors import (
     FitConvergenceError,
     ProcureKitError,
     ValidationError,
+    is_finite,
 )
 
 FAMILIES = ("truncated-normal", "pareto", "negative-binomial")
@@ -126,7 +127,10 @@ def fit(
     """
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    x = np.asarray(data, dtype=float).ravel()
+    values = np.asarray(data)
+    if values.dtype.kind not in "iuf" and not all(map(is_finite, values.flat)):
+        raise ValidationError("data must be finite real numbers")
+    x = values.astype(float).ravel()
     if x.size == 0:
         raise ValidationError("data must be nonempty")
     if not np.all(np.isfinite(x)):
@@ -284,9 +288,10 @@ def _fit_truncated_normal(
         lower, upper = float(x[0]), float(x[-1])
         notes.append("support bounds defaulted to the observed data range")
     else:
-        lower, upper = (float(v) for v in fixed_bounds)
-        if not (math.isfinite(lower) and math.isfinite(upper)) or lower >= upper:
+        lower, upper = fixed_bounds
+        if not (is_finite(lower) and is_finite(upper) and lower < upper):
             raise ValidationError("fixed_bounds must be finite with lower < upper")
+        lower, upper = float(lower), float(upper)
         if x[0] < lower or x[-1] > upper:
             raise ValidationError("data fall outside the fixed support bounds")
     if x[0] == x[-1]:
@@ -299,6 +304,8 @@ def _fit_truncated_normal(
     # upper] is indistinguishable from its limit, so the constrained MLE
     # always exists even for data no normal core can match
     width = upper - lower
+    if not math.isfinite(10.0 * width):
+        raise ValidationError("the support is too wide: ten times its width overflows a float")
     mu_lo, mu_hi = lower - 10.0 * width, upper + 10.0 * width
     log_sigma_lo, log_sigma_hi = math.log(1e-6 * width), math.log(10.0 * width)
 
@@ -378,6 +385,8 @@ def _fit_pareto(x: np.ndarray) -> _Fitted:
         raise ValidationError("pareto requires strictly positive data")
     scale = float(x[0])
     log_ratio_sum = float(np.sum(np.log(x / scale)))
+    if not math.isfinite(log_ratio_sum):
+        raise DegenerateDataError("the ratio of the largest to the smallest value overflows a float")
     if log_ratio_sum == 0.0:
         raise DegenerateDataError("constant data drive the tail index to infinity")
     n = x.size
@@ -412,6 +421,8 @@ def _fit_pareto(x: np.ndarray) -> _Fitted:
 def _fit_negative_binomial(x: np.ndarray) -> _Fitted:
     from scipy.optimize import minimize_scalar
 
+    if x[-1] > 2.0**53:
+        raise ValidationError("negative-binomial requires counts up to 2**53, where floats hold every integer")
     counts = np.rint(x).astype(np.int64)
     if counts[0] < 0:
         raise ValidationError("negative-binomial requires nonnegative counts after rounding")

@@ -33,7 +33,7 @@ import numpy as np
 from .demand import TruncatedNormal, TruncatedNormalParams
 from .economics import MarketEconomics, SupplierProfile, cheapest_supplier
 from .errors import (
-    DegenerateEconomicsError, ProcureKitError, SolverCheckError, ThresholdNotFoundError, ValidationError,
+    DegenerateEconomicsError, ProcureKitError, SolverCheckError, ThresholdNotFoundError, ValidationError, is_real,
 )
 from .profit import (
     Decision, ProfitBreakdown, _check_decision, expected_profit_closed_form, expected_profit_value,
@@ -453,7 +453,7 @@ def adoption_threshold(
     ThresholdNotFoundError when the result lies above a3_high, or when none
     of those values reports zero.
     """
-    if not 0.0 < a3_low < a3_high:
+    if not (is_real(a3_low) and is_real(a3_high) and 0.0 < a3_low < a3_high):
         raise ValidationError(f"need 0 < a3_low < a3_high, got [{a3_low!r}, {a3_high!r}]")
     cutoff = _GRID_STEP / 2.0
     q_cutoff = optimal_quantity_given_alpha(market, suppliers, demand, cutoff).total

@@ -20,7 +20,7 @@ import numpy as np
 
 from .demand import _GL_NODES, _GL_WEIGHTS, TruncatedNormal, _norm_pdf
 from .economics import MarketEconomics, SupplierProfile
-from .errors import ValidationError
+from .errors import DegenerateEconomicsError, ValidationError, check_unit_interval, is_finite
 
 __all__ = [
     "Decision",
@@ -43,12 +43,11 @@ class Decision:
     quantities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and 0.0 <= self.alpha <= 1.0):
-            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        check_unit_interval("alpha", self.alpha)
         if not self.quantities:
             raise ValidationError("decision needs at least one order quantity")
         for i, q in enumerate(self.quantities):
-            if not (math.isfinite(q) and q >= 0.0):
+            if not (is_finite(q) and q >= 0.0):
                 raise ValidationError(f"quantities[{i}] must be nonnegative, got {q!r}")
 
     @property
@@ -61,7 +60,8 @@ class ProfitBreakdown:
     """Expected profit and its components, all in USD per cycle.
 
     expected_profit always equals expected_revenue + expected_salvage
-    - expected_penalty - procurement_cost - adoption_cost, exactly as floats.
+    - expected_penalty - procurement_cost - adoption_cost, exactly as floats,
+    and is finite, as are penalty_rate and std_error.
     std_error is zero for closed-form evaluations. Fill metrics are NaN when
     the demand support touches zero (fill = served/demand is undefined there).
     """
@@ -76,6 +76,10 @@ class ProfitBreakdown:
     penalty_rate: float
     fill_rate_cvar10: float
     std_error: float
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.expected_profit, self.penalty_rate, self.std_error))):
+            raise DegenerateEconomicsError(f"the money terms overflow a float: {self!r}")
 
 
 @dataclass(frozen=True)

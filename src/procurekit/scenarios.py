@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -31,10 +30,8 @@ from .baseline import (
 from .demand import TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
 from .errors import (
-    ProcureKitError,
-    RankDeficientDesignError,
-    ValidationError,
-    check_finite,
+    ProcureKitError, RankDeficientDesignError, ValidationError, check_finite, check_unit_interval, is_finite, is_int,
+    is_real,
 )
 from .optimizer import _checked_kkt, _solve_batch, optimal_quantity_given_alpha
 from .profit import Decision, ProfitBreakdown, breakdown_from_draws, expected_profit_monte_carlo
@@ -46,14 +43,6 @@ _NS_CELL_MC = 0
 _NS_DESIGN = 1
 _NS_DYNAMIC = 2
 _NS_BUILD = 3
-
-
-def _is_real(value: object) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -74,30 +63,21 @@ class DynamicSpec:
     alpha_initial: float
 
     def __post_init__(self) -> None:
-        if not _is_int(self.cycles) or self.cycles < 1:
+        if not is_int(self.cycles) or self.cycles < 1:
             raise ValidationError(f"cycles must be a positive integer, got {self.cycles!r}")
         # NaN passes every ordered comparison below, so finiteness comes first.
-        for name in ("a3_initial", "a3_decline", "learning_rate", "target_penalty", "alpha_initial"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
-            check_finite(name, value)
+        for name in ("cycles", "a3_initial", "a3_decline", "learning_rate", "target_penalty", "alpha_initial"):
+            check_finite(name, getattr(self, name))
         final_a3 = self.a3_at(self.cycles)
         if self.a3_initial <= 0.0 or final_a3 <= 0.0:
             raise ValidationError(
                 "adoption cost scale must stay positive over the horizon; "
                 f"cycle {self.cycles} would reach {final_a3}"
             )
-        if self.learning_rate <= 0.0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.target_penalty <= 0.0:
-            raise ValidationError(
-                f"target_penalty must be positive, got {self.target_penalty}"
-            )
-        if not 0.0 <= self.alpha_initial <= 1.0:
-            raise ValidationError(
-                f"alpha_initial must lie in [0, 1], got {self.alpha_initial}"
-            )
+        for name in ("learning_rate", "target_penalty"):
+            if getattr(self, name) <= 0.0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
+        check_unit_interval("alpha_initial", self.alpha_initial)
 
     def a3_at(self, cycle: int) -> float:
         """Adoption cost scale in the given 1-indexed cycle."""
@@ -132,7 +112,7 @@ class ScenarioSpec:
         if self.sampler not in SAMPLERS:
             raise ValidationError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
         for name in ("replications", "lhs_samples", "seed"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.replications < 2:
             raise ValidationError(f"replications must be at least 2, got {self.replications}")
@@ -157,7 +137,8 @@ class ScenarioSpec:
                     f"latin-hypercube sampler requires lhs_samples >= 2, got {self.lhs_samples}"
                 )
             for path, values in self.axes:
-                if len(values) != 2 or not values[0] < values[1] or not math.isfinite(values[1] - values[0]):
+                if not (len(values) == 2 and all(map(is_finite, values)) and values[0] < values[1]
+                        and is_finite(values[1] - values[0])):
                     raise ValidationError(
                         f"latin-hypercube axis {path!r} needs a finite (low, high) range of finite width, "
                         f"got {values!r}"
@@ -209,7 +190,7 @@ def _validate_axis(path: str, values: tuple, sampler: str) -> None:
     if len(values) == 0:
         raise ValidationError(f"axis {path!r} has no values")
     if scope != "suppliers":
-        if not all(_is_real(v) for v in values):
+        if not all(map(is_real, values)):
             raise ValidationError(f"axis {path!r} values must be real numbers, got {values!r}")
         return
     if sampler == "latin-hypercube":
@@ -217,18 +198,8 @@ def _validate_axis(path: str, values: tuple, sampler: str) -> None:
             f"latin-hypercube cannot sample {path!r}; sweep its (low, high) pairs on a grid"
         )
     for value in values:
-        if isinstance(value, str) or not (
-            isinstance(value, Sequence) and len(value) == 2 and all(_is_real(v) for v in value)
-        ):
+        if not (isinstance(value, Sequence) and len(value) == 2 and all(map(is_real, value))):
             raise ValidationError(f"axis {path!r} values must be (low, high) pairs, got {value!r}")
-
-
-def _as_float(value: float) -> float:
-    """float(value), but an integer beyond float range as it is, for its model to refuse by name."""
-    try:
-        return float(value)
-    except OverflowError:
-        return value
 
 
 def _build_cell(
@@ -239,18 +210,20 @@ def _build_cell(
     All of the cell's coordinates are collected first, so each model is
     validated once, in its final state, and the order of the axes never
     decides whether a cell builds; a model that no coordinate touches is
-    the spec's own object. A cell that breaks more than one model reports
-    the first error in this order: its ``beta_range``, then the market, then
-    the demand; within a model, the model's own checks set the order.
+    the spec's own object. Axis values reach the models as given, so a
+    model's own checks name a value that is no number or exceeds float
+    range. A cell that breaks more than one model reports the first error in
+    this order: its ``beta_range``, then the market, then the demand; within
+    a model, the model's own checks set the order.
     """
     changes = {scope: {} for scope in _AXIS_FIELDS}
     for path, value in coords:
         scope, _, field = path.partition(".")
-        changes[scope][field] = value if scope == "suppliers" else _as_float(value)
+        changes[scope][field] = value
     suppliers = spec.suppliers
     pair = changes["suppliers"].get("beta_range")
     if pair is not None:
-        lo, hi = (float(v) for v in pair)
+        lo, hi = pair
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValidationError(f"beta_range must satisfy 0 <= low <= high <= 1, got {pair!r}")
         # The cell's supplier stream is made only here, where it is drawn.
@@ -282,11 +255,10 @@ def _measured(decision: Decision, breakdown: ProfitBreakdown, **extra: float) ->
 def _cell_coordinates(spec: ScenarioSpec) -> list[tuple[tuple[str, object], ...]]:
     paths = [path for path, _ in spec.axes]
     if spec.sampler == "latin-hypercube":
-        ranges = [(float(values[0]), float(values[1])) for _, values in spec.axes]
         design_rng = np.random.default_rng(
             np.random.SeedSequence(spec.seed, spawn_key=(_NS_DESIGN, 0))
         )
-        rows = latin_hypercube(ranges, spec.lhs_samples, design_rng).tolist()
+        rows = latin_hypercube([values for _, values in spec.axes], spec.lhs_samples, design_rng).tolist()
     else:
         rows = itertools.product(*(values for _, values in spec.axes))
     return [tuple(zip(paths, row)) for row in rows]
@@ -302,8 +274,8 @@ def run(spec: ScenarioSpec, jobs: int = 1) -> list[ScenarioResult]:
     a failed row. ``jobs`` is validated for compatibility but does
     not change how, or where, the cells are computed.
     """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    if not is_int(jobs) or jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs!r}")
     if spec.dynamic is not None:
         return run_dynamic(spec)
     coordinates = _cell_coordinates(spec)
@@ -379,14 +351,16 @@ def latin_hypercube(
     Returns an (n, len(ranges)) array. Strata are permuted independently per
     dimension, with a uniform draw inside each stratum.
     """
-    if n < 2:
-        raise ValidationError(f"latin hypercube needs n >= 2, got {n}")
+    if not is_int(n) or n < 2:
+        raise ValidationError(f"latin hypercube needs n >= 2, got {n!r}")
+    check_finite("n", n)
     if not ranges:
         raise ValidationError("latin hypercube needs at least one dimension")
     design = np.empty((n, len(ranges)))
     for j, (lo, hi) in enumerate(ranges):
-        lo, hi = float(lo), float(hi)
-        if not (lo < hi and math.isfinite(hi - lo)):
+        # An end that converts to no finite float stays as given, for the message.
+        lo, hi = (float(v) if is_finite(v) else v for v in (lo, hi))
+        if not (is_finite(lo) and is_finite(hi) and lo < hi and math.isfinite(hi - lo)):
             raise ValidationError(f"dimension {j} needs finite low < high with a finite width, got ({lo}, {hi})")
         strata = rng.permutation(n)
         offsets = rng.random(n)

@@ -9,9 +9,10 @@ analytic code paths against slow routes that share no formulas with them.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import statistics
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,9 +78,28 @@ def bisect_adoption_threshold(market, suppliers, demand, a3_low: float, a3_high:
 
 REFERENCE_DIGITS = 40
 
+# adoption_threshold's cutoff: alpha* below it displays as 0.00.
+THRESHOLD_CUTOFF = 0.005
+
+
+class Reference(NamedTuple):
+    """The optimum of one problem to REFERENCE_DIGITS digits, as mpmath numbers."""
+
+    alpha: object
+    q: object
+    profit: object
+    threshold: object
+
 
 def reference_solve(market, suppliers, demand) -> tuple:
-    """alpha* and Q*(alpha*) to REFERENCE_DIGITS digits, as mpmath numbers.
+    """alpha* and Q*(alpha*) of reference_optimum."""
+    return reference_optimum(market, suppliers, demand)[:2]
+
+
+@functools.cache
+def reference_optimum(market, suppliers, demand) -> Reference:
+    """alpha*, Q*(alpha*), the expected profit there and the adoption
+    threshold a3*, to REFERENCE_DIGITS digits.
 
     Q*(alpha) is the demand quantile at the critical fractile of the cheapest
     supplier, found by Newton's method on mpmath's normal CDF (on the upper
@@ -87,6 +107,11 @@ def reference_solve(market, suppliers, demand) -> tuple:
     g(alpha) = a1 * Q*(alpha) - a3 * nu * alpha**(nu - 1) on [0, 1], found by
     a bracketing solve in t = alpha**(nu - 1), or 1 when g(1) >= 0. Assumes
     Q*(0) > 0 and a single sign change of g, as in a concave problem.
+
+    The expected profit takes the shortfall mean by mpmath.quad against the
+    truncated density, and the sales and leftover means from it and the
+    closed-form mean. The threshold a3* = a1 * Q*(c) / (nu * c**(nu - 1)) at
+    c = THRESHOLD_CUTOFF is the a3 at which the slope vanishes at c.
     """
     import mpmath
 
@@ -125,7 +150,26 @@ def reference_solve(market, suppliers, demand) -> tuple:
         else:
             t = mpmath.findroot(slope_in_t, (mpf(0), mpf(1)), solver="anderson")
             alpha = t ** (1 / (nu - 1))
-        return alpha, quantity(alpha)
+        q = quantity(alpha)
+
+        lower, upper = mpf(demand.lower), mpf(demand.upper)
+        mass = sign * (cdf_upper - cdf_lower)
+
+        def density(x):
+            return mpmath.npdf(x, mu, sigma) / mass
+
+        # The textbook mean loses no digit that matters at this precision.
+        mean = mu + sigma * (mpmath.npdf((lower - mu) / sigma) - mpmath.npdf((upper - mu) / sigma)) / mass
+        shortfall = mpmath.quad(lambda x: (x - q) * density(x), [q, upper])
+        sales = mean - shortfall
+        cost = cost_at_zero - a1 * alpha
+        profit = (
+            mpf(market.price) * sales + mpf(market.salvage) * (q - sales) - mpf(market.penalty) * shortfall
+            - cost * q - a3 * alpha**nu
+        )
+        cutoff = mpf(THRESHOLD_CUTOFF)
+        threshold = a1 * quantity(cutoff) / (nu * cutoff ** (nu - 1))
+        return Reference(alpha, q, profit, threshold)
 
 
 def breakdown_by_numpy_reductions(market, suppliers, demand, decision, draws: np.ndarray) -> ProfitBreakdown:

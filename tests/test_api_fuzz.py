@@ -1,0 +1,263 @@
+"""Property test: every Python API call ends in a checked answer or a ProcureKitError.
+
+Each example draws plausible model fields as Python floats and ints and as
+numpy float64, float32 and int64 scalars, then replaces up to two of them
+with junk: NaN, infinities, integers beyond float range, bools (Python and
+numpy), -0.0, subnormals, None and strings. The public constructors and
+optimize, adoption_threshold, run, run_dynamic, fit, TruncatedNormal.sample
+and latin_hypercube either return a result that passes its own checks (the
+KKT audit closes, rows are ok with finite metrics or failed with NaN ones),
+or raise a ProcureKitError subclass: never a bare TypeError, ValueError or
+OverflowError. Sizes stay small: at most 2 axis values, 20 replications and
+3 cycles.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from procurekit import errors, optimizer
+from procurekit.demand import TruncatedNormal
+from procurekit.economics import MarketEconomics, SupplierProfile
+from procurekit.errors import ProcureKitError
+from procurekit.fitting import FAMILIES, fit
+from procurekit.optimizer import adoption_threshold, optimize
+from procurekit.scenarios import DynamicSpec, ScenarioResult, ScenarioSpec, latin_hypercube, run, run_dynamic
+
+JUNK = st.one_of(
+    st.sampled_from(
+        [
+            math.nan, math.inf, -math.inf, 10**400, -(10**400), True, False, np.bool_(True),
+            np.float64(math.nan), np.float32(math.inf), -0.0, 5e-324, 1e308, -1e308, None,
+        ]
+    ),
+    st.text(max_size=3),
+    st.floats(),
+)
+
+# float twice, so that most plausible values are Python floats.
+KINDS = (float, float, np.float64, np.float32, int, np.int64)
+
+MARKET = dict(
+    price=(100.0, 200.0), salvage=(0.0, 40.0), penalty=(0.0, 80.0),
+    a1=(0.0, 10.0), a2=(0.0, 12.0), a3=(0.0, 5000.0), nu=(0.9, 3.0),
+)
+DEMAND = dict(mu=(20.0, 80.0), sigma=(0.5, 20.0), lower=(-5.0, 40.0), upper=(60.0, 100.0))
+SUPPLIER = dict(id=(1.0, 3.0), base_cost=(80.0, 120.0), beta=(0.0, 1.0))
+DYNAMIC = dict(
+    cycles=(1.0, 3.0), a3_initial=(500.0, 5000.0), a3_decline=(0.0, 500.0),
+    learning_rate=(0.01, 0.2), target_penalty=(0.01, 0.2), alpha_initial=(0.0, 1.0),
+)
+AXIS_PATHS = {"market.a3": MARKET["a3"], "market.nu": MARKET["nu"], "demand.sigma": DEMAND["sigma"]}
+SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def number(draw, low: float, high: float):
+    """A plausible value of one of KINDS, or (one time in eight) junk."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(JUNK)
+    return draw(st.sampled_from(KINDS))(draw(st.floats(low, high)))
+
+
+@st.composite
+def fields(draw, ranges: dict) -> dict:
+    """Plausible values for every field, with up to two replaced by junk."""
+    values = {name: draw(st.sampled_from(KINDS))(draw(st.floats(*bounds))) for name, bounds in ranges.items()}
+    for name in draw(st.lists(st.sampled_from(list(ranges)), max_size=2, unique=True)):
+        values[name] = draw(JUNK)
+    return values
+
+
+def built(cls, values: dict):
+    """cls(**values), or None when it raises a ProcureKitError; any other error fails the test."""
+    try:
+        return cls(**values)
+    except ProcureKitError:
+        return None
+
+
+@st.composite
+def models(draw):
+    """A (market, suppliers, demand) triple; None where a constructor refused its fields."""
+    market = built(MarketEconomics, draw(fields(MARKET)))
+    suppliers = tuple(built(SupplierProfile, draw(fields(SUPPLIER))) for _ in range(draw(st.integers(1, 3))))
+    demand = built(TruncatedNormal, draw(fields(DEMAND)))
+    return market, suppliers, demand
+
+
+def valid(model) -> bool:
+    market, suppliers, demand = model
+    return market is not None and demand is not None and None not in suppliers
+
+
+def check_optimum(opt, market, demand) -> None:
+    decision = opt.decision
+    assert 0.0 <= decision.alpha <= 1.0
+    assert all(math.isfinite(q) and q >= 0.0 for q in decision.quantities)
+    scale = max(market.price + market.penalty, market.a1 * decision.total)
+    assert opt.kkt.max_residual <= optimizer._KKT_TOLERANCE * scale
+    b = opt.breakdown
+    assert math.isfinite(b.expected_profit)
+    assert b.expected_profit == (
+        b.expected_revenue + b.expected_salvage - b.expected_penalty - b.procurement_cost - b.adoption_cost
+    )
+    assert math.isfinite(b.fill_rate_mean) or demand.lower <= 0.0
+
+
+METRICS = [f.name for f in dataclasses.fields(ScenarioResult)][3:-1]
+ERROR_NAMES = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, ProcureKitError)}
+
+
+def check_rows(rows, spec: ScenarioSpec, audited: bool) -> None:
+    for row in rows:
+        values = {name: getattr(row, name) for name in METRICS}
+        if row.status != "ok":
+            assert row.status.split(":")[0] in ERROR_NAMES, row.status
+            assert all(math.isnan(v) for v in values.values()), row
+            continue
+        lower = dict(row.coordinates).get("demand.lower", spec.demand.lower)
+        for name, value in values.items():
+            expected_nan = (name == "fill_rate" and lower <= 0.0) or (name == "kkt_max_residual" and not audited)
+            assert math.isnan(value) if expected_nan else math.isfinite(value), (name, row)
+        assert 0.0 <= row.alpha_star <= 1.0
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(model=models())
+def test_optimize_ends_checked_or_in_a_package_error(model):
+    if not valid(model):
+        return
+    market, suppliers, demand = model
+    try:
+        opt = optimize(market, suppliers, demand)
+    except ProcureKitError:
+        return
+    check_optimum(opt, market, demand)
+
+
+@settings(max_examples=15, **SETTINGS)
+@given(model=models(), low=number(1.0, 100.0), high=number(1e5, 1e6))
+def test_adoption_threshold_ends_in_range_or_in_a_package_error(model, low, high):
+    if not valid(model):
+        return
+    try:
+        a3 = adoption_threshold(*model, low, high)
+    except ProcureKitError:
+        return
+    assert low <= a3 <= high
+
+
+@st.composite
+def specs(draw):
+    """ScenarioSpec fields: a grid or Latin hypercube over one or two axes of junk-prone numbers."""
+    paths = draw(st.lists(st.sampled_from(list(AXIS_PATHS)), min_size=1, max_size=2, unique=True))
+    latin = draw(st.booleans())
+    size = 2 if latin else draw(st.integers(1, 2))
+    axes = tuple((path, tuple(draw(number(*AXIS_PATHS[path])) for _ in range(size))) for path in paths)
+    extra = dict(sampler="latin-hypercube", lhs_samples=draw(number(2.0, 4.0))) if latin else {}
+    return dict(axes=axes, replications=draw(number(2.0, 20.0)), seed=draw(number(0.0, 9.0)), **extra)
+
+
+@settings(max_examples=25, **SETTINGS)
+@given(model=models(), settings_=specs(), jobs=number(1.0, 2.0))
+def test_run_rows_are_checked_or_the_call_fails_in_a_package_error(model, settings_, jobs):
+    if not valid(model):
+        return
+    market, suppliers, demand = model
+    try:
+        spec = ScenarioSpec(id="fuzz", market=market, suppliers=suppliers, demand=demand, **settings_)
+        rows = run(spec, jobs=jobs)
+    except ProcureKitError:
+        return
+    check_rows(rows, spec, audited=True)
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(model=models(), dynamic=fields(DYNAMIC), replications=number(2.0, 20.0))
+def test_run_dynamic_rows_are_checked_or_the_call_fails_in_a_package_error(model, dynamic, replications):
+    if not valid(model):
+        return
+    market, suppliers, demand = model
+    try:
+        spec = ScenarioSpec(
+            id="fuzz", market=market, suppliers=suppliers, demand=demand,
+            replications=replications, dynamic=DynamicSpec(**dynamic),
+        )
+        rows = run_dynamic(spec)
+    except ProcureKitError:
+        return
+    assert len(rows) == spec.dynamic.cycles
+    check_rows(rows, spec, audited=False)
+
+
+@settings(max_examples=15, **SETTINGS)
+@given(
+    family=st.sampled_from(FAMILIES),
+    data=st.lists(number(1.0, 60.0), max_size=12),
+    bounds=st.none() | st.tuples(number(0.0, 1.0), number(60.0, 100.0)),
+)
+def test_fit_reports_finite_metrics_or_fails_in_a_package_error(family, data, bounds):
+    try:
+        report = fit(family, data, bounds)
+    except ProcureKitError:
+        return
+    assert all(math.isfinite(p) for p in report.params)
+    assert math.isfinite(report.log_likelihood) and 0.0 <= report.ks_statistic <= 1.0
+    assert report.sample_size == len(data)
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(fields_=fields(DEMAND), n=number(0.0, 20.0), seed=st.integers(0, 3))
+def test_sample_draws_inside_the_window_or_fails_in_a_package_error(fields_, n, seed):
+    try:
+        demand = TruncatedNormal(**fields_)
+        draws = demand.sample(np.random.default_rng(seed), n)
+    except ProcureKitError:
+        return
+    assert draws.shape == (n,)
+    assert np.all((draws >= demand.lower) & (draws <= demand.upper))
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(
+    ranges=st.lists(st.tuples(number(-10.0, 0.0), number(0.0, 10.0)), min_size=1, max_size=2),
+    n=number(0.0, 6.0),
+)
+def test_latin_hypercube_stays_in_its_ranges_or_fails_in_a_package_error(ranges, n):
+    try:
+        design = latin_hypercube(ranges, n, np.random.default_rng(0))
+    except ProcureKitError:
+        return
+    assert design.shape == (n, len(ranges))
+    for column, (lo, hi) in zip(design.T, ranges):
+        assert np.all((column >= float(lo)) & (column <= float(hi)))
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: TruncatedNormal("50", 8.0, 30.0, 70.0), "mu"),
+        (lambda: TruncatedNormal(50.0, True, 30.0, 70.0), "sigma"),
+        (lambda: MarketEconomics(price=True, salvage=20.0, penalty=40.0, a1=5.0, a2=8.0, a3=2000.0, nu=1.5), "price"),
+        (lambda: SupplierProfile(id="a", base_cost=100.0, beta=0.2), "id"),
+        (lambda: SupplierProfile(id=1, base_cost=100.0, beta=np.bool_(True)), "beta"),
+        (
+            lambda: DynamicSpec(
+                cycles=np.int64(2), a3_initial=3000.0, a3_decline=200.0,
+                learning_rate=0.05, target_penalty=0.05, alpha_initial="0.2",
+            ),
+            "alpha_initial",
+        ),
+    ],
+    ids=["string", "bool", "bool-price", "string-id", "numpy-bool", "string-alpha-initial"],
+)
+def test_constructors_refuse_non_numbers_by_field(call, field):
+    with pytest.raises(ProcureKitError, match=f"^{field} must"):
+        call()

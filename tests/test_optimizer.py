@@ -381,6 +381,22 @@ class TestSolveBatch:
         assert len(checked) == len(cells)
         assert [batch for batch, _ in checked] == [scalar for _, scalar in checked]
 
+    def test_decide_keeps_the_root(self, monkeypatch):
+        # The tie-break never picks the grid point on these cells: _decide
+        # does not change the answer, and a certified solve may drop it.
+        kept = []
+        decide = optimizer._decide
+
+        def recording(market, suppliers, demand, at_grid, grid_profit, at_root):
+            chosen = decide(market, suppliers, demand, at_grid, grid_profit, at_root)
+            kept.append(chosen is at_root)
+            return chosen
+
+        monkeypatch.setattr(optimizer, "_decide", recording)
+        cells = perfbench_solve_problems(7) + preset_cells("s9", 1.5)
+        _solve_batch(cells)
+        assert len(kept) == len(cells) and all(kept)
+
 
 def count_steps(monkeypatch) -> list:
     """Patch _Envelope.step to record the open cells of each lock-step fixed-point step."""
