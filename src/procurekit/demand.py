@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import InvalidDistributionError, ValidationError, check_finite, is_int
+from .errors import InvalidDistributionError, ValidationError, check_finite, is_int, store_floats
 
 __all__ = ["TruncatedNormal", "TruncatedNormalParams"]
 
@@ -30,16 +30,25 @@ _MIN_MASS = 1e-12
 
 
 def _norm_pdf(z):
-    return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
+    # A float z gives a Python float, here and in _norm_cdf, so float paths stay in Python arithmetic.
+    density = np.exp(-0.5 * (z * z)) / _SQRT_2PI
+    return float(density) if isinstance(z, float) else density
 
 
 def _norm_cdf(z):
     # Complementary error function keeps the lower tail accurate.
-    return 0.5 * special.erfc(-z / math.sqrt(2.0))
+    tail = special.erfc(-z / math.sqrt(2.0))
+    return 0.5 * (float(tail) if isinstance(z, float) else tail)
 
 
-def _norm_quantile(p):
-    return special.ndtri(p)
+def _maximum(a: float, b: float) -> float:
+    """np.maximum(a, b) on Python floats: the first NaN wins, and a tie returns b."""
+    return a if a > b or a != a else b
+
+
+def _minimum(a: float, b: float) -> float:
+    """np.minimum(a, b) on Python floats: the first NaN wins, and a tie returns b."""
+    return a if a < b or a != a else b
 
 
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
@@ -61,14 +70,16 @@ _GL_NODES, _GL_WEIGHTS = _gauss_legendre()
 
 
 class TruncatedNormalParams(NamedTuple):
-    """Derived parameters of one truncated normal, or of many at once.
+    """Derived parameters of one truncated normal, or of many at once, and
+    the one statement of its density, CDF, quantile and expected excess.
 
     Each field is a float for one distribution, or a (cells, 1) column for
-    many side by side, which ``quantile`` and ``expected_excess`` broadcast
-    against (cells, points) arrays. These are the unchecked cores of the
-    TruncatedNormal methods of the same names: callers check arguments once,
-    at their boundary. Every operation is elementwise, so a cell's values do
-    not depend on which other cells share its batch.
+    many side by side. The methods take an array of at least one dimension,
+    which broadcasts against the fields, or, with float fields, a float,
+    which gives a float with the bits of that value in an array. These are
+    the unchecked cores of the TruncatedNormal methods of the same names,
+    which check arguments. Every operation is elementwise, so a cell's values
+    do not depend on its batch.
 
     sign is -1 for an interval right of mu, else 1; cdf_lower and cdf_upper
     are Phi(sign * a) and Phi(sign * b) at the standardized bounds, i.e. upper
@@ -86,27 +97,54 @@ class TruncatedNormalParams(NamedTuple):
     mean: object
     sign: object
 
+    def density(self, x):
+        """The density at x inside [lower, upper]; x outside is the caller's to mask."""
+        return _norm_pdf((x - self.mu) / self.sigma) / (self.sigma * self.mass)
+
+    def cdf(self, x):
+        """P(D <= x)."""
+        scalar = isinstance(x, float)
+        if scalar and (x <= self.lower or x >= self.upper):
+            return 0.0 if x <= self.lower else 1.0
+        maximum, minimum = (_maximum, _minimum) if scalar else (np.maximum, np.minimum)
+        raw = self.sign * (_norm_cdf(self.sign * ((x - self.mu) / self.sigma)) - self.cdf_lower) / self.mass
+        # np.clip(raw, 0.0, 1.0); with the zero first, maximum keeps a -0.0 as np.clip does.
+        clipped = minimum(maximum(0.0, raw), 1.0)
+        return clipped if scalar else np.where(x <= self.lower, 0.0, np.where(x >= self.upper, 1.0, clipped))
+
     def quantile(self, u):
-        """Inverse CDF at u, assumed to lie in [0, 1]; an array, 0-d for scalars."""
+        """Inverse CDF at u, assumed to lie in [0, 1]."""
+        scalar = isinstance(u, float)
+        if scalar and (u == 0.0 or u == 1.0):
+            return self.lower if u == 0.0 else self.upper
+        maximum, minimum = (_maximum, _minimum) if scalar else (np.maximum, np.minimum)
         p = self.cdf_lower + u * (self.sign * self.mass)
-        x = self.mu + (self.sign * self.sigma) * _norm_quantile(np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16))
-        # The clamped x is a fresh array of the broadcast shape (made 0-d
-        # from a scalar), so the bounds are pinned in place.
-        x = np.asarray(np.minimum(np.maximum(x, self.lower), self.upper))
+        x = self.mu + (self.sign * self.sigma) * special.ndtri(minimum(maximum(p, 1e-300), 1.0 - 1e-16))
+        x = minimum(maximum(x, self.lower), self.upper)
+        if scalar:
+            return float(x)
+        # The clamped x is a fresh array of the broadcast shape, so the bounds are pinned in place.
         np.copyto(x, self.lower, where=u == 0.0)
         np.copyto(x, self.upper, where=u == 1.0)
         return x
 
     def expected_excess(self, q):
         """E[(D - q)^+] at supply level q."""
+        scalar = isinstance(q, float)
+        if scalar and (q >= self.upper or q <= self.lower):
+            return 0.0 if q >= self.upper else self.mean - q
         t = (q - self.mu) / self.sigma
         tail = self.sign * (self.cdf_upper - _norm_cdf(self.sign * t))
         inside = ((self.mu - q) * tail + self.sigma * (_norm_pdf(t) - self.pdf_upper)) / self.mass
-        return np.where(q >= self.upper, 0.0, np.where(q <= self.lower, self.mean - q, inside))
+        return inside if scalar else np.where(q >= self.upper, 0.0, np.where(q <= self.lower, self.mean - q, inside))
 
 
-def _float_or_array(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
+def _argument(x):
+    """x as a Python float, or as a float array of at least one dimension."""
+    if type(x) is float:
+        return x
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -135,8 +173,10 @@ class TruncatedNormal:
     upper: float
 
     def __post_init__(self) -> None:
-        for name in ("mu", "sigma", "lower", "upper"):
+        names = ("mu", "sigma", "lower", "upper")
+        for name in names:
             check_finite(name, getattr(self, name), InvalidDistributionError)
+        store_floats(self, names)
         if self.sigma <= 0.0:
             raise InvalidDistributionError(f"sigma must be positive, got {self.sigma}")
         if not self.lower < self.upper:
@@ -146,14 +186,14 @@ class TruncatedNormal:
         a = (self.lower - self.mu) / self.sigma
         b = (self.upper - self.mu) / self.sigma
         sign = -1.0 if self.lower > self.mu else 1.0
-        cdf_lower, cdf_upper = float(_norm_cdf(sign * a)), float(_norm_cdf(sign * b))
+        cdf_lower, cdf_upper = _norm_cdf(sign * a), _norm_cdf(sign * b)
         mass = sign * (cdf_upper - cdf_lower)
         if mass < _MIN_MASS:
             raise InvalidDistributionError(
                 f"truncation interval [{self.lower}, {self.upper}] captures "
                 f"{mass:.3e} of the parent normal; refusing to normalize"
             )
-        pdf_lower, pdf_upper = float(_norm_pdf(a)), float(_norm_pdf(b))
+        pdf_lower, pdf_upper = _norm_pdf(a), _norm_pdf(b)
         mean = self.mu + self.sigma * (pdf_lower - pdf_upper) / mass
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_b", b)
@@ -169,67 +209,34 @@ class TruncatedNormal:
 
     def pdf(self, x):
         """Density at x (scalar or array). Zero outside the bounds."""
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        inside = (x >= self.lower) & (x <= self.upper)
-        return _float_or_array(np.where(inside, _norm_pdf(z) / (self.sigma * self.params.mass), 0.0))
+        x = _argument(x)
+        if isinstance(x, float):
+            return self.params.density(x) if self.lower <= x <= self.upper else 0.0
+        return np.where((x >= self.lower) & (x <= self.upper), self.params.density(x), 0.0)
 
     def cdf(self, x):
-        """P(D <= x) for scalar or array x.
-
-        A float x stays a Python float through the same erfc call and the same
-        operations as an array element, so both give the same bits.
-        """
-        sign, cdf_lower, mass = self.params.sign, self.params.cdf_lower, self.params.mass
-        if isinstance(x, float):
-            if x <= self.lower:
-                return 0.0
-            if x >= self.upper:
-                return 1.0
-            raw = sign * (_norm_cdf(sign * ((x - self.mu) / self.sigma)) - cdf_lower) / mass
-            # np.minimum(np.maximum(0.0, raw), 1.0): both return raw on a tie or a NaN.
-            return float(1.0 if raw > 1.0 else 0.0 if raw < 0.0 else raw)
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        raw = sign * (_norm_cdf(sign * z) - cdf_lower) / mass
-        # np.clip(raw, 0.0, 1.0) without its Python wrapper; with the zero
-        # first, np.maximum keeps a -0.0 as np.clip does.
-        clipped = np.minimum(np.maximum(0.0, raw), 1.0)
-        return _float_or_array(np.where(x <= self.lower, 0.0, np.where(x >= self.upper, 1.0, clipped)))
+        """P(D <= x) for scalar or array x; a float for a scalar."""
+        return self.params.cdf(_argument(x))
 
     def quantile(self, u):
-        """Inverse CDF at u in [0, 1] (scalar or array).
-
-        A float u stays a Python float through the same ndtri call and the
-        same operations as TruncatedNormalParams.quantile, so both give the
-        same bits. Raises ValidationError if any u falls outside [0, 1].
-        """
-        if isinstance(u, float):
-            if not 0.0 <= u <= 1.0:
-                raise ValidationError("quantile argument must lie in [0, 1]")
-            if u == 0.0:
-                return float(self.lower)
-            if u == 1.0:
-                return float(self.upper)
-            params = self.params
-            p = params.cdf_lower + u * (params.sign * params.mass)
-            # np.maximum and np.minimum return their second argument on a tie.
-            p = p if p > 1e-300 else 1e-300
-            x = params.mu + (params.sign * params.sigma) * _norm_quantile(p if p < 1.0 - 1e-16 else 1.0 - 1e-16)
-            x = x if x > params.lower else params.lower
-            return float(x if x < params.upper else params.upper)
-        u = np.asarray(u, dtype=float)
-        if not np.all((u >= 0.0) & (u <= 1.0)):
+        """Inverse CDF at u in [0, 1] (scalar or array); a float for a scalar.
+        Raises ValidationError if any u falls outside [0, 1]."""
+        u = _argument(u)
+        if not (0.0 <= u <= 1.0 if isinstance(u, float) else np.all((u >= 0.0) & (u <= 1.0))):
             raise ValidationError("quantile argument must lie in [0, 1]")
-        return _float_or_array(self.params.quantile(u))
+        return self.params.quantile(u)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n samples by inverse-CDF transform of rng.random(n)."""
         if not is_int(n) or n < 0:
             raise ValidationError(f"sample size must be nonnegative, got {n!r}")
         check_finite("sample size", n)
+        try:
+            uniforms = rng.random(n)
+        except (ValueError, MemoryError) as exc:
+            raise ValidationError(f"sample size {n} is too large to allocate") from exc
         # rng.random lies in [0, 1) by contract, so quantile's range check is skipped
-        return self.params.quantile(rng.random(n)) if n else np.empty(0)
+        return self.params.quantile(uniforms)
 
     # -- moments and partial expectations -------------------------------------
 
@@ -269,23 +276,9 @@ class TruncatedNormal:
         return math.sqrt(self.variance)
 
     def expected_excess(self, q):
-        """E[(D - q)^+], the expected demand above a supply level q (scalar or array).
-
-        A float q stays a Python float through the same erfc and exp calls and
-        the same operations as TruncatedNormalParams.expected_excess, so both
-        give the same bits.
-        """
-        if isinstance(q, float):
-            params = self.params
-            if q >= params.upper:
-                return 0.0
-            if q <= params.lower:
-                return float(params.mean - q)
-            t = (q - params.mu) / params.sigma
-            tail = params.sign * (params.cdf_upper - _norm_cdf(params.sign * t))
-            inside = (params.mu - q) * tail + params.sigma * (_norm_pdf(t) - params.pdf_upper)
-            return float(inside / params.mass)
-        return _float_or_array(self.params.expected_excess(np.asarray(q, dtype=float)))
+        """E[(D - q)^+], the expected demand above a supply level q (scalar or
+        array); a float for a scalar."""
+        return self.params.expected_excess(_argument(q))
 
     def expected_min(self, q: float) -> float:
         """E[min(q, D)], the expected quantity served when q units are on hand."""

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NegativeUnitCostError, ValidationError, check_finite, check_unit_interval, is_int, is_real
+from .errors import (
+    NegativeUnitCostError, ValidationError, check_finite, check_unit_interval, is_int, is_real, store_floats,
+)
 
 __all__ = [
     "DEFAULT_READINESS_WEIGHTS",
@@ -73,8 +75,10 @@ class ReadinessComponents:
     security: float
 
     def __post_init__(self) -> None:
-        for name in ("supply_chain", "erp", "cloud", "hr", "security"):
+        names = ("supply_chain", "erp", "cloud", "hr", "security")
+        for name in names:
             check_unit_interval(name, getattr(self, name))
+        store_floats(self, names)
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.supply_chain, self.erp, self.cloud, self.hr, self.security)
@@ -98,6 +102,7 @@ class SupplierProfile:
         if self.base_cost <= 0.0:
             raise ValidationError(f"base_cost must be positive, got {self.base_cost!r}")
         check_unit_interval("beta", self.beta)
+        store_floats(self, ("base_cost", "beta"))
 
     @classmethod
     def from_components(
@@ -130,8 +135,10 @@ class MarketEconomics:
 
     def __post_init__(self) -> None:
         # NaN passes every ordered comparison below, so finiteness comes first.
-        for name in ("price", "salvage", "penalty", "a1", "a2", "a3", "nu"):
+        names = ("price", "salvage", "penalty", "a1", "a2", "a3", "nu")
+        for name in names:
             check_finite(name, getattr(self, name))
+        store_floats(self, names)
         if self.price <= 0.0:
             raise ValidationError(f"price must be positive, got {self.price!r}")
         if not 0.0 <= self.salvage < self.price:

@@ -81,6 +81,16 @@ def check_finite(name: str, value, error: type[ValidationError] = ValidationErro
         raise error(f"{name} must be finite, got {shown}")
 
 
+def store_floats(record, names) -> None:
+    """Store the named fields of a frozen dataclass as Python floats, once
+    their number checks have passed, so that a numpy scalar given as a field
+    takes no numpy arithmetic into the model."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not float:
+            object.__setattr__(record, name, float(value))
+
+
 def check_unit_interval(name: str, value) -> None:
     """Raise ValidationError naming ``name`` unless ``value`` is a real number in [0, 1]."""
     # NaN, inf and an integer beyond float range all fail the comparison.

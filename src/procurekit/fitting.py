@@ -127,7 +127,10 @@ def fit(
     """
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    values = np.asarray(data)
+    try:
+        values = np.asarray(data)
+    except ValueError as exc:
+        raise ValidationError("data must be numbers in a flat or rectangular array") from exc
     if values.dtype.kind not in "iuf" and not all(map(is_finite, values.flat)):
         raise ValidationError("data must be finite real numbers")
     x = values.astype(float).ravel()

@@ -457,7 +457,10 @@ def adoption_threshold(
         raise ValidationError(f"need 0 < a3_low < a3_high, got [{a3_low!r}, {a3_high!r}]")
     cutoff = _GRID_STEP / 2.0
     q_cutoff = optimal_quantity_given_alpha(market, suppliers, demand, cutoff).total
-    a3 = a3_star = market.a1 * q_cutoff / (market.nu * cutoff ** (market.nu - 1.0))
+    slope, scale = market.a1 * q_cutoff, market.nu * cutoff ** (market.nu - 1.0)
+    # For nu above about 140, cutoff ** (nu - 1) underflows to 0 and a3* lies
+    # beyond every float: infinite for a positive slope, 0 for a zero one.
+    a3 = a3_star = slope / scale if scale else (math.inf if slope else 0.0)
     if a3_star <= a3_low:
         return a3_low
     for _ in range(_THRESHOLD_FLOATS + 1):

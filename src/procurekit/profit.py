@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .demand import _GL_NODES, _GL_WEIGHTS, TruncatedNormal, _norm_pdf
+from .demand import _GL_NODES, _GL_WEIGHTS, TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
-from .errors import DegenerateEconomicsError, ValidationError, check_unit_interval, is_finite
+from .errors import DegenerateEconomicsError, ValidationError, check_unit_interval, is_finite, store_floats
 
 __all__ = [
     "Decision",
@@ -49,6 +49,8 @@ class Decision:
         for i, q in enumerate(self.quantities):
             if not (is_finite(q) and q >= 0.0):
                 raise ValidationError(f"quantities[{i}] must be nonnegative, got {q!r}")
+        store_floats(self, ("alpha",))
+        object.__setattr__(self, "quantities", tuple(map(float, self.quantities)))
 
     @property
     def total(self) -> float:
@@ -145,10 +147,8 @@ def _mean_inverse(demand: TruncatedNormal, lo: float, hi: float) -> float:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid + half * _GL_NODES
-    # demand.pdf(x) without its bounds mask: the nodes lie inside [lo, hi].
-    params = demand.params
-    density = _norm_pdf((x - params.mu) / params.sigma) / (params.sigma * params.mass)
-    return float(half * np.add.reduce(_GL_WEIGHTS * density / x))
+    # The nodes lie inside [lo, hi], so the density needs no bounds mask.
+    return float(half * np.add.reduce(_GL_WEIGHTS * demand.params.density(x) / x))
 
 
 def _closed_form_fills(demand: TruncatedNormal, q: float) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from .demand import TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
 from .errors import (
     ProcureKitError, RankDeficientDesignError, ValidationError, check_finite, check_unit_interval, is_finite, is_int,
-    is_real,
+    is_real, store_floats,
 )
 from .optimizer import _checked_kkt, _solve_batch, optimal_quantity_given_alpha
 from .profit import Decision, ProfitBreakdown, breakdown_from_draws, expected_profit_monte_carlo
@@ -66,8 +66,10 @@ class DynamicSpec:
         if not is_int(self.cycles) or self.cycles < 1:
             raise ValidationError(f"cycles must be a positive integer, got {self.cycles!r}")
         # NaN passes every ordered comparison below, so finiteness comes first.
-        for name in ("cycles", "a3_initial", "a3_decline", "learning_rate", "target_penalty", "alpha_initial"):
+        names = ("a3_initial", "a3_decline", "learning_rate", "target_penalty", "alpha_initial")
+        for name in ("cycles", *names):
             check_finite(name, getattr(self, name))
+        store_floats(self, names)
         final_a3 = self.a3_at(self.cycles)
         if self.a3_initial <= 0.0 or final_a3 <= 0.0:
             raise ValidationError(
@@ -356,7 +358,10 @@ def latin_hypercube(
     check_finite("n", n)
     if not ranges:
         raise ValidationError("latin hypercube needs at least one dimension")
-    design = np.empty((n, len(ranges)))
+    try:
+        design = np.empty((n, len(ranges)))
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"latin hypercube n={n} is too large to allocate") from exc
     for j, (lo, hi) in enumerate(ranges):
         # An end that converts to no finite float stays as given, for the message.
         lo, hi = (float(v) if is_finite(v) else v for v in (lo, hi))

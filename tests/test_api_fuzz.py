@@ -8,8 +8,8 @@ optimize, adoption_threshold, run, run_dynamic, fit, TruncatedNormal.sample
 and latin_hypercube either return a result that passes its own checks (the
 KKT audit closes, rows are ok with finite metrics or failed with NaN ones),
 or raise a ProcureKitError subclass: never a bare TypeError, ValueError or
-OverflowError. Sizes stay small: at most 2 axis values, 20 replications and
-3 cycles.
+OverflowError. fit also meets ragged nested lists. Sizes stay small: at most
+2 axis values, 20 replications and 3 cycles.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from procurekit import errors, optimizer
@@ -197,12 +197,19 @@ def test_run_dynamic_rows_are_checked_or_the_call_fails_in_a_package_error(model
     check_rows(rows, spec, audited=False)
 
 
+# Nested lists whose rows differ in length, which numpy cannot make an array of.
+RAGGED = st.lists(st.lists(number(1.0, 60.0), max_size=3), min_size=2, max_size=4).filter(
+    lambda rows: len(set(map(len, rows))) > 1
+)
+
+
 @settings(max_examples=15, **SETTINGS)
 @given(
     family=st.sampled_from(FAMILIES),
-    data=st.lists(number(1.0, 60.0), max_size=12),
+    data=st.lists(number(1.0, 60.0), max_size=12) | RAGGED,
     bounds=st.none() | st.tuples(number(0.0, 1.0), number(60.0, 100.0)),
 )
+@example(family="pareto", data=[[1.0], [2.0, 3.0]], bounds=None)
 def test_fit_reports_finite_metrics_or_fails_in_a_package_error(family, data, bounds):
     try:
         report = fit(family, data, bounds)

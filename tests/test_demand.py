@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from procurekit import demand
@@ -199,6 +200,14 @@ class TestSampling:
     def test_empty_sample(self):
         assert BASELINE.sample(np.random.default_rng(0), 0).shape == (0,)
 
+    # numpy refuses these counts before anything is allocated: 2**62 doubles
+    # exceed its largest array size (ValueError), and 2**57 doubles (1 EiB)
+    # exceed any 64-bit address space (MemoryError).
+    @pytest.mark.parametrize("n", [2**62, 2**57, np.int64(2**57)])
+    def test_refuses_a_count_numpy_cannot_allocate(self, n):
+        with pytest.raises(ValidationError, match=f"sample size {int(n)} is too large to allocate"):
+            BASELINE.sample(np.random.default_rng(0), n)
+
 
 class TestPartialExpectations:
     @pytest.mark.parametrize("dist", CASES)
@@ -375,7 +384,7 @@ class TestFloatBranch:
                  lo - (hi - lo), hi + (hi - lo), dist.mu, 0.0, -0.0]
         x = data.draw(st.one_of(st.sampled_from(edges), st.floats(min_value=lo, max_value=hi),
                                 st.floats(min_value=-1e6, max_value=1e6)))
-        for method in (dist.cdf, dist.expected_excess):
+        for method in (dist.cdf, dist.expected_excess, dist.pdf):
             value = method(x)
             assert type(value) is float
             assert bits(value) == bits(method(np.float64(x))) == bits(method(np.asarray(x)))
@@ -409,3 +418,28 @@ class TestFloatBranch:
                 BASELINE.quantile(argument)
             raised.append(str(info.value))
         assert raised == ["quantile argument must lie in [0, 1]"] * 2
+
+
+def raw_bits(value: float) -> str:
+    """The IEEE bits of a double, which tell NaN payloads and signs apart."""
+    return struct.pack("<d", value).hex()
+
+
+class TestFloatClamps:
+    """_maximum and _minimum are np.maximum and np.minimum on Python floats, bit for bit."""
+
+    EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0]
+
+    @given(a=st.one_of(st.sampled_from(EDGES), st.floats()), b=st.one_of(st.sampled_from(EDGES), st.floats()),
+           tie=st.booleans())
+    @example(a=0.0, b=-0.0, tie=False)
+    @example(a=-0.0, b=0.0, tie=False)
+    @example(a=math.nan, b=-math.nan, tie=False)
+    @settings(max_examples=500, deadline=None)
+    def test_match_numpy(self, a, b, tie):
+        if tie:
+            b = a
+        for ours, theirs in ((demand._maximum, np.maximum), (demand._minimum, np.minimum)):
+            value = ours(a, b)
+            assert type(value) is float
+            assert raw_bits(value) == raw_bits(float(theirs(a, b)))

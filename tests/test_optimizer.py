@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from procurekit import optimizer
 from procurekit.cli import main
 from procurekit.demand import TruncatedNormal
-from procurekit.economics import MarketEconomics, SupplierProfile
+from procurekit.economics import MarketEconomics, ReadinessComponents, SupplierProfile
 from procurekit.errors import (
     DegenerateEconomicsError,
     NegativeUnitCostError,
@@ -32,7 +32,7 @@ from procurekit.optimizer import (
 )
 from procurekit.profit import Decision, expected_profit_value
 
-from procurekit.scenarios import _cell_coordinates, preset, run
+from procurekit.scenarios import DynamicSpec, _cell_coordinates, preset, run
 
 from helpers import (
     baseline_demand,
@@ -650,6 +650,15 @@ class TestAdoptionThreshold:
         with pytest.raises(ValidationError):
             adoption_threshold(MARKET, SUPPLIERS, DEMAND, 4_000.0, 400.0)
 
+    @pytest.mark.parametrize("nu", [142.0, 400.0])
+    def test_cutoff_power_underflow(self, nu):
+        # 0.005 ** (nu - 1) underflows to 0: a3* is then beyond every float,
+        # or 0 when alpha lowers no cost.
+        market = baseline_market(nu=nu)
+        with pytest.raises(ThresholdNotFoundError, match="widen"):
+            adoption_threshold(market, SUPPLIERS, DEMAND, 1.0, 1e8)
+        assert adoption_threshold(dataclasses.replace(market, a1=0.0), SUPPLIERS, DEMAND, 1.0, 1e8) == 1.0
+
     def test_readme_digits(self):
         # The baseline numbers as README.md prints them.
         opt = optimize(MARKET, SUPPLIERS, DEMAND)
@@ -673,3 +682,48 @@ class TestAdoptionThreshold:
         at = optimize(dataclasses.replace(market, a3=thr), SUPPLIERS, demand).alpha_star
         just_below = optimize(dataclasses.replace(market, a3=0.999999 * thr), SUPPLIERS, demand).alpha_star
         assert at < 0.005 <= just_below
+
+
+def _cast_fields(model, cast, keep=("id",)):
+    """The model with every field not in ``keep`` passed through ``cast``."""
+    return dataclasses.replace(
+        model, **{f.name: cast(getattr(model, f.name)) for f in dataclasses.fields(model) if f.name not in keep}
+    )
+
+
+class TestFloatFields:
+    """Models store their checked float fields as Python floats, whatever real number type they were given."""
+
+    def test_numpy_scalars_are_stored_as_floats_and_integers_stay_integers(self):
+        models = [
+            _cast_fields(baseline_market(), np.float32),
+            _cast_fields(baseline_demand(), np.float32),
+            SupplierProfile(id=np.int64(4), base_cost=np.float32(100.0), beta=np.float64(0.25)),
+            ReadinessComponents(*map(np.float32, (0.5, 0.25, 1.0, 0.0, 0.75))),
+            DynamicSpec(cycles=np.int64(3), a3_initial=np.float32(3000.0), a3_decline=200,
+                        learning_rate=np.float32(0.05), target_penalty=0.05, alpha_initial=np.float32(0.2)),
+            Decision(alpha=np.float32(0.5), quantities=(np.float32(1.5), 0, np.float64(2.0))),
+        ]
+        integer_fields = {"id", "cycles"}
+        for model in models:
+            for field in dataclasses.fields(model):
+                value = getattr(model, field.name)
+                if field.name in integer_fields:
+                    assert isinstance(value, (int, np.integer)) and not isinstance(value, float)
+                elif field.name == "quantities":
+                    assert [type(q) for q in value] == [float] * 3
+                else:
+                    assert type(value) is float, (model, field.name)
+
+    def test_float32_models_solve_like_models_of_their_float_values(self):
+        models = (baseline_market(), baseline_suppliers(), baseline_demand())
+
+        def solved(cast):
+            market, suppliers, demand = models
+            return optimize(
+                _cast_fields(market, cast), tuple(_cast_fields(s, cast) for s in suppliers), _cast_fields(demand, cast)
+            )
+
+        narrow, wide = solved(np.float32), solved(lambda v: float(np.float32(v)))
+        assert type(narrow.breakdown.expected_profit) is float
+        assert repr(narrow) == repr(wide)

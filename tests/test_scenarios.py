@@ -371,6 +371,24 @@ class TestFailedRows:
         rows = run(small_spec(demand=demand, axes=(("demand.mu", (0.5, 0.0)),)))
         self.assert_failed(rows[1], "ValidationError")
 
+    # numpy refuses these counts before anything is allocated: 2**62 doubles
+    # exceed its largest array size (ValueError), and 2**57 doubles (1 EiB)
+    # exceed any 64-bit address space (MemoryError).
+    @pytest.mark.parametrize("n", [2**62, 2**57])
+    def test_replications_numpy_cannot_allocate_fail_each_row_by_name(self, n):
+        for row in run(small_spec(replications=n)):
+            self.assert_failed(row, "ValidationError")
+            assert f"sample size {n} is too large to allocate" in row.status
+
+    @pytest.mark.parametrize("n", [2**62, 2**57])
+    def test_counts_numpy_cannot_allocate_stop_lhs_and_dynamic_runs_by_name(self, n):
+        lhs = small_spec(axes=(("market.a3", (500.0, 4000.0)),), sampler="latin-hypercube", lhs_samples=n)
+        with pytest.raises(ValidationError, match=f"latin hypercube n={n} is too large to allocate"):
+            run(lhs)
+        dynamic = preset("s11", replications=n)
+        with pytest.raises(ValidationError, match=f"sample size {n} is too large to allocate"):
+            run(dynamic)
+
     def test_cycle_rows_leave_only_the_kkt_audit_nan(self):
         for row in run(preset("s11", replications=200)):
             metrics = {name: getattr(row, name) for name in self.METRICS}
@@ -515,6 +533,11 @@ class TestLatinHypercube:
     def test_rejects_range_whose_width_overflows(self):
         with pytest.raises(ValidationError, match="finite width"):
             latin_hypercube([(0.0, 1.0), (-1e308, 1e308)], 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [2**62, 2**57])
+    def test_refuses_a_count_numpy_cannot_allocate(self, n):
+        with pytest.raises(ValidationError, match=f"latin hypercube n={n} is too large to allocate"):
+            latin_hypercube([(0.0, 1.0), (10.0, 30.0)], n, np.random.default_rng(0))
 
     def test_widest_finite_range_samples_inside_it(self):
         design = latin_hypercube([(-8e307, 8e307)], 10, np.random.default_rng(0))
