@@ -30,7 +30,7 @@ from .baseline import (
 from .demand import TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
 from .errors import ValidationError, is_finite, is_int, is_real
-from .scenarios import DynamicSpec, ScenarioSpec
+from .scenarios import DynamicSpec, ScenarioSpec, _check_seeding
 
 _LINE_KEY = "__line__"
 
@@ -85,6 +85,17 @@ class RunConfig:
     replications: int = DEFAULT_REPLICATIONS
     scenario: ScenarioSpec | None = None
 
+    def __post_init__(self) -> None:
+        for name, kind in (("market", MarketEconomics), ("demand", TruncatedNormal)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValidationError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if not (isinstance(self.suppliers, tuple) and self.suppliers
+                and all(isinstance(supplier, SupplierProfile) for supplier in self.suppliers)):
+            raise ValidationError(f"suppliers must be a nonempty tuple of SupplierProfile, got {self.suppliers!r}")
+        _check_seeding(self.seed, self.replications)
+        if not (self.scenario is None or isinstance(self.scenario, ScenarioSpec)):
+            raise ValidationError(f"scenario must be a ScenarioSpec or None, got {self.scenario!r}")
+
 
 def baseline_config() -> RunConfig:
     """The shipped baseline parameterization with default seeding."""
@@ -120,23 +131,20 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         raw = {}
     root = _Section("config", raw, source, line=1)
 
-    market = _parse_record(root, "market", MarketEconomics, BASELINE_MARKET)
-    suppliers = _parse_suppliers(root)
-    demand = _parse_record(root, "demand", TruncatedNormal, BASELINE_DEMAND)
-    seed = root.get("seed", int, DEFAULT_SEED, minimum=0)
-    replications = root.get("replications", int, DEFAULT_REPLICATIONS, minimum=2)
-    scenario = _parse_scenario(root, market, suppliers, demand, seed, replications)
+    config = root.build(
+        RunConfig,
+        market=_parse_record(root, "market", MarketEconomics, BASELINE_MARKET),
+        suppliers=_parse_suppliers(root),
+        demand=_parse_record(root, "demand", TruncatedNormal, BASELINE_DEMAND),
+        seed=root.get("seed", int, DEFAULT_SEED),
+        replications=root.get("replications", int, DEFAULT_REPLICATIONS),
+    )
+    # The scenario inherits the checked seed and replications as defaults.
+    scenario = _parse_scenario(root, config)
     root.reject_unknown_keys(
         ("market", "suppliers", "demand", "seed", "replications", "scenario")
     )
-    return RunConfig(
-        market=market,
-        suppliers=suppliers,
-        demand=demand,
-        seed=seed,
-        replications=replications,
-        scenario=scenario,
-    )
+    return config if scenario is None else dataclasses.replace(config, scenario=scenario)
 
 
 def apply_overrides(
@@ -145,15 +153,8 @@ def apply_overrides(
     """Return a copy with command-line seed/replications applied throughout."""
     if seed is None and replications is None:
         return config
-    updates: dict = {}
-    if seed is not None:
-        if seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
-        updates["seed"] = seed
-    if replications is not None:
-        if replications < 2:
-            raise ValidationError(f"replications must be at least 2, got {replications}")
-        updates["replications"] = replications
+    # The rebuilt ScenarioSpec and RunConfig check the new values.
+    updates = {name: value for name, value in (("seed", seed), ("replications", replications)) if value is not None}
     if config.scenario is not None:
         updates["scenario"] = dataclasses.replace(config.scenario, **updates)
     return dataclasses.replace(config, **updates)
@@ -192,7 +193,7 @@ class _Section:
             return None
         return _Section(f"{self.name}.{key}", self.data[key], self.source, self.line)
 
-    def get(self, key: str, kind: type, default=None, minimum=None):
+    def get(self, key: str, kind: type, default=None):
         """The value under ``key`` as ``kind`` (float, int or str); ``bool`` is refused."""
         if key not in self.data:
             if default is None:
@@ -202,8 +203,6 @@ class _Section:
         valid = is_real(value) if kind is float else is_int(value) if kind is int else isinstance(value, kind)
         if not valid:
             raise self.error(f"{key} must be {_KIND_NAMES[kind]}, got {_unstamped(value)!r}")
-        if minimum is not None and value < minimum:
-            raise self.error(f"{key} must be at least {minimum}, got {value}")
         return self.number(key, value) if kind is float else kind(value)
 
     def number(self, what: str, value: int | float) -> float:
@@ -270,14 +269,7 @@ def _parse_axis_values(section: _Section, path: str, values: object) -> tuple:
     return tuple(parsed)
 
 
-def _parse_scenario(
-    root: _Section,
-    market: MarketEconomics,
-    suppliers: tuple[SupplierProfile, ...],
-    demand: TruncatedNormal,
-    seed: int,
-    replications: int,
-) -> ScenarioSpec | None:
+def _parse_scenario(root: _Section, config: RunConfig) -> ScenarioSpec | None:
     section = root.subsection("scenario")
     if section is None:
         return None
@@ -296,13 +288,13 @@ def _parse_scenario(
     return section.build(
         ScenarioSpec,
         id=section.get("id", str),
-        market=market,
-        suppliers=suppliers,
-        demand=demand,
+        market=config.market,
+        suppliers=config.suppliers,
+        demand=config.demand,
         axes=tuple(axes),
         sampler=section.get("sampler", str, "grid"),
         lhs_samples=section.get("lhs_samples", int, 0),
-        replications=section.get("replications", int, replications, minimum=2),
-        seed=section.get("seed", int, seed, minimum=0),
+        replications=section.get("replications", int, config.replications),
+        seed=section.get("seed", int, config.seed),
         dynamic=_parse_record(section, "dynamic", DynamicSpec, None),
     )

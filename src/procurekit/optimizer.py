@@ -33,10 +33,11 @@ import numpy as np
 from .demand import TruncatedNormal, TruncatedNormalParams
 from .economics import MarketEconomics, SupplierProfile, cheapest_supplier
 from .errors import (
-    DegenerateEconomicsError, ProcureKitError, SolverCheckError, ThresholdNotFoundError, ValidationError, is_real,
+    DegenerateEconomicsError, ProcureKitError, SolverCheckError, ThresholdNotFoundError, ValidationError, check_finite,
+    is_real,
 )
 from .profit import (
-    Decision, ProfitBreakdown, _check_decision, expected_profit_closed_form, expected_profit_value,
+    Decision, ProfitBreakdown, _check_decision, _profit, expected_profit_closed_form, expected_profit_value,
     expected_sales_terms,
 )
 
@@ -110,14 +111,19 @@ def critical_fractile(market: MarketEconomics, cost: float) -> float:
 
     Raises DegenerateEconomicsError when cost < salvage: every unit beyond
     the demand cap would then earn salvage - cost > 0, so expected profit is
-    unbounded and no finite order is optimal.
+    unbounded and no finite order is optimal, and when price + penalty
+    overflows a float.
     """
+    check_finite("cost", cost)
     if cost < market.salvage:
         raise DegenerateEconomicsError(
             f"unit cost {cost!r} below salvage {market.salvage!r}: "
             "profit is unbounded in the order quantity"
         )
-    return (market.price + market.penalty - cost) / (market.price + market.penalty - market.salvage)
+    fractile = (market.price + market.penalty - cost) / (market.price + market.penalty - market.salvage)
+    if math.isnan(fractile):
+        raise DegenerateEconomicsError(f"price + penalty overflows a float: {market.price!r} + {market.penalty!r}")
+    return fractile
 
 
 def optimal_quantity_given_alpha(
@@ -188,7 +194,7 @@ class _Envelope:
 
     def profit(self, alphas: np.ndarray, cost: np.ndarray, q: np.ndarray) -> np.ndarray:
         revenue, salvage, penalty, _ = expected_sales_terms(self, self.demand, q)
-        return revenue + salvage - penalty - cost * q - self.a3 * _power(alphas, self.nu, cost.shape)
+        return _profit(revenue, salvage, penalty, cost * q, self.a3 * _power(alphas, self.nu, cost.shape))
 
     def step(self, t: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """alpha = t**(1/(nu - 1)) and the projected map
@@ -242,8 +248,8 @@ def _fixed_point(
 def _decide(market, suppliers, demand, at_grid: Decision, grid_profit: float, at_root: Decision) -> Decision:
     """The order at the slope root, unless the grid point earns more by over
     _TIE_TOLERANCE relative profit. Both orders and the grid point's profit
-    come from the batch, which computes that profit with the same operations
-    as expected_profit_value."""
+    come from the batch; the envelope and expected_profit_value sum their
+    money terms through the one profit._profit, so both profits round alike."""
     root_profit = expected_profit_value(market, suppliers, demand, at_root)
     return at_root if root_profit >= grid_profit - _TIE_TOLERANCE * abs(grid_profit) else at_grid
 

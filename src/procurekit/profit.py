@@ -8,6 +8,11 @@ reports a standard error, which is what scenario experiments record.
 Evaluating several decisions against generators seeded identically yields
 common random numbers, so decision differences are estimated without
 cross-decision noise.
+
+Expected profit is written once, in _profit: the optimizer's envelope on the
+alpha grid, expected_profit_value at the slope root and both breakdowns sum
+their five money terms through it, so the grid's profit and the root's
+profit round alike. Every ProfitBreakdown is built by _breakdown.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ import numpy as np
 
 from .demand import _GL_NODES, _GL_WEIGHTS, TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
-from .errors import DegenerateEconomicsError, ValidationError, check_unit_interval, is_finite, store_floats
+from .errors import (
+    DegenerateEconomicsError, ValidationError, check_finite, check_unit_interval, is_finite, is_int, store_floats,
+)
 
 __all__ = [
     "Decision",
@@ -180,16 +187,33 @@ def expected_sales_terms(market: MarketEconomics, demand: TruncatedNormal, q_tot
     return market.price * served, market.salvage * (q_total - served), market.penalty * excess, excess
 
 
-def _closed_form_components(
+def _profit(revenue, salvage, penalty, procurement, adoption):
+    """The profit identity, for floats and arrays alike; every expected profit
+    in the package is this sum in this order."""
+    return revenue + salvage - penalty - procurement - adoption
+
+
+def _money_terms(
     market: MarketEconomics,
     suppliers: Sequence[SupplierProfile],
     demand: TruncatedNormal,
     decision: Decision,
-) -> tuple[float, float, float, float, float, float]:
+) -> tuple[tuple[float, float, float, float, float], float]:
+    """The five expected money terms in _profit's order (revenue, salvage,
+    penalty, procurement, adoption), and the expected shortfall E[(D - Q)^+]."""
     revenue, salvage, penalty, excess = expected_sales_terms(market, demand, decision.total)
     procurement = _procurement_cost(market, suppliers, decision)
-    adoption = market.adoption_cost(decision.alpha)
-    return revenue, salvage, penalty, procurement, adoption, excess
+    return (revenue, salvage, penalty, procurement, market.adoption_cost(decision.alpha)), excess
+
+
+def _breakdown(demand: TruncatedNormal, terms, penalty_rate: float, std_error: float, fills) -> ProfitBreakdown:
+    """The one ProfitBreakdown assembly from the five money terms in _profit's
+    order. ``fills()`` gives (fill mean, fill CVaR10) and is called only when
+    the demand support lies above zero; where it touches zero, fill =
+    served/demand is undefined and both are NaN."""
+    fill_mean, cvar10 = fills() if demand.lower > 0.0 else (math.nan, math.nan)
+    # Positional, in ProfitBreakdown's field order.
+    return ProfitBreakdown(*terms, _profit(*terms), fill_mean, penalty_rate, cvar10, std_error)
 
 
 def expected_profit_value(
@@ -205,10 +229,8 @@ def expected_profit_value(
     between the root and the grid point, whose profit the batch already holds.
     """
     _check_decision(suppliers, decision)
-    revenue, salvage, penalty, procurement, adoption, _ = _closed_form_components(
-        market, suppliers, demand, decision
-    )
-    return revenue + salvage - penalty - procurement - adoption
+    terms, _ = _money_terms(market, suppliers, demand, decision)
+    return _profit(*terms)
 
 
 def expected_profit_closed_form(
@@ -220,30 +242,17 @@ def expected_profit_closed_form(
     """Exact expected-profit breakdown via partial expectations."""
     _check_decision(suppliers, decision)
     _check_demand_mean(demand)
-    q_total = decision.total
-    revenue, salvage, penalty, procurement, adoption, excess = _closed_form_components(
-        market, suppliers, demand, decision
-    )
-    profit = revenue + salvage - penalty - procurement - adoption
+    terms, excess = _money_terms(market, suppliers, demand, decision)
+    return _breakdown(demand, terms, excess / demand.mean, 0.0, lambda: _closed_form_fills(demand, decision.total))
 
-    if demand.lower > 0.0:
-        fill_mean, cvar10 = _closed_form_fills(demand, q_total)
-    else:
-        fill_mean = math.nan
-        cvar10 = math.nan
 
-    return ProfitBreakdown(
-        expected_revenue=revenue,
-        expected_salvage=salvage,
-        expected_penalty=penalty,
-        procurement_cost=procurement,
-        adoption_cost=adoption,
-        expected_profit=profit,
-        fill_rate_mean=fill_mean,
-        penalty_rate=excess / demand.mean,
-        fill_rate_cvar10=cvar10,
-        std_error=0.0,
-    )
+def _fill_mean_and_cvar10(fills: np.ndarray) -> tuple[float, float]:
+    """Mean of simulated fills and the mean of the lowest max(1, n // 10) of
+    them; partitions ``fills`` in place."""
+    fill_mean = _mean(fills)
+    k = max(1, fills.size // 10)
+    fills.partition(k - 1)
+    return fill_mean, _mean(fills[:k])
 
 
 def breakdown_from_draws(
@@ -260,13 +269,25 @@ def breakdown_from_draws(
     Means and the sample std reduce with np.add.reduce: bit for bit what
     .mean() and .std(ddof=1) return, without their Python layer, a fixed
     cost per call close to that of the sum itself at a cell's 5,000 draws.
+    The draws must be a 1-D array of real numbers with a finite, positive
+    mean.
     """
     _check_decision(suppliers, decision)
     _check_demand_mean(demand)
-    draws = np.asarray(draws, dtype=float)
+    try:
+        draws = np.asarray(draws)
+    except ValueError as exc:
+        raise ValidationError("draws must be a 1-D array of real numbers") from exc
+    if draws.ndim != 1 or draws.dtype.kind not in "iuf":
+        raise ValidationError(f"draws must be a 1-D array of real numbers, got {draws.dtype} of shape {draws.shape}")
+    draws = draws.astype(float, copy=False)
     n = draws.size
     if n < 2:
         raise ValidationError(f"need at least 2 draws for a Monte Carlo estimate, got {n}")
+    draws_mean = _mean(draws)
+    # Also refuses NaN and infinite draws; the penalty rate divides by this mean.
+    if not 0.0 < draws_mean < math.inf:
+        raise ValidationError(f"draws must be finite with a positive mean, got mean {draws_mean!r}")
 
     q_total = decision.total
     served = np.minimum(q_total, draws)
@@ -277,38 +298,18 @@ def breakdown_from_draws(
     adoption = market.adoption_cost(decision.alpha)
 
     shortfall_mean = _mean(shortfall)
-    revenue = market.price * _mean(served)
-    salvage = market.salvage * _mean(leftover)
-    penalty = market.penalty * shortfall_mean
-    profit = revenue + salvage - penalty - procurement - adoption
+    terms = (
+        market.price * _mean(served), market.salvage * _mean(leftover), market.penalty * shortfall_mean,
+        procurement, adoption,
+    )
 
     per_rep = market.price * served
     per_rep += market.salvage * leftover
     per_rep -= market.penalty * shortfall
     per_rep -= procurement + adoption
     std_error = _sample_std(per_rep) / math.sqrt(n)
-
-    if demand.lower > 0.0:
-        fills = served / draws
-        fill_mean = _mean(fills)
-        k = max(1, n // 10)
-        fills.partition(k - 1)
-        cvar10 = _mean(fills[:k])
-    else:
-        fill_mean = math.nan
-        cvar10 = math.nan
-
-    return ProfitBreakdown(
-        expected_revenue=revenue,
-        expected_salvage=salvage,
-        expected_penalty=penalty,
-        procurement_cost=procurement,
-        adoption_cost=adoption,
-        expected_profit=profit,
-        fill_rate_mean=fill_mean,
-        penalty_rate=shortfall_mean / _mean(draws),
-        fill_rate_cvar10=cvar10,
-        std_error=std_error,
+    return _breakdown(
+        demand, terms, shortfall_mean / draws_mean, std_error, lambda: _fill_mean_and_cvar10(served / draws)
     )
 
 
@@ -334,18 +335,18 @@ def fill_rate_distribution(
     """
     if demand.lower <= 0.0:
         raise ValidationError("fill rate needs strictly positive demand support")
+    check_finite("supply level", q)
     if q < 0.0:
         raise ValidationError(f"supply level must be nonnegative, got {q!r}")
-    if n < 10:
-        raise ValidationError(f"need at least 10 draws to summarize fills, got {n}")
+    if not (is_int(n) and n >= 10):
+        raise ValidationError(f"need an integer count of at least 10 draws to summarize fills, got {n!r}")
 
     draws = demand.sample(rng, n)
     fills = np.minimum(q, draws) / draws
-    k = max(1, n // 10)
-    worst = np.partition(fills, k - 1)[:k]
-    mean = float(fills.mean())
     std = float(fills.std(ddof=1))
     p10, p25, p50, p75, p90 = (float(v) for v in np.percentile(fills, [10, 25, 50, 75, 90]))
+    prob_fill_ge_090 = float((fills >= 0.9).mean())
+    mean, cvar10 = _fill_mean_and_cvar10(fills)
     return FillRateSummary(
         mean=mean,
         std=std,
@@ -355,6 +356,6 @@ def fill_rate_distribution(
         p50=p50,
         p75=p75,
         p90=p90,
-        prob_fill_ge_090=float((fills >= 0.9).mean()),
-        cvar10=float(worst.mean()),
+        prob_fill_ge_090=prob_fill_ge_090,
+        cvar10=cvar10,
     )

@@ -45,6 +45,20 @@ _NS_DYNAMIC = 2
 _NS_BUILD = 3
 
 
+def _check_seeding(seed, replications) -> None:
+    """The seeding rules of a ScenarioSpec and a RunConfig: seed is a
+    nonnegative integer, replications an integer of at least 2 within float
+    range."""
+    for name, value in (("replications", replications), ("seed", seed)):
+        if not is_int(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    check_finite("replications", replications)
+    if replications < 2:
+        raise ValidationError(f"replications must be at least 2, got {replications}")
+    if seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class DynamicSpec:
     """Adaptive multi-cycle settings: declining adoption cost, penalty feedback.
@@ -113,13 +127,9 @@ class ScenarioSpec:
             raise ValidationError("scenario id must be nonempty")
         if self.sampler not in SAMPLERS:
             raise ValidationError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
-        for name in ("replications", "lhs_samples", "seed"):
-            if not is_int(getattr(self, name)):
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.replications < 2:
-            raise ValidationError(f"replications must be at least 2, got {self.replications}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not is_int(self.lhs_samples):
+            raise ValidationError(f"lhs_samples must be an integer, got {self.lhs_samples!r}")
+        _check_seeding(self.seed, self.replications)
         for axis in self.axes:
             if len(axis) != 2 or not isinstance(axis[0], str):
                 raise ValidationError(f"axes entries must be (path, values) pairs, got {axis!r}")
@@ -311,7 +321,17 @@ def run(spec: ScenarioSpec, jobs: int = 1) -> list[ScenarioResult]:
 def adaptive_alpha_update(
     alpha: float, observed_penalty: float, learning_rate: float, target_penalty: float
 ) -> float:
-    """Penalty-feedback rule: step by the relative target gap, clamp to [0, 1]."""
+    """Penalty-feedback rule: step by the relative target gap, clamp to [0, 1].
+
+    alpha lies in [0, 1], the penalty rates are finite, and the learning rate
+    and target are positive, as in DynamicSpec.
+    """
+    check_unit_interval("alpha", alpha)
+    check_finite("observed_penalty", observed_penalty)
+    for name, value in (("learning_rate", learning_rate), ("target_penalty", target_penalty)):
+        check_finite(name, value)
+        if value <= 0.0:
+            raise ValidationError(f"{name} must be positive, got {value!r}")
     step = learning_rate * (observed_penalty - target_penalty) / target_penalty
     return min(1.0, max(0.0, alpha + step))
 

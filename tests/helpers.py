@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from procurekit.demand import TruncatedNormal
 from procurekit.economics import MarketEconomics, SupplierProfile, cheapest_supplier
 from procurekit.errors import ValidationError
+
+
+def examples(n: int) -> int:
+    """A fuzz test's example budget: n under the tier1 hypothesis profile,
+    scaled by the loaded profile's max_examples over hypothesis' default of
+    100, so the wide profile (conftest.py) draws ten times as many."""
+    return n * settings.default.max_examples // 100
 
 
 def baseline_market(**overrides) -> MarketEconomics:

@@ -8,8 +8,12 @@ optimize, adoption_threshold, run, run_dynamic, fit, TruncatedNormal.sample
 and latin_hypercube either return a result that passes its own checks (the
 KKT audit closes, rows are ok with finite metrics or failed with NaN ones),
 or raise a ProcureKitError subclass: never a bare TypeError, ValueError or
-OverflowError. fit also meets ragged nested lists. Sizes stay small: at most
-2 axis values, 20 replications and 3 cycles.
+OverflowError. fill_rate_distribution, breakdown_from_draws,
+critical_fractile and adaptive_alpha_update are held to the same rule;
+breakdown_from_draws also meets draws spoiled by junk, strings, a second
+dimension and ragged rows, and fit ragged nested lists. Each @example pins
+a branch that the drawn examples may miss. Sizes stay small: at most 2 axis
+values, 20 replications, 30 draws and 3 cycles.
 """
 
 from __future__ import annotations
@@ -27,8 +31,13 @@ from procurekit.demand import TruncatedNormal
 from procurekit.economics import MarketEconomics, SupplierProfile
 from procurekit.errors import ProcureKitError
 from procurekit.fitting import FAMILIES, fit
-from procurekit.optimizer import adoption_threshold, optimize
-from procurekit.scenarios import DynamicSpec, ScenarioResult, ScenarioSpec, latin_hypercube, run, run_dynamic
+from procurekit.optimizer import adoption_threshold, critical_fractile, optimize
+from procurekit.profit import Decision, breakdown_from_draws, fill_rate_distribution
+from procurekit.scenarios import (
+    DynamicSpec, ScenarioResult, ScenarioSpec, adaptive_alpha_update, latin_hypercube, run, run_dynamic,
+)
+
+from helpers import examples
 
 JUNK = st.one_of(
     st.sampled_from(
@@ -56,6 +65,11 @@ DYNAMIC = dict(
 )
 AXIS_PATHS = {"market.a3": MARKET["a3"], "market.nu": MARKET["nu"], "demand.sigma": DEMAND["sigma"]}
 SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+BASELINE = (
+    MarketEconomics(price=150.0, salvage=20.0, penalty=40.0, a1=5.0, a2=8.0, a3=2000.0, nu=1.5),
+    (SupplierProfile(id=1, base_cost=100.0, beta=0.2),),
+    TruncatedNormal(50.0, 8.0, 30.0, 70.0),
+)
 
 
 @st.composite
@@ -129,8 +143,10 @@ def check_rows(rows, spec: ScenarioSpec, audited: bool) -> None:
         assert 0.0 <= row.alpha_star <= 1.0
 
 
-@settings(max_examples=40, **SETTINGS)
+@settings(max_examples=examples(40), **SETTINGS)
 @given(model=models())
+# price * expected sales overflows a float
+@example(model=(dataclasses.replace(BASELINE[0], price=1e307), *BASELINE[1:]))
 def test_optimize_ends_checked_or_in_a_package_error(model):
     if not valid(model):
         return
@@ -142,7 +158,7 @@ def test_optimize_ends_checked_or_in_a_package_error(model):
     check_optimum(opt, market, demand)
 
 
-@settings(max_examples=15, **SETTINGS)
+@settings(max_examples=examples(15), **SETTINGS)
 @given(model=models(), low=number(1.0, 100.0), high=number(1e5, 1e6))
 def test_adoption_threshold_ends_in_range_or_in_a_package_error(model, low, high):
     if not valid(model):
@@ -165,8 +181,9 @@ def specs(draw):
     return dict(axes=axes, replications=draw(number(2.0, 20.0)), seed=draw(number(0.0, 9.0)), **extra)
 
 
-@settings(max_examples=25, **SETTINGS)
+@settings(max_examples=examples(25), **SETTINGS)
 @given(model=models(), settings_=specs(), jobs=number(1.0, 2.0))
+@example(model=BASELINE, settings_=dict(axes=(("market.a3", (1000.0,)),), replications=2, seed=-1), jobs=1)
 def test_run_rows_are_checked_or_the_call_fails_in_a_package_error(model, settings_, jobs):
     if not valid(model):
         return
@@ -179,7 +196,7 @@ def test_run_rows_are_checked_or_the_call_fails_in_a_package_error(model, settin
     check_rows(rows, spec, audited=True)
 
 
-@settings(max_examples=20, **SETTINGS)
+@settings(max_examples=examples(20), **SETTINGS)
 @given(model=models(), dynamic=fields(DYNAMIC), replications=number(2.0, 20.0))
 def test_run_dynamic_rows_are_checked_or_the_call_fails_in_a_package_error(model, dynamic, replications):
     if not valid(model):
@@ -203,13 +220,19 @@ RAGGED = st.lists(st.lists(number(1.0, 60.0), max_size=3), min_size=2, max_size=
 )
 
 
-@settings(max_examples=15, **SETTINGS)
+@settings(max_examples=examples(15), **SETTINGS)
 @given(
     family=st.sampled_from(FAMILIES),
     data=st.lists(number(1.0, 60.0), max_size=12) | RAGGED,
     bounds=st.none() | st.tuples(number(0.0, 1.0), number(60.0, 100.0)),
 )
 @example(family="pareto", data=[[1.0], [2.0, 3.0]], bounds=None)
+@example(family="pareto", data=[1.0, None], bounds=None)
+@example(family="truncated-normal", data=[1.0, 2.0, 3.0], bounds=(-1e308, 1e308))
+@example(family="pareto", data=[5e-324, 1e308], bounds=None)
+@example(family="negative-binomial", data=[1.0, 1e16], bounds=None)
+# the dispersion search stops at its lower bound
+@example(family="negative-binomial", data=[0] * 24 + [2**53], bounds=None)
 def test_fit_reports_finite_metrics_or_fails_in_a_package_error(family, data, bounds):
     try:
         report = fit(family, data, bounds)
@@ -220,7 +243,7 @@ def test_fit_reports_finite_metrics_or_fails_in_a_package_error(family, data, bo
     assert report.sample_size == len(data)
 
 
-@settings(max_examples=40, **SETTINGS)
+@settings(max_examples=examples(40), **SETTINGS)
 @given(fields_=fields(DEMAND), n=number(0.0, 20.0), seed=st.integers(0, 3))
 def test_sample_draws_inside_the_window_or_fails_in_a_package_error(fields_, n, seed):
     try:
@@ -232,7 +255,7 @@ def test_sample_draws_inside_the_window_or_fails_in_a_package_error(fields_, n, 
     assert np.all((draws >= demand.lower) & (draws <= demand.upper))
 
 
-@settings(max_examples=40, **SETTINGS)
+@settings(max_examples=examples(40), **SETTINGS)
 @given(
     ranges=st.lists(st.tuples(number(-10.0, 0.0), number(0.0, 10.0)), min_size=1, max_size=2),
     n=number(0.0, 6.0),
@@ -245,6 +268,109 @@ def test_latin_hypercube_stays_in_its_ranges_or_fails_in_a_package_error(ranges,
     assert design.shape == (n, len(ranges))
     for column, (lo, hi) in zip(design.T, ranges):
         assert np.all((column >= float(lo)) & (column <= float(hi)))
+
+
+@settings(max_examples=examples(40), **SETTINGS)
+@given(fields_=fields(DEMAND), q=number(0.0, 100.0), n=number(10.0, 30.0), seed=st.integers(0, 3))
+@example(fields_=dict(mu=50.0, sigma=8.0, lower=30.0, upper=70.0), q=50.0, n=5, seed=0)
+def test_fill_rate_distribution_summarizes_fills_or_fails_in_a_package_error(fields_, q, n, seed):
+    try:
+        demand = TruncatedNormal(**fields_)
+        summary = fill_rate_distribution(demand, q, n, np.random.default_rng(seed))
+    except ProcureKitError:
+        return
+    shares = dataclasses.asdict(summary)
+    std, cv = shares.pop("std"), shares.pop("cv")
+    assert all(0.0 <= v <= 1.0 for v in shares.values())
+    assert std >= 0.0 and (math.isfinite(cv) or summary.mean == 0.0)
+
+
+# How a draw vector is spoiled before breakdown_from_draws sees it.
+SPOILERS = {
+    "none": lambda draws, junk: draws,
+    "junk": lambda draws, junk: [*draws[1:], junk],
+    "strings": lambda draws, junk: [str(v) for v in draws],
+    "2-D": lambda draws, junk: draws.reshape(1, -1),
+    "ragged": lambda draws, junk: [list(draws), [1.0]],
+}
+
+
+@settings(max_examples=examples(40), **SETTINGS)
+@given(
+    model=models(), alpha=number(0.0, 1.0), total=number(0.0, 100.0), n=st.integers(0, 30),
+    spoiler=st.sampled_from(list(SPOILERS)), junk=JUNK,
+)
+@example(model=BASELINE, alpha=0.1, total=50.0, n=2, spoiler="junk", junk=math.nan)
+@example(model=BASELINE, alpha=0.1, total=50.0, n=3, spoiler="ragged", junk=None)
+def test_breakdown_from_draws_ends_checked_or_in_a_package_error(model, alpha, total, n, spoiler, junk):
+    if not valid(model):
+        return
+    market, suppliers, demand = model
+    try:
+        decision = Decision(alpha, (total,) + (0.0,) * (len(suppliers) - 1))
+        draws = SPOILERS[spoiler](demand.sample(np.random.default_rng(n), n), junk)
+        b = breakdown_from_draws(market, suppliers, demand, decision, draws)
+    except ProcureKitError:
+        return
+    assert b.expected_profit == (
+        b.expected_revenue + b.expected_salvage - b.expected_penalty - b.procurement_cost - b.adoption_cost
+    )
+    if spoiler == "none":
+        fills = (b.fill_rate_mean, b.fill_rate_cvar10)
+        assert all(0.0 <= v <= 1.0 for v in fills) if demand.lower > 0.0 else all(map(math.isnan, fills))
+
+
+@settings(max_examples=examples(40), **SETTINGS)
+@given(market=fields(MARKET), cost=number(0.0, 200.0))
+@example(market=dict(price=1e308, salvage=20.0, penalty=1e308, a1=5.0, a2=8.0, a3=2000.0, nu=1.5), cost=100.0)
+def test_critical_fractile_is_a_service_level_or_fails_in_a_package_error(market, cost):
+    try:
+        fractile = critical_fractile(MarketEconomics(**market), cost)
+    except ProcureKitError:
+        return
+    assert math.isfinite(fractile) and fractile <= 1.0
+
+
+@settings(max_examples=examples(40), **SETTINGS)
+@given(alpha=number(0.0, 1.0), observed=number(0.0, 0.5), rate=number(0.01, 0.2), target=number(0.01, 0.2))
+def test_adaptive_alpha_update_stays_in_the_unit_interval_or_fails_in_a_package_error(alpha, observed, rate, target):
+    try:
+        updated = adaptive_alpha_update(alpha, observed, rate, target)
+    except ProcureKitError:
+        return
+    assert 0.0 <= updated <= 1.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fill_rate_distribution(BASELINE[2], math.nan, 100, np.random.default_rng(0)),
+         "supply level must be finite, got nan"),
+        (lambda: fill_rate_distribution(BASELINE[2], "a", 100, np.random.default_rng(0)),
+         "supply level must be a real number, got 'a'"),
+        (lambda: fill_rate_distribution(BASELINE[2], 10**400, 100, np.random.default_rng(0)),
+         "supply level must be finite, got an integer beyond float range"),
+        (lambda: fill_rate_distribution(BASELINE[2], 50.0, 10.5, np.random.default_rng(0)),
+         "need an integer count of at least 10 draws to summarize fills, got 10.5"),
+        (lambda: breakdown_from_draws(*BASELINE, Decision(0.1, (50.0,)), ["a", "b"]),
+         "draws must be a 1-D array of real numbers, got <U1 of shape (2,)"),
+        (lambda: breakdown_from_draws(*BASELINE, Decision(0.1, (50.0,)), np.ones((2, 2))),
+         "draws must be a 1-D array of real numbers, got float64 of shape (2, 2)"),
+        (lambda: breakdown_from_draws(*BASELINE, Decision(0.1, (50.0,)), [50.0, math.nan]),
+         "draws must be finite with a positive mean, got mean nan"),
+        (lambda: critical_fractile(BASELINE[0], math.nan), "cost must be finite, got nan"),
+        (lambda: adaptive_alpha_update(math.nan, 0.1, 0.05, 0.05), "alpha must lie in [0, 1], got nan"),
+        (lambda: adaptive_alpha_update(0.2, 0.1, 0.05, 0.0), "target_penalty must be positive, got 0.0"),
+    ],
+    ids=[
+        "fill-nan-q", "fill-string-q", "fill-huge-q", "fill-float-n", "draws-strings", "draws-2d", "draws-nan",
+        "fractile-nan-cost", "update-nan-alpha", "update-zero-target",
+    ],
+)
+def test_public_functions_refuse_bad_arguments_by_name(call, message):
+    with pytest.raises(errors.ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

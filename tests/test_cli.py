@@ -390,3 +390,27 @@ class TestFit:
     def test_missing_file_is_io_error(self, tmp_path):
         result = invoke("fit", tmp_path / "absent.csv", "--out", tmp_path)
         assert result.exit_code == 3
+
+    def test_unknown_format_is_validation_error(self, tmp_path, demand_file):
+        result = invoke("fit", demand_file, "--format", "xml", "--out", tmp_path)
+        assert result.exit_code == 1
+        assert "format must be 'csv' or 'json', got 'xml'" in result.stderr
+
+    @pytest.fixture()
+    def with_zero(self, tmp_path):
+        # pareto needs strictly positive data; a truncated normal fits it
+        path = tmp_path / "with_zero.csv"
+        path.write_text("demand\n0\n3\n5\n8\n13\n21\n34\n")
+        return path
+
+    def test_a_family_that_cannot_fit_is_a_warning(self, tmp_path, with_zero):
+        result = invoke("fit", with_zero, "--families", "pareto,truncated-normal", "--out", tmp_path)
+        assert result.exit_code == 0, result.output
+        assert "warning: pareto: pareto requires strictly positive data" in result.stderr
+        assert [r["family"] for r in read_rows(tmp_path / "fits.csv")] == ["truncated-normal"]
+
+    def test_no_usable_fit_is_validation_error(self, tmp_path, with_zero):
+        result = invoke("fit", with_zero, "--families", "pareto", "--out", tmp_path)
+        assert result.exit_code == 1
+        assert "no family produced a usable fit" in result.stderr
+        assert not (tmp_path / "fits.csv").exists()

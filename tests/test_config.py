@@ -1,5 +1,6 @@
 """Tests for YAML config parsing, validation context, and overrides."""
 
+import re
 import textwrap
 
 import pytest
@@ -13,7 +14,7 @@ from procurekit.baseline import (
     DEFAULT_SEED,
 )
 from procurekit.cli import main
-from procurekit.config import apply_overrides, baseline_config, load_config, parse_config
+from procurekit.config import RunConfig, apply_overrides, baseline_config, load_config, parse_config
 from procurekit.demand import TruncatedNormal
 from procurekit.economics import MarketEconomics, SupplierProfile
 from procurekit.errors import ValidationError
@@ -221,6 +222,10 @@ class TestParseConfig:
 
 
 class TestScenarioSection:
+    def test_axes_must_be_a_list(self):
+        with pytest.raises(ValidationError, match=r"^run\.yaml:2: config\.scenario: axes must be a list"):
+            parse_config("scenario:\n  id: x\n  axes: 5\n", source="run.yaml")
+
     def test_grid_scenario(self):
         text = textwrap.dedent(
             """
@@ -417,3 +422,40 @@ class TestLoadAndOverrides:
             apply_overrides(baseline_config(), seed=-1)
         with pytest.raises(ValidationError, match="replications"):
             apply_overrides(baseline_config(), replications=1)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(seed=True), "seed must be an integer, got True"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (dict(replications=10**400), "replications must be finite, got an integer beyond float range"),
+        ],
+        ids=["bool-seed", "float-seed", "huge-replications"],
+    )
+    @pytest.mark.parametrize("scenario", [False, True], ids=["plain", "with-scenario"])
+    def test_overrides_are_checked_by_the_rebuilt_records(self, overrides, message, scenario):
+        text = "scenario:\n  id: x\n  axes:\n    - path: demand.sigma\n      values: [8.0]\n" if scenario else ""
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            apply_overrides(parse_config(text), **overrides)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(market="x"), "market must be a MarketEconomics, got 'x'"),
+            (dict(suppliers=()), "suppliers must be a nonempty tuple of SupplierProfile, got ()"),
+            (dict(demand=None), "demand must be a TruncatedNormal, got None"),
+            (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
+            (dict(replications=1), "replications must be at least 2, got 1"),
+            (dict(scenario="s1"), "scenario must be a ScenarioSpec or None, got 's1'"),
+        ],
+    )
+    def test_run_config_checks_its_own_fields(self, fields, message):
+        base = dict(market=BASELINE_MARKET, suppliers=BASELINE_SUPPLIERS, demand=BASELINE_DEMAND)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RunConfig(**{**base, **fields})
+
+    def test_top_level_seed_error_names_the_file(self):
+        # the scenario would inherit the bad seed; the error names the top level
+        message = r"^run\.yaml:1: config: seed must be a nonnegative integer, got -1$"
+        with pytest.raises(ValidationError, match=message):
+            parse_config("seed: -1\nscenario:\n  id: x\n", source="run.yaml")

@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 from procurekit.cli import main
 from procurekit.config import load_config
 
+from helpers import examples
+
 # builds() makes a fresh empty container per draw, so edits never share one
 JUNK = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, None]),
@@ -204,7 +206,7 @@ def check_scenario(out: Path, config_path: Path) -> None:
 
 
 @settings(
-    max_examples=100,
+    max_examples=examples(100),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )

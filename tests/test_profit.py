@@ -11,6 +11,7 @@ from procurekit.optimizer import optimize
 from procurekit.profit import (
     Decision,
     _mean,
+    _mean_inverse,
     _sample_std,
     breakdown_from_draws,
     expected_profit_closed_form,
@@ -270,3 +271,8 @@ class TestFillRateDistribution:
     def test_rejects_negative_supply(self):
         with pytest.raises(ValidationError):
             fill_rate_distribution(DEMAND, -1.0, 1_000, np.random.default_rng(0))
+
+
+def test_mean_inverse_of_an_empty_interval_is_zero():
+    # _closed_form_fills meets [upper, upper] when the 90% quantile rounds to upper.
+    assert _mean_inverse(DEMAND, 70.0, 70.0) == 0.0

@@ -600,6 +600,12 @@ class TestVarianceDecomposition:
         with pytest.raises(ValidationError, match="vary"):
             variance_decomposition(rng.random(20), np.full(20, 3.0))
 
+    def test_rejects_a_response_no_parameter_explains(self):
+        # y is symmetric about the middle of x, so the fitted slope is exactly 0.
+        x = np.arange(1.0, 11.0)
+        with pytest.raises(ValidationError, match="vary"):
+            variance_decomposition(x, np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0]))
+
     def test_rejects_nonfinite_input(self):
         x = np.arange(12.0)
         y = x.copy()
