@@ -250,22 +250,16 @@ def cmd_scenario(target, seed, replications, jobs, out_dir, fmt) -> None:
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format must be 'csv' or 'json', got {fmt!r}")
     if target in PRESET_IDS:
-        spec = preset(target)
+        cfg = dataclasses.replace(baseline_config(), scenario=preset(target))
     elif Path(target).exists():
-        spec = load_config(target).scenario
-        if spec is None:
+        cfg = load_config(target)
+        if cfg.scenario is None:
             raise ValidationError(f"{target}: config has no scenario section")
     else:
         raise ValidationError(
             f"unknown preset {target!r}; expected one of {PRESET_IDS} or a spec file path"
         )
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if replications is not None:
-        overrides["replications"] = replications
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    spec = apply_overrides(cfg, seed, replications).scenario
 
     results = run(spec, jobs=jobs)
     if spec.dynamic is not None:

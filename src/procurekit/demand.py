@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import InvalidDistributionError, ValidationError, check_finite, is_int, store_floats
+from .errors import InvalidDistributionError, ValidationError, check_finite, is_int, real_array, store_floats
 
 __all__ = ["TruncatedNormal", "TruncatedNormalParams"]
 
@@ -139,12 +139,21 @@ class TruncatedNormalParams(NamedTuple):
         return inside if scalar else np.where(q >= self.upper, 0.0, np.where(q <= self.lower, self.mean - q, inside))
 
 
-def _argument(x):
-    """x as a Python float, or as a float array of at least one dimension."""
-    if type(x) is float:
-        return x
-    x = np.asarray(x, dtype=float)
-    return float(x) if x.ndim == 0 else x
+def _argument(x, method: str, lo: float = -math.inf, hi: float = math.inf):
+    """x as a Python float, or as a float array of at least one dimension.
+
+    Raises ValidationError naming ``method`` unless x holds real numbers
+    (see errors.real_array) in [lo, hi]. NaN lies in no interval, so it is
+    refused too; infinities pass, and every method takes its limit there.
+    A float is tested by one comparison, since optimize calls the methods on
+    floats.
+    """
+    if type(x) is not float:
+        x = real_array(f"{method} argument", x)
+        x = float(x) if x.ndim == 0 else x
+    if not (lo <= x <= hi if type(x) is float else np.all((x >= lo) & (x <= hi))):
+        raise ValidationError(f"{method} argument must lie in [{lo:g}, {hi:g}]")
+    return x
 
 
 @dataclass(frozen=True)
@@ -209,22 +218,19 @@ class TruncatedNormal:
 
     def pdf(self, x):
         """Density at x (scalar or array). Zero outside the bounds."""
-        x = _argument(x)
+        x = _argument(x, "pdf")
         if isinstance(x, float):
             return self.params.density(x) if self.lower <= x <= self.upper else 0.0
         return np.where((x >= self.lower) & (x <= self.upper), self.params.density(x), 0.0)
 
     def cdf(self, x):
         """P(D <= x) for scalar or array x; a float for a scalar."""
-        return self.params.cdf(_argument(x))
+        return self.params.cdf(_argument(x, "cdf"))
 
     def quantile(self, u):
         """Inverse CDF at u in [0, 1] (scalar or array); a float for a scalar.
         Raises ValidationError if any u falls outside [0, 1]."""
-        u = _argument(u)
-        if not (0.0 <= u <= 1.0 if isinstance(u, float) else np.all((u >= 0.0) & (u <= 1.0))):
-            raise ValidationError("quantile argument must lie in [0, 1]")
-        return self.params.quantile(u)
+        return self.params.quantile(_argument(u, "quantile", 0.0, 1.0))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n samples by inverse-CDF transform of rng.random(n)."""
@@ -278,8 +284,8 @@ class TruncatedNormal:
     def expected_excess(self, q):
         """E[(D - q)^+], the expected demand above a supply level q (scalar or
         array); a float for a scalar."""
-        return self.params.expected_excess(_argument(q))
+        return self.params.expected_excess(_argument(q, "expected_excess"))
 
     def expected_min(self, q: float) -> float:
         """E[min(q, D)], the expected quantity served when q units are on hand."""
-        return self.mean - self.expected_excess(q)
+        return self.mean - self.params.expected_excess(_argument(q, "expected_min"))

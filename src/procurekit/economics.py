@@ -195,15 +195,10 @@ def cheapest_supplier(
 ) -> tuple[int, float]:
     """Index (into the sequence) and unit cost of the cheapest supplier.
 
-    Ties resolve to the lowest supplier id so allocations are reproducible.
+    Ties resolve to the lowest supplier id, then to the first listed, so
+    allocations are reproducible.
     """
     if not suppliers:
         raise ValidationError("supplier list is empty")
-    best_idx = -1
-    best_cost = math.inf
-    best_id: int | None = None
-    for idx, sup in enumerate(suppliers):
-        cost = market.unit_cost(sup, alpha)
-        if cost < best_cost or (cost == best_cost and (best_id is None or sup.id < best_id)):
-            best_idx, best_cost, best_id = idx, cost, sup.id
-    return best_idx, best_cost
+    cost, _, idx = min((market.unit_cost(sup, alpha), sup.id, idx) for idx, sup in enumerate(suppliers))
+    return idx, cost

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the number rules that
 every public constructor checks with, each stated once: a real number is an
-int, a float or a numpy integer or floating scalar, but never a bool.
+int, a float or a numpy integer or floating scalar, but never a bool. An
+array of real numbers is rectangular with an integer or floating dtype.
 
 The CLI maps these onto exit codes: validation problems exit 1, runtime
 failures exit 2, I/O errors exit 3.
@@ -8,6 +9,8 @@ failures exit 2, I/O errors exit 3.
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ProcureKitError(Exception):
@@ -96,3 +99,24 @@ def check_unit_interval(name: str, value) -> None:
     # NaN, inf and an integer beyond float range all fail the comparison.
     if not (is_real(value) and 0.0 <= value <= 1.0):
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def real_array(name: str, values, ndims: tuple[int, ...] | None = None) -> np.ndarray:
+    """``values`` as a float array. Raises ValidationError naming ``name``
+    for ragged nesting, for elements that numpy does not store with an
+    integer or floating dtype (bools, strings, None, ints beyond 64 bits)
+    and, when ``ndims`` is given, for a number of dimensions not in it."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:
+        # Nested sequences whose rows differ in length.
+        raise ValidationError(_array_rule(name, ndims)) from exc
+    if array.dtype.kind not in "iuf" or (ndims and array.ndim not in ndims):
+        raise ValidationError(f"{_array_rule(name, ndims)}, got {array.dtype} of shape {array.shape}")
+    return array.astype(float, copy=False)
+
+
+def _array_rule(name: str, ndims: tuple[int, ...] | None) -> str:
+    # Built only on failure: Monte Carlo cells pass their draws through real_array.
+    shape = " or ".join(f"{n}-D" for n in ndims) + " array" if ndims else "real number or array"
+    return f"{name} must be a {shape} of real numbers"

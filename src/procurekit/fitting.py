@@ -34,6 +34,12 @@ FAMILIES = ("truncated-normal", "pareto", "negative-binomial")
 
 _HISTOGRAM_BINS = 40
 _FREE_PARAMS = 2  # every family estimates exactly two free parameters
+# gammaln(count + r) moves in steps of one float spacing of count, so a
+# fitted dispersion r within this many spacings of the largest count has
+# fewer than three digits of its own. Against the 40-digit maximum of the
+# same likelihood (tests/oracles.py), five to forty zeros with one count of
+# 2**35 to 2**53 fit r 0.02% to 130% off within this margin.
+_NB_MIN_SPACINGS = 1e3
 
 
 @dataclass(frozen=True)
@@ -458,12 +464,18 @@ def _fit_negative_binomial(x: np.ndarray) -> _Fitted:
     )
     if not result.success:
         raise FitConvergenceError("negative-binomial likelihood maximization did not converge")
+    r_hat = math.exp(float(result.x))
+    spacing = math.ulp(float(counts[-1]))
+    if r_hat < _NB_MIN_SPACINGS * spacing:
+        raise DegenerateDataError(
+            f"counts from {counts[0]} to {counts[-1]} resolve the negative-binomial dispersion only in steps of "
+            f"{spacing:g}, and the fitted r={r_hat:.3g} lies within {_NB_MIN_SPACINGS:g} such steps"
+        )
     if result.x <= lo + 1e-6 or result.x >= hi - 1e-6:
         raise FitConvergenceError(
             "negative-binomial dispersion ran to a search bound instead of an "
             "interior maximum (sample variance must exceed the mean)"
         )
-    r_hat = math.exp(float(result.x))
     p_hat = r_hat / (r_hat + mean)
     log_likelihood = -float(result.fun)
 

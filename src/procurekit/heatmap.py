@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real_array
 
 # three-stop gradient: dark purple, teal, yellow
 _STOPS = ((68, 1, 84), (33, 145, 140), (253, 231, 37))
@@ -61,7 +61,7 @@ def render_heatmap_svg(
     title: str,
 ) -> str:
     """Render a len(xs) by len(ys) grid; values[i, j] maps to (xs[i], ys[j])."""
-    values = np.asarray(values, dtype=float)
+    values = real_array("values", values, (2,))
     if values.shape != (len(xs), len(ys)):
         raise ValidationError(
             f"values must have shape ({len(xs)}, {len(ys)}), got {values.shape}"

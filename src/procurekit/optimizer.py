@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .demand import TruncatedNormal, TruncatedNormalParams
-from .economics import MarketEconomics, SupplierProfile, cheapest_supplier
+from .economics import MarketEconomics, SupplierProfile, adoption_cost_slope, cheapest_supplier
 from .errors import (
     DegenerateEconomicsError, ProcureKitError, SolverCheckError, ThresholdNotFoundError, ValidationError, check_finite,
     is_real,
@@ -142,9 +142,7 @@ def optimal_quantity_given_alpha(
     idx, cost = cheapest_supplier(market, suppliers, alpha)
     fractile = critical_fractile(market, cost)
     q_total = demand.quantile(min(fractile, 1.0)) if fractile > 0.0 else 0.0
-    quantities = [0.0] * len(suppliers)
-    quantities[idx] = q_total
-    return Decision(alpha=alpha, quantities=tuple(quantities))
+    return _order(alpha, q_total, idx, len(suppliers))
 
 
 def _power(base: np.ndarray, exponent: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -463,7 +461,7 @@ def adoption_threshold(
         raise ValidationError(f"need 0 < a3_low < a3_high, got [{a3_low!r}, {a3_high!r}]")
     cutoff = _GRID_STEP / 2.0
     q_cutoff = optimal_quantity_given_alpha(market, suppliers, demand, cutoff).total
-    slope, scale = market.a1 * q_cutoff, market.nu * cutoff ** (market.nu - 1.0)
+    slope, scale = market.a1 * q_cutoff, adoption_cost_slope(cutoff, 1.0, market.nu)
     # For nu above about 140, cutoff ** (nu - 1) underflows to 0 and a3* lies
     # beyond every float: infinite for a positive slope, 0 for a zero one.
     a3 = a3_star = slope / scale if scale else (math.inf if slope else 0.0)

@@ -26,7 +26,8 @@ import numpy as np
 from .demand import _GL_NODES, _GL_WEIGHTS, TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
 from .errors import (
-    DegenerateEconomicsError, ValidationError, check_finite, check_unit_interval, is_finite, is_int, store_floats,
+    DegenerateEconomicsError, ValidationError, check_finite, check_unit_interval, is_finite, is_int, real_array,
+    store_floats,
 )
 
 __all__ = [
@@ -164,6 +165,11 @@ def _closed_form_fills(demand: TruncatedNormal, q: float) -> tuple[float, float]
     Fill is nonincreasing in demand, so the worst decile of fills is exactly
     the top decile of demand. Above the 90% quantile both integrate f(x)/x
     over [q, upper], which is computed once.
+
+    Every fill min(q, x) / x lies in [q / upper, 1], and both means are
+    clamped to that range. Only a window a few floats wide reaches the
+    clamp: there the quadrature's mass and the quantile round by more than
+    the window's width, so that the top decile can lose all its width.
     """
     if q >= demand.upper:
         return 1.0, 1.0
@@ -172,8 +178,11 @@ def _closed_form_fills(demand: TruncatedNormal, q: float) -> tuple[float, float]
     tail = _mean_inverse(demand, max(q, demand.lower), demand.upper)
     fill_mean = cdf + q * tail
     if q > q90:
-        return fill_mean, 10.0 * (cdf - 0.9 + q * tail)
-    return fill_mean, 10.0 * q * _mean_inverse(demand, q90, demand.upper)
+        cvar10 = 10.0 * (cdf - 0.9 + q * tail)
+    else:
+        cvar10 = 10.0 * q * _mean_inverse(demand, q90, demand.upper)
+    lowest = q / demand.upper
+    return min(max(fill_mean, lowest), 1.0), min(max(cvar10, lowest), 1.0)
 
 
 def expected_sales_terms(market: MarketEconomics, demand: TruncatedNormal, q_total):
@@ -274,13 +283,7 @@ def breakdown_from_draws(
     """
     _check_decision(suppliers, decision)
     _check_demand_mean(demand)
-    try:
-        draws = np.asarray(draws)
-    except ValueError as exc:
-        raise ValidationError("draws must be a 1-D array of real numbers") from exc
-    if draws.ndim != 1 or draws.dtype.kind not in "iuf":
-        raise ValidationError(f"draws must be a 1-D array of real numbers, got {draws.dtype} of shape {draws.shape}")
-    draws = draws.astype(float, copy=False)
+    draws = real_array("draws", draws, (1,))
     n = draws.size
     if n < 2:
         raise ValidationError(f"need at least 2 draws for a Monte Carlo estimate, got {n}")
@@ -343,7 +346,7 @@ def fill_rate_distribution(
 
     draws = demand.sample(rng, n)
     fills = np.minimum(q, draws) / draws
-    std = float(fills.std(ddof=1))
+    std = _sample_std(fills)
     p10, p25, p50, p75, p90 = (float(v) for v in np.percentile(fills, [10, 25, 50, 75, 90]))
     prob_fill_ge_090 = float((fills >= 0.9).mean())
     mean, cvar10 = _fill_mean_and_cvar10(fills)

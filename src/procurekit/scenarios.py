@@ -31,7 +31,7 @@ from .demand import TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
 from .errors import (
     ProcureKitError, RankDeficientDesignError, ValidationError, check_finite, check_unit_interval, is_finite, is_int,
-    is_real, store_floats,
+    is_real, real_array, store_floats,
 )
 from .optimizer import _checked_kkt, _solve_batch, optimal_quantity_given_alpha
 from .profit import Decision, ProfitBreakdown, breakdown_from_draws, expected_profit_monte_carlo
@@ -397,13 +397,13 @@ def variance_decomposition(samples: np.ndarray, responses: np.ndarray) -> np.nda
     """Percentage of response variance attributed to each parameter.
 
     Fits ordinary least squares on standardized parameters; the contribution
-    of parameter j is its squared standardized coefficient, normalized to
-    sum to 100 percent.
+    of parameter j is its squared standardized coefficient, in units of the
+    response's standard deviation, normalized to sum to 100 percent.
     """
-    x = np.asarray(samples, dtype=float)
+    x = real_array("samples", samples, (1, 2))
     if x.ndim == 1:
         x = x[:, None]
-    y = np.asarray(responses, dtype=float).ravel()
+    y = real_array("responses", responses, (1, 2)).ravel()
     n, k = x.shape
     if n < 10:
         raise ValidationError(f"variance decomposition needs at least 10 samples, got {n}")
@@ -411,9 +411,11 @@ def variance_decomposition(samples: np.ndarray, responses: np.ndarray) -> np.nda
         raise ValidationError(f"got {n} samples but {y.size} responses")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValidationError("samples and responses must be finite")
-    if y.std() == 0.0:
+    spread, stds = y.std(), x.std(axis=0)
+    if not (math.isfinite(spread) and np.all(np.isfinite(stds))):
+        raise ValidationError("the spread of the samples or responses overflows a float")
+    if spread == 0.0:
         raise ValidationError("responses do not vary with the parameters")
-    stds = x.std(axis=0)
     if np.any(stds == 0.0):
         constant = int(np.argmax(stds == 0.0))
         raise RankDeficientDesignError(f"parameter column {constant} is constant")
@@ -424,7 +426,7 @@ def variance_decomposition(samples: np.ndarray, responses: np.ndarray) -> np.nda
         raise RankDeficientDesignError(
             f"design has rank {rank}, need {k + 1}; parameters are collinear"
         )
-    weights = coefs[1:] ** 2
+    weights = (coefs[1:] / spread) ** 2
     total = float(weights.sum())
     if total == 0.0:
         raise ValidationError("responses do not vary with the parameters")

@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force: composite Simpson quadrature,
 plain Monte Carlo, finite differences, exhaustive grid argmax, bisection
-over whole solves, and a 40-digit mpmath solve. The point is to validate the
-analytic code paths against slow routes that share no formulas with them.
+over whole solves, a 40-digit mpmath solve and a 40-digit negative-binomial
+fit. The point is to validate the analytic code paths against slow routes
+that share no formulas with them.
 """
 
 from __future__ import annotations
@@ -170,6 +171,39 @@ def reference_optimum(market, suppliers, demand) -> Reference:
         cutoff = mpf(THRESHOLD_CUTOFF)
         threshold = a1 * quantity(cutoff) / (nu * cutoff ** (nu - 1))
         return Reference(alpha, q, profit, threshold)
+
+
+def reference_negative_binomial_r(counts) -> float:
+    """The dispersion r that maximizes the negative-binomial likelihood of
+    ``counts`` with p profiled out, p = r / (r + mean), to REFERENCE_DIGITS
+    digits, rounded to a float.
+
+    That profile likelihood is fitting's, and its derivative in r is
+    sum(digamma(k + r)) - n * digamma(r) + n * log(r / (r + mean)). The
+    maximum is its root, found by bisection in log r on [1e-12, 1e12];
+    assumes one sign change, as for overdispersed counts.
+    """
+    import mpmath
+
+    with mpmath.workdps(REFERENCE_DIGITS):
+        values = {}
+        for k in counts:
+            values[int(k)] = values.get(int(k), 0) + 1
+        n = len(counts)
+        mean = mpmath.mpf(sum(k * m for k, m in values.items())) / n
+
+        def score(log_r):
+            r = mpmath.exp(log_r)
+            return (
+                sum(m * mpmath.digamma(k + r) for k, m in values.items())
+                - n * mpmath.digamma(r) + n * mpmath.log(r / (r + mean))
+            )
+
+        lo, hi = mpmath.log(mpmath.mpf("1e-12")), mpmath.log(mpmath.mpf("1e12"))
+        for _ in range(4 * REFERENCE_DIGITS):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if score(mid) > 0 else (lo, mid)
+        return float(mpmath.exp((lo + hi) / 2))
 
 
 def breakdown_by_numpy_reductions(market, suppliers, demand, decision, draws: np.ndarray) -> ProfitBreakdown:

@@ -9,11 +9,13 @@ and latin_hypercube either return a result that passes its own checks (the
 KKT audit closes, rows are ok with finite metrics or failed with NaN ones),
 or raise a ProcureKitError subclass: never a bare TypeError, ValueError or
 OverflowError. fill_rate_distribution, breakdown_from_draws,
-critical_fractile and adaptive_alpha_update are held to the same rule;
+critical_fractile, adaptive_alpha_update, the TruncatedNormal methods,
+variance_decomposition and render_heatmap_svg are held to the same rule;
 breakdown_from_draws also meets draws spoiled by junk, strings, a second
-dimension and ragged rows, and fit ragged nested lists. Each @example pins
-a branch that the drawn examples may miss. Sizes stay small: at most 2 axis
-values, 20 replications, 30 draws and 3 cycles.
+dimension and ragged rows, and fit, variance_decomposition and
+render_heatmap_svg ragged nested lists. Each @example pins a branch that the
+drawn examples may miss. Sizes stay small: at most 2 axis values, 20
+replications, 30 draws, 3 cycles and 14 samples.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ from procurekit.demand import TruncatedNormal
 from procurekit.economics import MarketEconomics, SupplierProfile
 from procurekit.errors import ProcureKitError
 from procurekit.fitting import FAMILIES, fit
+from procurekit.heatmap import render_heatmap_svg
 from procurekit.optimizer import adoption_threshold, critical_fractile, optimize
 from procurekit.profit import Decision, breakdown_from_draws, fill_rate_distribution
 from procurekit.scenarios import (
     DynamicSpec, ScenarioResult, ScenarioSpec, adaptive_alpha_update, latin_hypercube, run, run_dynamic,
+    variance_decomposition,
 )
 
 from helpers import examples
@@ -231,7 +235,7 @@ RAGGED = st.lists(st.lists(number(1.0, 60.0), max_size=3), min_size=2, max_size=
 @example(family="truncated-normal", data=[1.0, 2.0, 3.0], bounds=(-1e308, 1e308))
 @example(family="pareto", data=[5e-324, 1e308], bounds=None)
 @example(family="negative-binomial", data=[1.0, 1e16], bounds=None)
-# the dispersion search stops at its lower bound
+# the fitted dispersion lies within 1,000 float spacings of the largest count
 @example(family="negative-binomial", data=[0] * 24 + [2**53], bounds=None)
 def test_fit_reports_finite_metrics_or_fails_in_a_package_error(family, data, bounds):
     try:
@@ -341,6 +345,60 @@ def test_adaptive_alpha_update_stays_in_the_unit_interval_or_fails_in_a_package_
     assert 0.0 <= updated <= 1.0
 
 
+# Each TruncatedNormal method with the range of its plausible arguments.
+DEMAND_METHODS = {
+    "pdf": (0.0, 100.0), "cdf": (0.0, 100.0), "quantile": (0.0, 1.0),
+    "expected_excess": (0.0, 100.0), "expected_min": (0.0, 100.0),
+}
+
+
+@settings(max_examples=examples(60), **SETTINGS)
+@given(method=st.sampled_from(list(DEMAND_METHODS)), data=st.data())
+def test_demand_methods_answer_without_nan_or_refuse_the_argument_by_name(method, data):
+    bounds = DEMAND_METHODS[method]
+    x = data.draw(number(*bounds) | st.lists(number(*bounds), max_size=3) | RAGGED, label="x")
+    demand = BASELINE[2]
+    try:
+        value = np.asarray(getattr(demand, method)(x))
+    except errors.ValidationError as exc:
+        assert str(exc).startswith(f"{method} argument must"), str(exc)
+        return
+    assert not np.isnan(value).any()
+    if method == "cdf":
+        assert np.all((value >= 0.0) & (value <= 1.0))
+    if method == "quantile":
+        assert np.all((value >= demand.lower) & (value <= demand.upper))
+
+
+@settings(max_examples=examples(40), **SETTINGS)
+@given(n=st.integers(9, 14), data=st.data())
+def test_variance_decomposition_shares_sum_to_100_or_fail_in_a_package_error(n, data):
+    row = st.lists(number(0.0, 1.0), min_size=2, max_size=2)
+    samples = data.draw(st.lists(row, min_size=n, max_size=n) | RAGGED, label="samples")
+    responses = data.draw(st.lists(number(-5.0, 5.0), min_size=n, max_size=n), label="responses")
+    try:
+        shares = variance_decomposition(samples, responses)
+    except ProcureKitError:
+        return
+    assert np.all(np.isfinite(shares) & (shares >= 0.0))
+    assert shares.sum() == pytest.approx(100.0)
+
+
+@settings(max_examples=examples(40), **SETTINGS)
+@given(
+    xs=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=2).map(tuple),
+    ys=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=2).map(tuple),
+    values=st.lists(st.lists(number(0.0, 1.0), min_size=1, max_size=2), min_size=1, max_size=2) | RAGGED,
+)
+def test_render_heatmap_svg_draws_a_cell_per_value_or_fails_in_a_package_error(xs, ys, values):
+    try:
+        svg = render_heatmap_svg(xs, ys, values, "x", "y", "t")
+    except ProcureKitError:
+        return
+    assert svg.startswith("<svg") and svg.endswith("</svg>")
+    assert svg.count('width="56" height="56"') == len(xs) * len(ys)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -361,10 +419,24 @@ def test_adaptive_alpha_update_stays_in_the_unit_interval_or_fails_in_a_package_
         (lambda: critical_fractile(BASELINE[0], math.nan), "cost must be finite, got nan"),
         (lambda: adaptive_alpha_update(math.nan, 0.1, 0.05, 0.05), "alpha must lie in [0, 1], got nan"),
         (lambda: adaptive_alpha_update(0.2, 0.1, 0.05, 0.0), "target_penalty must be positive, got 0.0"),
+        (lambda: BASELINE[2].cdf("a"),
+         "cdf argument must be a real number or array of real numbers, got <U1 of shape ()"),
+        (lambda: BASELINE[2].pdf(math.nan), "pdf argument must lie in [-inf, inf]"),
+        (lambda: BASELINE[2].expected_excess(math.nan), "expected_excess argument must lie in [-inf, inf]"),
+        (lambda: BASELINE[2].expected_min(math.nan), "expected_min argument must lie in [-inf, inf]"),
+        (lambda: BASELINE[2].cdf([math.nan, 40.0]), "cdf argument must lie in [-inf, inf]"),
+        (lambda: variance_decomposition(np.ones((12, 2)), ["a"] * 12),
+         "responses must be a 1-D or 2-D array of real numbers, got <U1 of shape (12,)"),
+        (lambda: variance_decomposition([[1, 2], [3]], list(range(2))),
+         "samples must be a 1-D or 2-D array of real numbers"),
+        (lambda: render_heatmap_svg((1,), (2,), [["a"]], "x", "y", "t"),
+         "values must be a 2-D array of real numbers, got <U1 of shape (1, 1)"),
     ],
     ids=[
         "fill-nan-q", "fill-string-q", "fill-huge-q", "fill-float-n", "draws-strings", "draws-2d", "draws-nan",
-        "fractile-nan-cost", "update-nan-alpha", "update-zero-target",
+        "fractile-nan-cost", "update-nan-alpha", "update-zero-target", "cdf-string", "pdf-nan", "excess-nan",
+        "min-nan", "cdf-array-nan", "decomposition-string-responses", "decomposition-ragged-samples",
+        "heatmap-string-values",
     ],
 )
 def test_public_functions_refuse_bad_arguments_by_name(call, message):

@@ -23,6 +23,8 @@ from procurekit.fitting import (
     read_demand_series,
 )
 
+from oracles import reference_negative_binomial_r
+
 DIST = TruncatedNormal(mu=50.0, sigma=8.0, lower=30.0, upper=70.0)
 
 
@@ -234,6 +236,29 @@ class TestNegativeBinomialFit:
             )
         )
         assert report.log_likelihood == pytest.approx(ll, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "zeros, count",
+        [(10, 2**53), (16, 2**53), (22, 2**53), (24, 2**53), (30, 2**53), (46, 2**53), (16, 2**45)],
+    )
+    def test_dispersion_is_refused_unconverged_or_at_the_reference(self, zeros, count):
+        # Without the spacing rule these fits gave r 0.002 to 2.3 times the
+        # reference, or ran to a search bound.
+        data = [0] * zeros + [count]
+        try:
+            r_hat = fit("negative-binomial", data).params[0]
+        except DegenerateDataError as exc:
+            assert str(exc).startswith(f"counts from 0 to {count} resolve")
+            return
+        except FitConvergenceError:
+            return
+        assert r_hat == pytest.approx(reference_negative_binomial_r(data), rel=1e-6)
+
+    def test_a_resolvable_dispersion_is_not_refused(self):
+        data = [0] * 16 + [2**8]
+        assert fit("negative-binomial", data).params[0] == pytest.approx(
+            reference_negative_binomial_r(data), rel=1e-6
+        )
 
 
 class TestMetrics:

@@ -135,6 +135,20 @@ class TestClosedForm:
         assert math.isnan(b.fill_rate_mean)
         assert math.isfinite(b.expected_profit)
 
+    @pytest.mark.parametrize("floats", [1, 16])
+    def test_fill_metrics_of_a_window_a_few_floats_wide(self, floats):
+        # Unclamped, the 1-float window read (1.0000007186, 0.0), the 90%
+        # quantile rounding to upper, and the 16-float one a CVaR10 of 1.25.
+        upper = 1e6
+        for _ in range(floats):
+            upper = math.nextafter(upper, math.inf)
+        demand = baseline_demand(mu=1e6, sigma=1.0, lower=1e6, upper=upper)
+        b = expected_profit_closed_form(
+            MARKET, SUPPLIERS, demand, Decision(alpha=0.0, quantities=(0.0, 0.0, 1e6))
+        )
+        for fill in (b.fill_rate_mean, b.fill_rate_cvar10):
+            assert 0.0 <= fill <= 1.0 and fill == pytest.approx(1.0, abs=1e-9)
+
 
 class TestMonteCarlo:
     @pytest.mark.parametrize("decision", DECISIONS[:3])
