@@ -221,7 +221,9 @@ class TruncatedNormal:
         x = _argument(x, "pdf")
         if isinstance(x, float):
             return self.params.density(x) if self.lower <= x <= self.upper else 0.0
-        return np.where((x >= self.lower) & (x <= self.upper), self.params.density(x), 0.0)
+        # An x far beyond sigma overflows z * z to inf, whose exp(-inf) is the density 0.
+        with np.errstate(over="ignore"):
+            return np.where((x >= self.lower) & (x <= self.upper), self.params.density(x), 0.0)
 
     def cdf(self, x):
         """P(D <= x) for scalar or array x; a float for a scalar."""

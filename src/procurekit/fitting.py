@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import betainc, gammaln, log_ndtr, ndtr
+from scipy.special import betainc, betaln, log_ndtr, ndtr
 
 from .errors import (
     DegenerateDataError,
@@ -28,18 +28,13 @@ from .errors import (
     ProcureKitError,
     ValidationError,
     is_finite,
+    real_array,
 )
 
 FAMILIES = ("truncated-normal", "pareto", "negative-binomial")
 
 _HISTOGRAM_BINS = 40
 _FREE_PARAMS = 2  # every family estimates exactly two free parameters
-# gammaln(count + r) moves in steps of one float spacing of count, so a
-# fitted dispersion r within this many spacings of the largest count has
-# fewer than three digits of its own. Against the 40-digit maximum of the
-# same likelihood (tests/oracles.py), five to forty zeros with one count of
-# 2**35 to 2**53 fit r 0.02% to 130% off within this margin.
-_NB_MIN_SPACINGS = 1e3
 
 
 @dataclass(frozen=True)
@@ -133,13 +128,7 @@ def fit(
     """
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    try:
-        values = np.asarray(data)
-    except ValueError as exc:
-        raise ValidationError("data must be numbers in a flat or rectangular array") from exc
-    if values.dtype.kind not in "iuf" and not all(map(is_finite, values.flat)):
-        raise ValidationError("data must be finite real numbers")
-    x = values.astype(float).ravel()
+    x = real_array("data", data).ravel()
     if x.size == 0:
         raise ValidationError("data must be nonempty")
     if not np.all(np.isfinite(x)):
@@ -297,7 +286,10 @@ def _fit_truncated_normal(
         lower, upper = float(x[0]), float(x[-1])
         notes.append("support bounds defaulted to the observed data range")
     else:
-        lower, upper = fixed_bounds
+        try:
+            lower, upper = fixed_bounds
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"fixed_bounds must be a (lower, upper) pair, got {fixed_bounds!r}") from exc
         if not (is_finite(lower) and is_finite(upper) and lower < upper):
             raise ValidationError("fixed_bounds must be finite with lower < upper")
         lower, upper = float(lower), float(upper)
@@ -318,10 +310,13 @@ def _fit_truncated_normal(
     mu_lo, mu_hi = lower - 10.0 * width, upper + 10.0 * width
     log_sigma_lo, log_sigma_hi = math.log(1e-6 * width), math.log(10.0 * width)
 
+    def standardized(mu: float, sigma: float) -> tuple[float, float, float]:
+        # the support bounds in units of sigma from mu, and the log of their mass
+        a_std, b_std = (lower - mu) / sigma, (upper - mu) / sigma
+        return a_std, b_std, _log_interval_mass(a_std, b_std)
+
     def fitted_mean(mu: float, sigma: float) -> float:
-        a_std = (lower - mu) / sigma
-        b_std = (upper - mu) / sigma
-        log_mass = _log_interval_mass(a_std, b_std)
+        a_std, b_std, log_mass = standardized(mu, sigma)
         edge_a = math.exp(-0.5 * a_std * a_std - half_log_two_pi - log_mass)
         edge_b = math.exp(-0.5 * b_std * b_std - half_log_two_pi - log_mass)
         return mu + sigma * (edge_a - edge_b)
@@ -341,9 +336,7 @@ def _fit_truncated_normal(
     def profile_nll(log_sigma: float) -> float:
         sigma = math.exp(log_sigma)
         mu = best_mu(sigma)
-        a_std = (lower - mu) / sigma
-        b_std = (upper - mu) / sigma
-        log_mass = _log_interval_mass(a_std, b_std)
+        log_mass = standardized(mu, sigma)[2]
         quad = float(np.sum((x - mu) ** 2)) / (2.0 * sigma * sigma)
         return n * (log_sigma + log_mass + half_log_two_pi) + quad
 
@@ -368,9 +361,7 @@ def _fit_truncated_normal(
     # evaluate the fitted density and CDF in log space: extreme fits place
     # the core so far out that the raw interval mass underflows a double even
     # though the conditional distribution on [lower, upper] is well defined
-    a_hat = (lower - mu_hat) / sigma_hat
-    b_hat = (upper - mu_hat) / sigma_hat
-    log_mass_hat = _log_interval_mass(a_hat, b_hat)
+    a_hat, b_hat, log_mass_hat = standardized(mu_hat, sigma_hat)
 
     def density(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -393,7 +384,9 @@ def _fit_pareto(x: np.ndarray) -> _Fitted:
     if x[0] <= 0.0:
         raise ValidationError("pareto requires strictly positive data")
     scale = float(x[0])
-    log_ratio_sum = float(np.sum(np.log(x / scale)))
+    # x / scale overflows to inf for a span beyond float range, which the check below refuses
+    with np.errstate(over="ignore"):
+        log_ratio_sum = float(np.sum(np.log(x / scale)))
     if not math.isfinite(log_ratio_sum):
         raise DegenerateDataError("the ratio of the largest to the smallest value overflows a float")
     if log_ratio_sum == 0.0:
@@ -427,14 +420,23 @@ def _fit_pareto(x: np.ndarray) -> _Fitted:
     )
 
 
+def _log_nb_coefficient(k: np.ndarray, r: float) -> np.ndarray:
+    """log C(k + r - 1, k) of each count k, 0 at k = 0, as -log k - log B(k, r):
+    log Gamma(k + r) - log Gamma(r) - log Gamma(k + 1) cancels the digits
+    that a large count's terms share."""
+    positive = np.maximum(k, 1.0)
+    return np.where(k > 0.0, -np.log(positive) - betaln(positive, r), 0.0)
+
+
 def _fit_negative_binomial(x: np.ndarray) -> _Fitted:
     from scipy.optimize import minimize_scalar
 
     if x[-1] > 2.0**53:
         raise ValidationError("negative-binomial requires counts up to 2**53, where floats hold every integer")
-    counts = np.rint(x).astype(np.int64)
-    if counts[0] < 0:
+    # refused before the cast, which cannot hold a count below -2**63
+    if np.rint(x[0]) < 0.0:
         raise ValidationError("negative-binomial requires nonnegative counts after rounding")
+    counts = np.rint(x).astype(np.int64)
     if counts[0] == counts[-1]:
         raise DegenerateDataError("constant counts leave the dispersion unidentified")
     n = counts.size
@@ -448,13 +450,13 @@ def _fit_negative_binomial(x: np.ndarray) -> _Fitted:
             f"variance ({variance:.6g}) does not exceed the mean ({mean:.6g})"
         )
     count_sum = float(np.sum(counts))
-    log_factorials = float(np.sum(gammaln(counts + 1.0)))
+    distinct, multiplicity = np.unique(counts, return_counts=True)
 
     def negative_log_likelihood(log_r: float) -> float:
         r = math.exp(log_r)
         # for fixed r the success probability is profiled out analytically
         p = r / (r + mean)
-        ll = float(np.sum(gammaln(counts + r))) - n * float(gammaln(r)) - log_factorials
+        ll = float(np.dot(multiplicity, _log_nb_coefficient(distinct, r)))
         ll += n * r * math.log(p) + count_sum * math.log1p(-p)
         return -ll
 
@@ -465,12 +467,6 @@ def _fit_negative_binomial(x: np.ndarray) -> _Fitted:
     if not result.success:
         raise FitConvergenceError("negative-binomial likelihood maximization did not converge")
     r_hat = math.exp(float(result.x))
-    spacing = math.ulp(float(counts[-1]))
-    if r_hat < _NB_MIN_SPACINGS * spacing:
-        raise DegenerateDataError(
-            f"counts from {counts[0]} to {counts[-1]} resolve the negative-binomial dispersion only in steps of "
-            f"{spacing:g}, and the fitted r={r_hat:.3g} lies within {_NB_MIN_SPACINGS:g} such steps"
-        )
     if result.x <= lo + 1e-6 or result.x >= hi - 1e-6:
         raise FitConvergenceError(
             "negative-binomial dispersion ran to a search bound instead of an "
@@ -481,14 +477,7 @@ def _fit_negative_binomial(x: np.ndarray) -> _Fitted:
 
     def pmf(j: np.ndarray) -> np.ndarray:
         j = np.maximum(np.rint(np.asarray(j, dtype=float)), 0.0)
-        log_pmf = (
-            gammaln(j + r_hat)
-            - gammaln(r_hat)
-            - gammaln(j + 1.0)
-            + r_hat * math.log(p_hat)
-            + j * math.log1p(-p_hat)
-        )
-        return np.exp(log_pmf)
+        return np.exp(_log_nb_coefficient(j, r_hat) + r_hat * math.log(p_hat) + j * math.log1p(-p_hat))
 
     def cdf(v: np.ndarray) -> np.ndarray:
         v = np.floor(np.asarray(v, dtype=float))

@@ -115,6 +115,7 @@ def critical_fractile(market: MarketEconomics, cost: float) -> float:
     overflows a float.
     """
     check_finite("cost", cost)
+    cost = float(cost)  # a numpy float32 cost would round the fractile to float32
     if cost < market.salvage:
         raise DegenerateEconomicsError(
             f"unit cost {cost!r} below salvage {market.salvage!r}: "
@@ -199,8 +200,8 @@ class _Envelope:
         P(t) = min(max(T(t), t_lo), t_hi), T(t) = a1 * Q*(alpha) / (a3 * nu).
 
         Stationarity a1 * Q*(alpha) = a3 * nu * alpha**(nu - 1) reads t = T(t),
-        and T does not decrease, because Q* does not decrease in alpha. With
-        a3 = 0, T is inf and projects to t_hi; a 0/0 NaN projects to t_lo.
+        and T does not decrease, because Q* does not decrease in alpha. With a3 = 0
+        or an overflowing quotient, T is inf and projects to t_hi; a 0/0 NaN to t_lo.
         """
         alpha = _power(t, 1.0 / self.nu_less_one, t.shape)
         mapped = self.a1 * self.cost_and_order(alpha)[1] / self.a3_nu
@@ -220,26 +221,26 @@ def _fixed_point(
     that way, reporting the iterate before it; a cell still moving after
     _MAX_STEPS reports its last evaluated iterate. The cells step in lock-step
     and leave the batch as they stop. Every operation is elementwise, so a
-    cell's bits do not depend on its batch.
+    cell's bits do not depend on its batch. Call it where numpy ignores
+    divide, invalid and over, as _solve_batch does.
     """
     t_out, alpha_out = np.empty(start.size), np.empty(start.size)
     cells = np.arange(start.size)
     t, t_lo, t_hi = start[:, None], t_lo[:, None], t_hi[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(_MAX_STEPS):
-            alpha, mapped = env.step(t, t_lo, t_hi)
-            if not step:
-                direction = np.sign(mapped - t)
-            done = ~((mapped - t) * direction > 0.0)[:, 0] | (step == _MAX_STEPS - 1)
-            t_out[cells[done]], alpha_out[cells[done]] = t[done, 0], alpha[done, 0]
-            if done.all():
-                break
-            if done.any():
-                keep = ~done
-                cells, env, mapped, t_lo, t_hi, direction = (
-                    cells[keep], env.take(keep), mapped[keep], t_lo[keep], t_hi[keep], direction[keep]
-                )
-            t = mapped
+    for step in range(_MAX_STEPS):
+        alpha, mapped = env.step(t, t_lo, t_hi)
+        if not step:
+            direction = np.sign(mapped - t)
+        done = ~((mapped - t) * direction > 0.0)[:, 0] | (step == _MAX_STEPS - 1)
+        t_out[cells[done]], alpha_out[cells[done]] = t[done, 0], alpha[done, 0]
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            cells, env, mapped, t_lo, t_hi, direction = (
+                cells[keep], env.take(keep), mapped[keep], t_lo[keep], t_hi[keep], direction[keep]
+            )
+        t = mapped
     return t_out, alpha_out
 
 
@@ -303,22 +304,25 @@ def _solve_batch(
     t = _power(_GRID, env.nu_less_one, q.shape)
     g = env.a1 * q - env.a3_nu * t
     cell = np.arange(len(live))
-    profits = env.profit(_GRID, cost, q)
-    best_index = np.argmax(profits, axis=1)
-    best = _GRID[best_index]
-    # The grid step where the slope should change sign: right of the argmax
-    # if the slope there is positive, else left of it.
-    left = np.minimum(np.maximum(best_index - (g[cell, best_index] <= 0.0), 0), _GRID.size - 2)
-    g_left, g_right = g[cell, left], g[cell, left + 1]
-    brackets = (g_left > 0.0) & (g_right <= 0.0)
-    lo, hi = np.maximum(0.0, best - _GRID_STEP), np.minimum(1.0, best + _GRID_STEP)
-    t_lo, t_hi = (_power(end[:, None], env.nu_less_one, (end.size, 1))[:, 0] for end in (lo, hi))
-    # Start from the zero of the grid's secant in t, where the slope is nearly
-    # linear, or without a sign change from the middle of [t_lo, t_hi].
-    t_left, t_right = t[cell, left], t[cell, left + 1]
-    share = np.divide(g_left, g_left - g_right, out=np.zeros_like(g_left), where=brackets)
-    start = np.where(brackets, t_left + (t_right - t_left) * share, 0.5 * (t_lo + t_hi))
-    t_root, alpha_root = _fixed_point(env, t_lo, t_hi, start)
+    # A grid profit overflows to inf at a price near float range, which ProfitBreakdown refuses
+    # once _decide prices the decision; _Envelope.step says where _fixed_point's inf and NaN go.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        profits = env.profit(_GRID, cost, q)
+        best_index = np.argmax(profits, axis=1)
+        best = _GRID[best_index]
+        # The grid step where the slope should change sign: right of the argmax
+        # if the slope there is positive, else left of it.
+        left = np.minimum(np.maximum(best_index - (g[cell, best_index] <= 0.0), 0), _GRID.size - 2)
+        g_left, g_right = g[cell, left], g[cell, left + 1]
+        brackets = (g_left > 0.0) & (g_right <= 0.0)
+        lo, hi = np.maximum(0.0, best - _GRID_STEP), np.minimum(1.0, best + _GRID_STEP)
+        t_lo, t_hi = (_power(end[:, None], env.nu_less_one, (end.size, 1))[:, 0] for end in (lo, hi))
+        # Start from the zero of the grid's secant in t, where the slope is nearly
+        # linear, or without a sign change from the middle of [t_lo, t_hi].
+        t_left, t_right = t[cell, left], t[cell, left + 1]
+        share = np.divide(g_left, g_left - g_right, out=np.zeros_like(g_left), where=brackets)
+        start = np.where(brackets, t_left + (t_right - t_left) * share, 0.5 * (t_lo + t_hi))
+        t_root, alpha_root = _fixed_point(env, t_lo, t_hi, start)
     roots = np.where(t_root == t_lo, lo, np.where(t_root == t_hi, hi, alpha_root))
     q_root = env.cost_and_order(roots[:, None])[1][:, 0]
     for i, winner, alpha_grid, total_grid, profit_grid, alpha_root, total_root in zip(

@@ -324,7 +324,7 @@ def adaptive_alpha_update(
     """Penalty-feedback rule: step by the relative target gap, clamp to [0, 1].
 
     alpha lies in [0, 1], the penalty rates are finite, and the learning rate
-    and target are positive, as in DynamicSpec.
+    and target are positive, as in DynamicSpec. The step is in Python floats.
     """
     check_unit_interval("alpha", alpha)
     check_finite("observed_penalty", observed_penalty)
@@ -332,8 +332,8 @@ def adaptive_alpha_update(
         check_finite(name, value)
         if value <= 0.0:
             raise ValidationError(f"{name} must be positive, got {value!r}")
-    step = learning_rate * (observed_penalty - target_penalty) / target_penalty
-    return min(1.0, max(0.0, alpha + step))
+    rate, target = float(learning_rate), float(target_penalty)
+    return min(1.0, max(0.0, float(alpha) + rate * (float(observed_penalty) - target) / target))
 
 
 def run_dynamic(spec: ScenarioSpec) -> list[ScenarioResult]:
@@ -411,7 +411,9 @@ def variance_decomposition(samples: np.ndarray, responses: np.ndarray) -> np.nda
         raise ValidationError(f"got {n} samples but {y.size} responses")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValidationError("samples and responses must be finite")
-    spread, stds = y.std(), x.std(axis=0)
+    # Values near float range take the std's sum or square to inf or NaN; the check below refuses both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread, stds = y.std(), x.std(axis=0)
     if not (math.isfinite(spread) and np.all(np.isfinite(stds))):
         raise ValidationError("the spread of the samples or responses overflows a float")
     if spread == 0.0:

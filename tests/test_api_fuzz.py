@@ -230,12 +230,18 @@ RAGGED = st.lists(st.lists(number(1.0, 60.0), max_size=3), min_size=2, max_size=
     data=st.lists(number(1.0, 60.0), max_size=12) | RAGGED,
     bounds=st.none() | st.tuples(number(0.0, 1.0), number(60.0, 100.0)),
 )
+# fixed_bounds that are not a (lower, upper) pair
+@example(family="truncated-normal", data=[1.0, 2.0, 3.0, 2.5], bounds=5)
+@example(family="truncated-normal", data=[1.0, 2.0, 3.0, 2.5], bounds=(1.0,))
+@example(family="truncated-normal", data=[1.0, 2.0, 3.0, 2.5], bounds=(1.0, 2.0, 3.0))
 @example(family="pareto", data=[[1.0], [2.0, 3.0]], bounds=None)
 @example(family="pareto", data=[1.0, None], bounds=None)
 @example(family="truncated-normal", data=[1.0, 2.0, 3.0], bounds=(-1e308, 1e308))
 @example(family="pareto", data=[5e-324, 1e308], bounds=None)
 @example(family="negative-binomial", data=[1.0, 1e16], bounds=None)
-# the fitted dispersion lies within 1,000 float spacings of the largest count
+# a negative count beyond int64
+@example(family="negative-binomial", data=[-9.223372036854778e18], bounds=None)
+# a dispersion far below one float spacing of the largest count
 @example(family="negative-binomial", data=[0] * 24 + [2**53], bounds=None)
 def test_fit_reports_finite_metrics_or_fails_in_a_package_error(family, data, bounds):
     try:
@@ -327,6 +333,9 @@ def test_breakdown_from_draws_ends_checked_or_in_a_package_error(model, alpha, t
 @settings(max_examples=examples(40), **SETTINGS)
 @given(market=fields(MARKET), cost=number(0.0, 200.0))
 @example(market=dict(price=1e308, salvage=20.0, penalty=1e308, a1=5.0, a2=8.0, a3=2000.0, nu=1.5), cost=100.0)
+# a float32 cost must not take the fractile into float32, where this price overflows
+@example(market=dict(price=3.4028235677973366e38, salvage=-0.0, penalty=0.0, a1=0.0, a2=0.0, a3=0.0, nu=2.0),
+         cost=np.float32(0.0))
 def test_critical_fractile_is_a_service_level_or_fails_in_a_package_error(market, cost):
     try:
         fractile = critical_fractile(MarketEconomics(**market), cost)
@@ -337,6 +346,8 @@ def test_critical_fractile_is_a_service_level_or_fails_in_a_package_error(market
 
 @settings(max_examples=examples(40), **SETTINGS)
 @given(alpha=number(0.0, 1.0), observed=number(0.0, 0.5), rate=number(0.01, 0.2), target=number(0.01, 0.2))
+# a float32 target must not take the step into float32, where 1e308 overflows
+@example(alpha=-0.0, observed=1e308, rate=0.125, target=np.float32(0.125))
 def test_adaptive_alpha_update_stays_in_the_unit_interval_or_fails_in_a_package_error(alpha, observed, rate, target):
     try:
         updated = adaptive_alpha_update(alpha, observed, rate, target)

@@ -90,6 +90,12 @@ class TestDensity:
         assert d.cdf(d.lower) == 0.0
         assert d.cdf(d.upper) == 1.0
 
+    def test_far_arguments_have_zero_density(self):
+        # z * z overflows to inf here, which the suite's filterwarnings setting would fail
+        wide = TruncatedNormal(mu=0.0, sigma=1.0, lower=-1e308, upper=1e308)
+        assert BASELINE.pdf(np.array([1e308, -1e308])).tolist() == [0.0, 0.0]
+        assert wide.pdf(np.array([1e200, 0.0]))[0] == 0.0
+
     def test_vectorized_matches_scalar(self):
         xs = np.array([25.0, 30.0, 44.4, 50.0, 70.0, 71.0])
         assert np.allclose(BASELINE.pdf(xs), [BASELINE.pdf(float(x)) for x in xs])

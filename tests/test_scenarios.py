@@ -606,6 +606,12 @@ class TestVarianceDecomposition:
         with pytest.raises(ValidationError, match="vary"):
             variance_decomposition(x, np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0]))
 
+    @pytest.mark.parametrize("column", [[1.0] * 8 + [1e308] * 2, [1.0] * 8 + [0.0, 1e308]])
+    def test_rejects_samples_whose_spread_overflows(self, column):
+        x = np.column_stack([np.arange(10.0), column])
+        with pytest.raises(ValidationError, match="overflows a float"):
+            variance_decomposition(x, np.arange(10.0))
+
     def test_rejects_nonfinite_input(self):
         x = np.arange(12.0)
         y = x.copy()
