@@ -10,6 +10,7 @@ one uniform draw per sample, so draws depend only on the seed and count.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -139,21 +140,33 @@ class TruncatedNormalParams(NamedTuple):
         return inside if scalar else np.where(q >= self.upper, 0.0, np.where(q <= self.lower, self.mean - q, inside))
 
 
-def _argument(x, method: str, lo: float = -math.inf, hi: float = math.inf):
-    """x as a Python float, or as a float array of at least one dimension.
+def _argument(lo: float = -math.inf, hi: float = math.inf):
+    """Decorator of a TruncatedNormal method of one argument x, which reaches
+    the method as a Python float or a float array of at least one dimension.
 
-    Raises ValidationError naming ``method`` unless x holds real numbers
-    (see errors.real_array) in [lo, hi]. NaN lies in no interval, so it is
-    refused too; infinities pass, and every method takes its limit there.
-    A float is tested by one comparison, since optimize calls the methods on
-    floats.
+    Raises ValidationError naming the method unless x holds real numbers
+    (errors.real_array) in [lo, hi]; NaN lies in no interval, and infinities
+    pass to their limits. A float, optimize's path, costs one comparison. An
+    array runs where numpy ignores over and invalid, which beyond sigma
+    ((x - mu) / sigma, z * z, inf * 0) arise only where the masks put the limit.
     """
-    if type(x) is not float:
-        x = real_array(f"{method} argument", x)
-        x = float(x) if x.ndim == 0 else x
-    if not (lo <= x <= hi if type(x) is float else np.all((x >= lo) & (x <= hi))):
-        raise ValidationError(f"{method} argument must lie in [{lo:g}, {hi:g}]")
-    return x
+
+    def decorate(method):
+        @functools.wraps(method)
+        def checked(self, x):
+            if type(x) is not float:
+                x = real_array(f"{method.__name__} argument", x)
+                x = float(x) if x.ndim == 0 else x
+            if not (lo <= x <= hi if type(x) is float else np.all((x >= lo) & (x <= hi))):
+                raise ValidationError(f"{method.__name__} argument must lie in [{lo:g}, {hi:g}]")
+            if type(x) is float:
+                return method(self, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return method(self, x)
+
+        return checked
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -216,23 +229,23 @@ class TruncatedNormal:
 
     # -- densities -----------------------------------------------------------
 
+    @_argument()
     def pdf(self, x):
         """Density at x (scalar or array). Zero outside the bounds."""
-        x = _argument(x, "pdf")
         if isinstance(x, float):
             return self.params.density(x) if self.lower <= x <= self.upper else 0.0
-        # An x far beyond sigma overflows z * z to inf, whose exp(-inf) is the density 0.
-        with np.errstate(over="ignore"):
-            return np.where((x >= self.lower) & (x <= self.upper), self.params.density(x), 0.0)
+        return np.where((x >= self.lower) & (x <= self.upper), self.params.density(x), 0.0)
 
+    @_argument()
     def cdf(self, x):
         """P(D <= x) for scalar or array x; a float for a scalar."""
-        return self.params.cdf(_argument(x, "cdf"))
+        return self.params.cdf(x)
 
+    @_argument(0.0, 1.0)
     def quantile(self, u):
         """Inverse CDF at u in [0, 1] (scalar or array); a float for a scalar.
         Raises ValidationError if any u falls outside [0, 1]."""
-        return self.params.quantile(_argument(u, "quantile", 0.0, 1.0))
+        return self.params.quantile(u)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n samples by inverse-CDF transform of rng.random(n)."""
@@ -283,11 +296,13 @@ class TruncatedNormal:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
+    @_argument()
     def expected_excess(self, q):
         """E[(D - q)^+], the expected demand above a supply level q (scalar or
         array); a float for a scalar."""
-        return self.params.expected_excess(_argument(q, "expected_excess"))
+        return self.params.expected_excess(q)
 
+    @_argument()
     def expected_min(self, q: float) -> float:
         """E[min(q, D)], the expected quantity served when q units are on hand."""
-        return self.mean - self.params.expected_excess(_argument(q, "expected_min"))
+        return self.mean - self.params.expected_excess(q)

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the number rules that
 every public constructor checks with, each stated once: a real number is an
 int, a float or a numpy integer or floating scalar, but never a bool. An
-array of real numbers is rectangular with an integer or floating dtype.
+array of real numbers is rectangular, of integer or floating dtype, no bool.
 
 The CLI maps these onto exit codes: validation problems exit 1, runtime
 failures exit 2, I/O errors exit 3.
@@ -103,9 +103,9 @@ def check_unit_interval(name: str, value) -> None:
 
 def real_array(name: str, values, ndims: tuple[int, ...] | None = None) -> np.ndarray:
     """``values`` as a float array. Raises ValidationError naming ``name``
-    for ragged nesting, for elements that numpy does not store with an
-    integer or floating dtype (bools, strings, None, ints beyond 64 bits)
-    and, when ``ndims`` is given, for a number of dimensions not in it."""
+    for ragged nesting, for a bool anywhere, for elements that numpy does not
+    store with an integer or floating dtype (strings, None, ints beyond 64
+    bits) and, when ``ndims`` is given, for a number of dimensions not in it."""
     try:
         array = np.asarray(values)
     except ValueError as exc:
@@ -113,6 +113,10 @@ def real_array(name: str, values, ndims: tuple[int, ...] | None = None) -> np.nd
         raise ValidationError(_array_rule(name, ndims)) from exc
     if array.dtype.kind not in "iuf" or (ndims and array.ndim not in ndims):
         raise ValidationError(f"{_array_rule(name, ndims)}, got {array.dtype} of shape {array.shape}")
+    # numpy stores [True, 2.0] as floats: a sequence's bools show only in its elements, an ndarray's in its dtype.
+    elements = () if isinstance(values, np.ndarray) else np.asarray(values, object).flat
+    if any(isinstance(v, (bool, np.bool_)) for v in elements):
+        raise ValidationError(f"{_array_rule(name, ndims)}, got a bool in {array.dtype} of shape {array.shape}")
     return array.astype(float, copy=False)
 
 

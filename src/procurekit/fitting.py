@@ -305,8 +305,9 @@ def _fit_truncated_normal(
     # upper] is indistinguishable from its limit, so the constrained MLE
     # always exists even for data no normal core can match
     width = upper - lower
-    if not math.isfinite(10.0 * width):
-        raise ValidationError("the support is too wide: ten times its width overflows a float")
+    # With mu in the box every |x - mu| is at most 11 widths; n such squares must sum within float range.
+    if not math.isfinite(n * (11.0 * width) * (11.0 * width)):
+        raise ValidationError(f"the support is too wide: {n} squares of 11 times its width overflow a float")
     mu_lo, mu_hi = lower - 10.0 * width, upper + 10.0 * width
     log_sigma_lo, log_sigma_hi = math.log(1e-6 * width), math.log(10.0 * width)
 

@@ -163,9 +163,11 @@ class _Envelope:
     """Profit envelope over alpha of many cells, with constants as (cells, 1) columns.
 
     A cell orders from its cheapest supplier at alpha = 0, which stays
-    cheapest for every alpha. All arithmetic is elementwise, so a cell's
-    numbers do not depend on which cells share the batch.
+    cheapest, since a1 * alpha lowers every cost alike. All arithmetic is
+    elementwise, so a cell's numbers do not depend on its batch.
     """
+
+    COLUMNS = 8 + len(TruncatedNormalParams._fields)  # the width of a row()
 
     def __init__(self, table: np.ndarray) -> None:
         self.table = table
@@ -260,53 +262,39 @@ def _order(alpha: float, total: float, winner: int, count: int) -> Decision:
 
 
 def _solve_batch(
-    cells: Sequence[tuple[MarketEconomics, Sequence[SupplierProfile], TruncatedNormal]],
+    cells: Sequence[tuple[MarketEconomics, Sequence[SupplierProfile], TruncatedNormal] | ProcureKitError],
 ) -> list[Decision | ProcureKitError]:
     """Optimal decision of each (market, suppliers, demand) cell, or its error.
 
-    The cells share one array program: every cell's envelope and slope are
-    evaluated on the fixed alpha grid in one pass, then each cell's
-    stationarity is solved by _fixed_point, in lock-step, on the bracket of
-    one grid step either side of its grid argmax; a fixed point at an end of
-    the bracket reports that end exactly. A cell whose grid meets a cost <= 0 or
-    below salvage, or a negative order, gets the error the scalar inner
-    solve raises at the first such grid alpha. A cell's result does not
-    depend on the other cells.
+    Every cell keeps its row of one array program: the envelope and slope on
+    the fixed alpha grid in one pass, then _fixed_point's lock-step solve of
+    the stationarity on one grid step either side of the grid argmax (a fixed
+    point at an end of that bracket reports that end exactly). An error entry
+    (a cell that did not build) comes back in its place; it, like a cell whose
+    cheapest supplier fails at alpha = 0, is a row of NaN. The mask flags a
+    grid cost <= 0 or below salvage, a negative order (a support below zero)
+    and a price + penalty beyond float range; such a cell gets the error the
+    scalar inner solve raises at its first flagged alpha. All arithmetic is
+    elementwise, so a NaN row reaches no other cell, nor does any result.
     """
-    results: list = [None] * len(cells)
-    rows, live, winners = [], [], []
-    for i, (market, suppliers, demand) in enumerate(cells):
-        try:
-            # a1 * alpha lowers every cost alike, so the cheapest supplier at
-            # alpha = 0 stays cheapest on the whole grid.
-            winner = cheapest_supplier(market, suppliers, 0.0)[0]
-        except ProcureKitError as exc:
-            results[i] = exc
-            continue
-        rows.append(_Envelope.row(market, suppliers[winner], demand))
-        live.append(i)
-        winners.append(winner)
-    if not live:
-        return results
-    env = _Envelope(np.array(rows))
-    cost, q = env.cost_and_order(_GRID)
-    bad = (cost <= 0.0) | (cost < env.salvage) | ~(q >= 0.0)
-    for row in np.flatnonzero(bad.any(axis=1)):
-        try:
-            # Raise the error the scalar inner solve gives at the first bad alpha.
-            optimal_quantity_given_alpha(*cells[live[row]], float(_GRID[np.argmax(bad[row])]))
-        except ProcureKitError as exc:
-            results[live[row]] = exc
-    keep = np.array([results[i] is None for i in live], dtype=bool)
-    if not keep.all():
-        env, cost, q = env.take(keep), cost[keep], q[keep]
-        live, winners = [i for i, k in zip(live, keep) if k], [w for w, k in zip(winners, keep) if k]
-    t = _power(_GRID, env.nu_less_one, q.shape)
-    g = env.a1 * q - env.a3_nu * t
-    cell = np.arange(len(live))
-    # A grid profit overflows to inf at a price near float range, which ProfitBreakdown refuses
-    # once _decide prices the decision; _Envelope.step says where _fixed_point's inf and NaN go.
+    results, winners = list(cells), [0] * len(cells)  # an entry becomes its decision or error
+    table = np.full((len(cells), _Envelope.COLUMNS), math.nan)
+    for i, entry in enumerate(cells):
+        if not isinstance(entry, ProcureKitError):
+            market, suppliers, demand = entry
+            try:
+                winners[i] = cheapest_supplier(market, suppliers, 0.0)[0]
+                table[i] = _Envelope.row(market, suppliers[winners[i]], demand)
+            except ProcureKitError as exc:
+                results[i] = exc
+    cell = np.arange(len(cells))
+    # _Envelope.step says where _fixed_point's inf and NaN go.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        env = _Envelope(table)
+        cost, q = env.cost_and_order(_GRID)
+        bad = (cost <= 0.0) | (cost < env.salvage) | ~(q >= 0.0) | np.isinf(env.margin)
+        t = _power(_GRID, env.nu_less_one, q.shape)
+        g = env.a1 * q - env.a3_nu * t
         profits = env.profit(_GRID, cost, q)
         best_index = np.argmax(profits, axis=1)
         best = _GRID[best_index]
@@ -323,18 +311,24 @@ def _solve_batch(
         share = np.divide(g_left, g_left - g_right, out=np.zeros_like(g_left), where=brackets)
         start = np.where(brackets, t_left + (t_right - t_left) * share, 0.5 * (t_lo + t_hi))
         t_root, alpha_root = _fixed_point(env, t_lo, t_hi, start)
-    roots = np.where(t_root == t_lo, lo, np.where(t_root == t_hi, hi, alpha_root))
-    q_root = env.cost_and_order(roots[:, None])[1][:, 0]
-    for i, winner, alpha_grid, total_grid, profit_grid, alpha_root, total_root in zip(
-        live, winners, best, q[cell, best_index], profits[cell, best_index], roots, q_root
+        roots = np.where(t_root == t_lo, lo, np.where(t_root == t_hi, hi, alpha_root))
+        q_root = env.cost_and_order(roots[:, None])[1][:, 0]
+    for i in np.flatnonzero(bad.any(axis=1)):
+        if not isinstance(results[i], ProcureKitError):
+            try:
+                # Raise the error the scalar inner solve gives at the first bad alpha.
+                optimal_quantity_given_alpha(*cells[i], float(_GRID[np.argmax(bad[i])]))
+            except ProcureKitError as exc:
+                results[i] = exc
+    for i, (winner, alpha_grid, total_grid, profit_grid, alpha_root, total_root) in enumerate(
+        zip(winners, best, q[cell, best_index], profits[cell, best_index], roots, q_root)
     ):
+        if isinstance(results[i], ProcureKitError):
+            continue
         count = len(cells[i][1])
-        try:
-            at_grid = _order(float(alpha_grid), float(total_grid), winner, count)
-            at_root = _order(float(alpha_root), float(total_root), winner, count)
-            results[i] = _decide(*cells[i], at_grid, float(profit_grid), at_root)
-        except ProcureKitError as exc:
-            results[i] = exc
+        at_grid = _order(float(alpha_grid), float(total_grid), winner, count)
+        at_root = _order(float(alpha_root), float(total_root), winner, count)
+        results[i] = _decide(*cells[i], at_grid, float(profit_grid), at_root)
     return results
 
 

@@ -306,11 +306,13 @@ def breakdown_from_draws(
         procurement, adoption,
     )
 
-    per_rep = market.price * served
-    per_rep += market.salvage * leftover
-    per_rep -= market.penalty * shortfall
-    per_rep -= procurement + adoption
-    std_error = _sample_std(per_rep) / math.sqrt(n)
+    # Money terms near float range overflow the per-draw profits; ProfitBreakdown refuses their std_error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_rep = market.price * served
+        per_rep += market.salvage * leftover
+        per_rep -= market.penalty * shortfall
+        per_rep -= procurement + adoption
+        std_error = _sample_std(per_rep) / math.sqrt(n)
     return _breakdown(
         demand, terms, shortfall_mean / draws_mean, std_error, lambda: _fill_mean_and_cvar10(served / draws)
     )

@@ -291,29 +291,24 @@ def run(spec: ScenarioSpec, jobs: int = 1) -> list[ScenarioResult]:
     if spec.dynamic is not None:
         return run_dynamic(spec)
     coordinates = _cell_coordinates(spec)
-    # One outcome per cell: its metric fields, or the error that stopped it.
-    outcomes: dict[int, dict[str, float] | ProcureKitError] = {}
-    cells = {}
+    # One entry per cell, in cell order: its models, or the error that stopped its build.
+    cells = []
     for index, coords in enumerate(coordinates):
         try:
-            cells[index] = _build_cell(spec, index, coords)
+            cells.append(_build_cell(spec, index, coords))
         except ProcureKitError as exc:
-            outcomes[index] = exc
-    for (index, cell), solved in zip(cells.items(), _solve_batch(list(cells.values()))):
+            cells.append(exc)
+    rows = []
+    for index, (coords, cell, solved) in enumerate(zip(coordinates, cells, _solve_batch(cells))):
         try:
             if isinstance(solved, ProcureKitError):
                 raise solved
             kkt = _checked_kkt(*cell, solved)
             mc_rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(_NS_CELL_MC, index)))
             breakdown = expected_profit_monte_carlo(*cell, solved, spec.replications, mc_rng)
-            outcomes[index] = _measured(solved, breakdown, kkt_max_residual=kkt.max_residual)
+            outcome = _measured(solved, breakdown, kkt_max_residual=kkt.max_residual)
         except ProcureKitError as exc:
-            outcomes[index] = exc
-    rows = []
-    for index, coords in enumerate(coordinates):
-        outcome = outcomes[index]
-        if isinstance(outcome, ProcureKitError):
-            outcome = {"status": f"{type(outcome).__name__}: {outcome}"}
+            outcome = {"status": f"{type(exc).__name__}: {exc}"}
         rows.append(ScenarioResult(spec.id, index, coords, **outcome))
     return rows
 

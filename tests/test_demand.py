@@ -67,6 +67,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             BASELINE.quantile(-0.01)
 
+    def test_rejects_a_bool_inside_a_sequence(self):
+        # numpy stores [True, 40.0] as floats; the array rule still sees the bool.
+        message = "cdf argument must be a real number or array of real numbers, got a bool"
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            TruncatedNormal(50.0, 8.0, 30.0, 70.0).cdf([True, 40.0])
+        with pytest.raises(ValidationError, match="^quantile argument .* got a bool"):
+            BASELINE.quantile([[0.5], [np.bool_(False)]])
+
 
 class TestDensity:
     @pytest.mark.parametrize("dist", CASES)
@@ -258,6 +266,16 @@ class TestPartialExpectations:
         assert out[1] == pytest.approx(dist.mean - dist.lower, abs=1e-12)
         assert out[2] == pytest.approx(excess_by_quadrature(dist, float(qs[2])), abs=1e-9)
         assert out[4] == 0.0 and out[5] == 0.0
+
+    def test_arrays_far_beyond_sigma_take_their_limits(self):
+        # (x - mu) / sigma or z * z overflows here, only where the masks put
+        # the limit, and the suite turns any RuntimeWarning into an error.
+        assert BASELINE.expected_excess(np.array([1e308])).tolist() == [0.0]
+        assert BASELINE.expected_min(np.array([-1e308])).tolist() == [-1e308]
+        assert TruncatedNormal(0.0, 0.5, -1.0, 1.0).cdf(np.array([1e308])).tolist() == [1.0]
+        wide = TruncatedNormal(0.0, 1e300, -1e308, 1e308)
+        assert wide.expected_excess(np.array([math.inf])).tolist() == [0.0]
+        assert wide.pdf(np.array([-math.inf, 1e308])).tolist() == [0.0, wide.pdf(1e308)]
 
 
 

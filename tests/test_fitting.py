@@ -74,6 +74,8 @@ class TestValidation:
             ([1.0, math.nan], "data must be finite"),
             # an int beyond 64 bits leaves numpy an object array, which errors.real_array refuses
             ([1, 2**64], "data must be a real number or array of real numbers, got object"),
+            # numpy stores [True, 2.0, 3.0] as floats; the rule still refuses the bool
+            ([True, 2.0, 3.0], "data must be a real number or array of real numbers, got a bool"),
         ],
     )
     def test_non_finite_data(self, data, message):
@@ -128,6 +130,18 @@ class TestDegenerateData:
 
 
 class TestTruncatedNormalFit:
+    @pytest.mark.parametrize("data", [[0.0, 1.8961503816218355e154], [2.6815615859885126e154, 1.0], [0.0, 1e300]])
+    def test_refuses_a_support_too_wide_to_square(self, data):
+        # mu lies within ten widths of the support, so |x - mu| <= 11 widths,
+        # and n such squares must sum within float range.
+        with pytest.raises(ValidationError, match="^the support is too wide: 2 squares of 11 times its width"):
+            fit("truncated-normal", data)
+
+    def test_fits_a_support_just_inside_the_bound(self):
+        # 2 * (11 * 8.6e152)**2 is about 1.79e308, just below the largest float.
+        report = fit("truncated-normal", [0.0, 8.6e152])
+        assert math.isfinite(report.log_likelihood) and math.isfinite(report.aic)
+
     def test_recovers_generating_parameters(self, tn_sample):
         report = fit("truncated-normal", tn_sample, fixed_bounds=(30.0, 70.0))
         mu_hat, sigma_hat = report.params[:2]

@@ -300,6 +300,8 @@ class TestOptimizeErrors:
                 TruncatedNormal(mu=0.0, sigma=1.0, lower=-1.0, upper=3.0),
                 ValidationError,
             ),
+            # price + penalty overflows to inf, so the fractile is NaN at every alpha.
+            (baseline_market(price=1.7e308, penalty=1.7e308), SUPPLIERS, DEMAND, DegenerateEconomicsError),
         ],
     )
     def test_raises_what_a_point_by_point_scan_meets_first(self, market, suppliers, demand, error):
@@ -334,6 +336,7 @@ class TestSolveBatch:
             (baseline_market(salvage=90.0), SUPPLIERS, DEMAND),
             (baseline_market(salvage=0.0, a1=100.0), SUPPLIERS, DEMAND),
             (MARKET, (), DEMAND),
+            (baseline_market(price=1.7e308, penalty=1.7e308), SUPPLIERS, DEMAND),
         ]
     )
 
@@ -356,12 +359,25 @@ class TestSolveBatch:
 
     def test_errors_stay_with_their_cells(self):
         results = _solve_batch(self.CELLS)
-        assert [type(r).__name__ for r in results[-3:]] == [
+        assert [type(r).__name__ for r in results[-4:]] == [
             "DegenerateEconomicsError",
             "NegativeUnitCostError",
             "ValidationError",
+            "DegenerateEconomicsError",
         ]
-        assert not any(isinstance(r, ProcureKitError) for r in results[:-3])
+        assert str(results[-1]) == "price + penalty overflows a float: 1.7e+308 + 1.7e+308"
+        assert not any(isinstance(r, ProcureKitError) for r in results[:-4])
+
+    def test_error_entries_come_back_in_place(self):
+        # An entry that is already an error keeps its place and its identity,
+        # and its row of NaN moves no other cell's bits.
+        built = ValidationError("a cell that did not build")
+        cells = [built, *self.CELLS[:5], built, *self.CELLS[-4:], built]
+        results = _solve_batch(cells)
+        assert [i for i, r in enumerate(results) if r is built] == [0, 6, len(cells) - 1]
+        alone = [cell if cell is built else _solve_batch([cell])[0] for cell in cells]
+        assert [outcome(r) for r in results] == [outcome(r) for r in alone]
+        assert _solve_batch([built, built]) == [built, built]
 
     def test_empty_batch(self):
         assert _solve_batch([]) == []

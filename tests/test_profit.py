@@ -205,6 +205,11 @@ class TestMonteCarlo:
         )
         assert via_draws == via_rng
 
+    def test_rejects_a_bool_among_the_draws(self):
+        draws = [True, *DEMAND.sample(np.random.default_rng(23), 10).tolist()]
+        with pytest.raises(ValidationError, match=r"^draws must be a 1-D array of real numbers, got a bool"):
+            breakdown_from_draws(MARKET, SUPPLIERS, DEMAND, DECISIONS[1], draws)
+
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValidationError, match="draws"):
             expected_profit_monte_carlo(

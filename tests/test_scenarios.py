@@ -366,6 +366,14 @@ class TestFailedRows:
         self.assert_failed(rows[2], "DegenerateEconomicsError")
         self.assert_failed(rows[3], "DegenerateEconomicsError")
 
+    def test_monte_carlo_overflow_fails_the_row(self):
+        # The per-draw profits overflow at a price near float range: the row
+        # fails where ProfitBreakdown refuses them, with no RuntimeWarning.
+        rows = run(small_spec(axes=(("market.price", (150.0, 1.7e308)),)))
+        assert rows[0].status == "ok"
+        self.assert_failed(rows[1], "DegenerateEconomicsError")
+        assert "the money terms overflow a float" in rows[1].status
+
     def test_error_after_the_solve(self):
         demand = TruncatedNormal(mu=0.5, sigma=1.0, lower=-1.0, upper=1.0)
         rows = run(small_spec(demand=demand, axes=(("demand.mu", (0.5, 0.0)),)))
