@@ -192,8 +192,9 @@ def compare(
 
 
 def read_demand_series(path: str) -> np.ndarray:
-    """Read a demand series from a single-column CSV with header ``demand``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Read a demand series from a single-column CSV with header ``demand``
+    (after an optional UTF-8 byte-order mark); every value must be finite."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows or [cell.strip() for cell in rows[0]] != ["demand"]:
         raise ValidationError(f"{path}: expected a single-column CSV with header 'demand'")
@@ -204,9 +205,12 @@ def read_demand_series(path: str) -> np.ndarray:
         if len(row) != 1:
             raise ValidationError(f"{path}:{lineno}: expected one value per row")
         try:
-            values.append(float(row[0]))
+            value = float(row[0])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: not a number: {row[0]!r}") from exc
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}:{lineno}: not a finite number: {row[0]!r}")
+        values.append(value)
     if not values:
         raise ValidationError(f"{path}: no demand values found")
     return np.asarray(values, dtype=float)

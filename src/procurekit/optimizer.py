@@ -184,9 +184,6 @@ class _Envelope:
         return (supplier.base_cost, market.a1, market.a2 * supplier.beta, market.price, market.salvage,
                 market.penalty, market.a3, market.nu, *demand.params)
 
-    def take(self, rows) -> _Envelope:
-        return _Envelope(self.table[rows])
-
     def cost_and_order(self, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cost = self.base_cost - self.a1 * alphas - self.a2_beta
         fractile = (self.margin - cost) / self.spread
@@ -219,31 +216,25 @@ def _fixed_point(
     P does not decrease, so from any start its iterates move one way and
     converge (Ortega and Rheinboldt 1970, monotone iteration). At the ulp
     scale rounding can break that order, so each cell keeps the direction of
-    its first step and stops at the first step that does not move strictly
-    that way, reporting the iterate before it; a cell still moving after
-    _MAX_STEPS reports its last evaluated iterate. The cells step in lock-step
-    and leave the batch as they stop. Every operation is elementwise, so a
-    cell's bits do not depend on its batch. Call it where numpy ignores
-    divide, invalid and over, as _solve_batch does.
+    its first step and stops for good at the first step that does not move
+    strictly that way; a stopped cell holds its iterate, and once no cell
+    moves, or after _MAX_STEPS, each cell reports its last evaluated iterate.
+    The cells step in lock-step, and a held cell is evaluated again at the
+    same t. Every operation is elementwise, so a cell's bits do not depend on
+    its batch. Call it where numpy ignores divide, invalid and over, as
+    _solve_batch does.
     """
-    t_out, alpha_out = np.empty(start.size), np.empty(start.size)
-    cells = np.arange(start.size)
     t, t_lo, t_hi = start[:, None], t_lo[:, None], t_hi[:, None]
+    moving = np.ones(start.size, dtype=bool)
     for step in range(_MAX_STEPS):
         alpha, mapped = env.step(t, t_lo, t_hi)
         if not step:
             direction = np.sign(mapped - t)
-        done = ~((mapped - t) * direction > 0.0)[:, 0] | (step == _MAX_STEPS - 1)
-        t_out[cells[done]], alpha_out[cells[done]] = t[done, 0], alpha[done, 0]
-        if done.all():
+        moving &= ((mapped - t) * direction > 0.0)[:, 0]
+        if not moving.any() or step == _MAX_STEPS - 1:
             break
-        if done.any():
-            keep = ~done
-            cells, env, mapped, t_lo, t_hi, direction = (
-                cells[keep], env.take(keep), mapped[keep], t_lo[keep], t_hi[keep], direction[keep]
-            )
-        t = mapped
-    return t_out, alpha_out
+        t = np.where(moving[:, None], mapped, t)
+    return t[:, 0], alpha[:, 0]
 
 
 def _decide(market, suppliers, demand, at_grid: Decision, grid_profit: float, at_root: Decision) -> Decision:

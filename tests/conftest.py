@@ -6,6 +6,7 @@ draws fresh random examples, and the fuzz tests, which size their budgets
 through helpers.examples, draw ten times as many:
 
     pytest tests/test_api_fuzz.py tests/test_config_fuzz.py --hypothesis-profile=wide
+    pytest tests/test_optimizer.py -k TestFixedPoint --hypothesis-profile=wide
 """
 
 from hypothesis import settings

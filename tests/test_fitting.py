@@ -446,6 +446,19 @@ class TestReadDemandSeries:
         with pytest.raises(ValidationError, match="not a number"):
             read_demand_series(str(path))
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        # A spreadsheet's UTF-8 export starts with a byte-order mark.
+        path = tmp_path / "exported.csv"
+        path.write_bytes(b"\xef\xbb\xbfdemand\n50\n61.5\n")
+        assert read_demand_series(str(path)).tolist() == [50.0, 61.5]
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e309"])
+    def test_non_finite_value_names_its_line(self, tmp_path, text):
+        path = tmp_path / "overflow.csv"
+        path.write_text(f"demand\n50\n{text}\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: not a finite number: '{text}'$"):
+            read_demand_series(str(path))
+
     def test_empty_body(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("demand\n")

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procurekit import optimizer
@@ -39,6 +39,7 @@ from helpers import (
     baseline_market,
     baseline_suppliers,
     cell_model,
+    examples,
     perfbench_solve_problems,
     random_problem,
 )
@@ -415,7 +416,8 @@ class TestSolveBatch:
 
 
 def count_steps(monkeypatch) -> list:
-    """Patch _Envelope.step to record the open cells of each lock-step fixed-point step."""
+    """Patch _Envelope.step to record the cells of each lock-step fixed-point step;
+    each call sees the whole batch, stopped cells included."""
     calls = []
     step = optimizer._Envelope.step
 
@@ -479,6 +481,38 @@ def fixed_point_inputs(cells) -> tuple:
     return optimizer._Envelope(np.array(rows)), np.array(t_lo), np.array(t_hi), np.array(starts)
 
 
+def recorded_fixed_point(env, t_lo, t_hi, starts) -> tuple:
+    """_fixed_point's (t, alpha) and, cell by cell, the iterates it evaluated."""
+    iterates = [[] for _ in starts]
+    step = optimizer._Envelope.step
+
+    def recording(self, t, lo, hi):
+        assert len(t) == len(iterates)  # the whole batch at every step
+        for points, x in zip(iterates, t[:, 0].tolist()):
+            points.append(x)
+        return step(self, t, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch, np.errstate(**SOLVER_ERRSTATE):
+        patch.setattr(optimizer._Envelope, "step", recording)
+        return optimizer._fixed_point(env, t_lo, t_hi, starts), iterates
+
+
+def alone(env, t_lo, t_hi, starts, k: int) -> tuple:
+    """recorded_fixed_point of cell k in a batch of one."""
+    one = slice(k, k + 1)
+    return recorded_fixed_point(optimizer._Envelope(env.table[[k]]), t_lo[one], t_hi[one], starts[one])
+
+
+# Cells that take 1, 2, 3, 5 and 7 fixed-point steps.
+STEPPED_CELLS = [
+    (2.0, -2.0, 0, 1.0, -2.0, -2.0, 0.5),
+    (3.0, -1.0, 0, "a3 = 0", -2.0, -2.0, 0.0),
+    (1.2, -8.0, 0, 1.0, -1.7, -1.7, -0.5),
+    (1.5, -3.0, 0, 1.0, -1.7, -1.7, 1.0),
+    (2.5, -0.5, 1, 1.0, -1.7, -1.7, 1.5),
+]
+
+
 class TestFixedPoint:
     def test_few_steps_per_solve(self, monkeypatch):
         calls = count_steps(monkeypatch)
@@ -514,7 +548,7 @@ class TestFixedPoint:
         assert optimize(baseline_market(a1=a1, a3=a3), SUPPLIERS, DEMAND).alpha_star == alpha
 
     @given(cells=fixed_point_cells)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_every_root_is_justified(self, cells):
         # In its bracket; at an end only when P maps that end to itself, so T
         # reaches or passes it; and the next step moves no further in the
@@ -523,7 +557,7 @@ class TestFixedPoint:
         with np.errstate(**SOLVER_ERRSTATE):
             roots, alphas = optimizer._fixed_point(env, t_lo, t_hi, starts)
         for k, (t, alpha) in enumerate(zip(roots, alphas)):
-            cell = env.take([k])
+            cell = optimizer._Envelope(env.table[[k]])
 
             def step(x: float) -> tuple[float, float]:
                 with np.errstate(**SOLVER_ERRSTATE):
@@ -538,28 +572,48 @@ class TestFixedPoint:
             assert not (step(t)[1] - t) * direction > 0.0, cells[k]
 
     @given(cells=fixed_point_cells)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_batch_of_one_takes_the_steps_of_the_batch(self, cells):
-        # The same iterates step by step, so the same root, bit for bit.
+        # A cell's iterates in the batch are its iterates alone, then repeats of
+        # its last one while other cells move; so the same root, bit for bit.
         env, t_lo, t_hi, starts = fixed_point_inputs(cells)
-        assume(len({bytes(row) for row in env.table}) == len(cells))
-        points = []
-        step = optimizer._Envelope.step
+        together, in_batch = recorded_fixed_point(env, t_lo, t_hi, starts)
+        for k in range(len(cells)):
+            root, (iterates,) = alone(env, t_lo, t_hi, starts, k)
+            assert in_batch[k] == iterates + iterates[-1:] * (len(in_batch[k]) - len(iterates)), cells[k]
+            assert [x[0].hex() for x in root] == [x[k].hex() for x in together], cells[k]
 
-        def recording(self, t, lo, hi):
-            points.extend(zip(map(bytes, self.table), t[:, 0].tolist()))
-            return step(self, t, lo, hi)
+    def test_a_stopped_cell_holds_its_iterate(self, monkeypatch):
+        # Both cells climb by 1 from 0; the first turns back at 3, the second
+        # never does. The first stops at 3, the step that would move it back,
+        # and holds 3 while the second climbs on to the cap.
+        class Climb:
+            turn = np.array([[3.0], [math.inf]])
 
-        with pytest.MonkeyPatch.context() as patch, np.errstate(**SOLVER_ERRSTATE):
-            patch.setattr(optimizer._Envelope, "step", recording)
-            together = optimizer._fixed_point(env, t_lo, t_hi, starts)
-            in_batch = list(points)
-            for k in range(len(cells)):
-                points.clear()
-                one = slice(k, k + 1)
-                alone = optimizer._fixed_point(env.take([k]), t_lo[one], t_hi[one], starts[one])
-                assert [t for _, t in points] == [t for row, t in in_batch if row == bytes(env.table[k])]
-                assert [x[0].hex() for x in alone] == [x[k].hex() for x in together], cells[k]
+            def step(self, t, t_lo, t_hi):
+                return -t, np.where(t < self.turn, t + 1.0, t - 0.5)
+
+        monkeypatch.setattr(optimizer, "_MAX_STEPS", 8)
+        t, alpha = optimizer._fixed_point(Climb(), np.zeros(2), np.full(2, 10.0), np.zeros(2))
+        assert t.tolist() == [3.0, 7.0] and alpha.tolist() == [-3.0, -7.0]
+
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    def test_max_steps_cuts_off_at_the_last_evaluated_iterate(self, monkeypatch, cap):
+        # Under the cap some cells stop on their own and others are cut off; each
+        # reports the bits of its batch-of-one run under the same cap, and a
+        # cut-off cell reports the iterate of its last step.
+        env, t_lo, t_hi, starts = fixed_point_inputs(STEPPED_CELLS)
+        free = [alone(env, t_lo, t_hi, starts, k) for k in range(len(STEPPED_CELLS))]
+        steps = [len(iterates) for _, (iterates,) in free]
+        assert min(steps) < cap < max(steps)
+        monkeypatch.setattr(optimizer, "_MAX_STEPS", cap)
+        together, _ = recorded_fixed_point(env, t_lo, t_hi, starts)
+        for k, ((free_t, free_alpha), (free_iterates,)) in enumerate(free):
+            (t, alpha), (iterates,) = alone(env, t_lo, t_hi, starts, k)
+            assert [t[0].hex(), alpha[0].hex()] == [together[0][k].hex(), together[1][k].hex()]
+            assert iterates == free_iterates[:cap] and t[0] == iterates[-1]
+            if len(free_iterates) <= cap:
+                assert [t[0].hex(), alpha[0].hex()] == [free_t[0].hex(), free_alpha[0].hex()]
 
 
 class TestSolverPostcondition:
