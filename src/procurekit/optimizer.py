@@ -17,8 +17,9 @@ Q*(alpha) does not involve a3, the adoption threshold is a closed form in
 Q* at the display cutoff.
 
 KKT residuals are computed from closed-form probabilities and reported with
-the multipliers, so a caller can audit any decision, optimal or not; a
-solved decision whose residuals do not close raises SolverCheckError.
+the multipliers, so a caller can audit any decision, optimal or not. The
+solver returns each decision with its KKT report, as a pair it has audited:
+one whose residuals do not close leaves it as a SolverCheckError.
 """
 
 from __future__ import annotations
@@ -237,15 +238,6 @@ def _fixed_point(
     return t[:, 0], alpha[:, 0]
 
 
-def _decide(market, suppliers, demand, at_grid: Decision, grid_profit: float, at_root: Decision) -> Decision:
-    """The order at the slope root, unless the grid point earns more by over
-    _TIE_TOLERANCE relative profit. Both orders and the grid point's profit
-    come from the batch; the envelope and expected_profit_value sum their
-    money terms through the one profit._profit, so both profits round alike."""
-    root_profit = expected_profit_value(market, suppliers, demand, at_root)
-    return at_root if root_profit >= grid_profit - _TIE_TOLERANCE * abs(grid_profit) else at_grid
-
-
 def _order(alpha: float, total: float, winner: int, count: int) -> Decision:
     quantities = [0.0] * count
     quantities[winner] = total
@@ -254,8 +246,9 @@ def _order(alpha: float, total: float, winner: int, count: int) -> Decision:
 
 def _solve_batch(
     cells: Sequence[tuple[MarketEconomics, Sequence[SupplierProfile], TruncatedNormal] | ProcureKitError],
-) -> list[Decision | ProcureKitError]:
-    """Optimal decision of each (market, suppliers, demand) cell, or its error.
+) -> list[tuple[Decision, KKTReport] | ProcureKitError]:
+    """Audited optimum of each (market, suppliers, demand) cell, as a
+    (decision, kkt) pair, or its error.
 
     Every cell keeps its row of one array program: the envelope and slope on
     the fixed alpha grid in one pass, then _fixed_point's lock-step solve of
@@ -265,10 +258,13 @@ def _solve_batch(
     cheapest supplier fails at alpha = 0, is a row of NaN. The mask flags a
     grid cost <= 0 or below salvage, a negative order (a support below zero)
     and a price + penalty beyond float range; such a cell gets the error the
-    scalar inner solve raises at its first flagged alpha. All arithmetic is
-    elementwise, so a NaN row reaches no other cell, nor does any result.
+    scalar inner solve raises at its first flagged alpha. A solved cell keeps
+    the slope root unless the grid point wins by over _TIE_TOLERANCE; if its
+    KKT audit fails _KKT_TOLERANCE, its entry is a SolverCheckError. All
+    arithmetic is elementwise, so a NaN row reaches no other cell, nor does
+    any result.
     """
-    results, winners = list(cells), [0] * len(cells)  # an entry becomes its decision or error
+    results, winners = list(cells), [0] * len(cells)  # an entry becomes its (decision, kkt) or error
     table = np.full((len(cells), _Envelope.COLUMNS), math.nan)
     for i, entry in enumerate(cells):
         if not isinstance(entry, ProcureKitError):
@@ -304,22 +300,33 @@ def _solve_batch(
         t_root, alpha_root = _fixed_point(env, t_lo, t_hi, start)
         roots = np.where(t_root == t_lo, lo, np.where(t_root == t_hi, hi, alpha_root))
         q_root = env.cost_and_order(roots[:, None])[1][:, 0]
-    for i in np.flatnonzero(bad.any(axis=1)):
-        if not isinstance(results[i], ProcureKitError):
-            try:
-                # Raise the error the scalar inner solve gives at the first bad alpha.
-                optimal_quantity_given_alpha(*cells[i], float(_GRID[np.argmax(bad[i])]))
-            except ProcureKitError as exc:
-                results[i] = exc
+    flagged = bad.any(axis=1)
     for i, (winner, alpha_grid, total_grid, profit_grid, alpha_root, total_root) in enumerate(
         zip(winners, best, q[cell, best_index], profits[cell, best_index], roots, q_root)
     ):
         if isinstance(results[i], ProcureKitError):
             continue
-        count = len(cells[i][1])
-        at_grid = _order(float(alpha_grid), float(total_grid), winner, count)
-        at_root = _order(float(alpha_root), float(total_root), winner, count)
-        results[i] = _decide(*cells[i], at_grid, float(profit_grid), at_root)
+        market, suppliers, demand = cells[i]
+        try:
+            if flagged[i]:
+                # Raise the error the scalar inner solve gives at the first bad alpha.
+                optimal_quantity_given_alpha(market, suppliers, demand, float(_GRID[np.argmax(bad[i])]))
+            decision = _order(float(alpha_root), float(total_root), winner, len(suppliers))
+            # The envelope and expected_profit_value sum their money terms
+            # through the one profit._profit, so both profits round alike.
+            root_profit, grid_profit = expected_profit_value(market, suppliers, demand, decision), float(profit_grid)
+            if not root_profit >= grid_profit - _TIE_TOLERANCE * abs(grid_profit):
+                decision = _order(float(alpha_grid), float(total_grid), winner, len(suppliers))
+            kkt = kkt_residuals(market, suppliers, demand, decision)
+            scale = max(market.price + market.penalty, market.a1 * decision.total)
+            if not kkt.max_residual <= _KKT_TOLERANCE * scale:
+                raise SolverCheckError(
+                    f"KKT max_residual {kkt.max_residual!r} at alpha={decision.alpha!r}, q={decision.total!r} "
+                    f"exceeds {_KKT_TOLERANCE} x {scale!r}"
+                )
+            results[i] = decision, kkt
+        except ProcureKitError as exc:
+            results[i] = exc
     return results
 
 
@@ -344,32 +351,18 @@ def optimize(
     rounds to 0 where the slope does not vanish. The returned alpha is stored
     at full precision; display layers round it. This is the batch solve of
     scenario runs on a batch of one cell, so it agrees with any scenario
-    cell bit for bit.
+    cell bit for bit: the batch returns the audited (decision, kkt) pair, and
+    optimize adds the closed-form breakdown.
     """
-    (decision,) = _solve_batch([(market, suppliers, demand)])
-    if isinstance(decision, ProcureKitError):
-        raise decision
-    kkt = _checked_kkt(market, suppliers, demand, decision)
+    (solved,) = _solve_batch([(market, suppliers, demand)])
+    if isinstance(solved, ProcureKitError):
+        raise solved
+    decision, kkt = solved
     return Optimum(
         decision=decision,
         breakdown=expected_profit_closed_form(market, suppliers, demand, decision),
         kkt=kkt,
     )
-
-
-def _checked_kkt(market, suppliers, demand, decision: Decision) -> KKTReport:
-    """KKT residuals of a solved decision, which must close: raises
-    SolverCheckError when max_residual exceeds _KKT_TOLERANCE times
-    max(price + penalty, a1 * Q*), the scales of the order and alpha
-    gradients."""
-    kkt = kkt_residuals(market, suppliers, demand, decision)
-    scale = max(market.price + market.penalty, market.a1 * decision.total)
-    if not kkt.max_residual <= _KKT_TOLERANCE * scale:
-        raise SolverCheckError(
-            f"KKT max_residual {kkt.max_residual!r} at alpha={decision.alpha!r}, q={decision.total!r} "
-            f"exceeds {_KKT_TOLERANCE} x {scale!r}"
-        )
-    return kkt
 
 
 def kkt_residuals(

@@ -33,7 +33,7 @@ from .errors import (
     ProcureKitError, RankDeficientDesignError, ValidationError, check_finite, check_unit_interval, is_finite, is_int,
     is_real, real_array, store_floats,
 )
-from .optimizer import _checked_kkt, _solve_batch, optimal_quantity_given_alpha
+from .optimizer import _solve_batch, optimal_quantity_given_alpha
 from .profit import Decision, ProfitBreakdown, breakdown_from_draws, expected_profit_monte_carlo
 
 SAMPLERS = ("grid", "latin-hypercube")
@@ -280,8 +280,9 @@ def run(spec: ScenarioSpec, jobs: int = 1) -> list[ScenarioResult]:
     """Evaluate every cell of a scenario, in deterministic cell order.
 
     Dynamic specs delegate to ``run_dynamic``. Every cell's model is built,
-    the models are solved as one array program, then each optimum is audited
-    and evaluated by Monte Carlo on its cell's own stream. A failing cell,
+    the models are solved as one array program, which returns each cell's
+    optimum as an audited (decision, kkt) pair, then each optimum is
+    evaluated by Monte Carlo on its cell's own stream. A failing cell,
     including one whose KKT audit does not close (SolverCheckError), becomes
     a failed row. ``jobs`` is validated for compatibility but does
     not change how, or where, the cells are computed.
@@ -303,10 +304,10 @@ def run(spec: ScenarioSpec, jobs: int = 1) -> list[ScenarioResult]:
         try:
             if isinstance(solved, ProcureKitError):
                 raise solved
-            kkt = _checked_kkt(*cell, solved)
+            decision, kkt = solved
             mc_rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(_NS_CELL_MC, index)))
-            breakdown = expected_profit_monte_carlo(*cell, solved, spec.replications, mc_rng)
-            outcome = _measured(solved, breakdown, kkt_max_residual=kkt.max_residual)
+            breakdown = expected_profit_monte_carlo(*cell, decision, spec.replications, mc_rng)
+            outcome = _measured(decision, breakdown, kkt_max_residual=kkt.max_residual)
         except ProcureKitError as exc:
             outcome = {"status": f"{type(exc).__name__}: {exc}"}
         rows.append(ScenarioResult(spec.id, index, coords, **outcome))

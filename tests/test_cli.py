@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import math
+import runpy
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -414,3 +416,14 @@ class TestFit:
         assert result.exit_code == 1
         assert "no family produced a usable fit" in result.stderr
         assert not (tmp_path / "fits.csv").exists()
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m procurekit.cli --help: the __main__ guard hands over to main.
+    monkeypatch.setattr(sys, "argv", ["procurekit", "--help"])
+    monkeypatch.delitem(sys.modules, "procurekit.cli")
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("procurekit.cli", run_name="__main__")
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Usage: ") and "Run a scenario preset s1..s11" in out

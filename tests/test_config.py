@@ -87,6 +87,11 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match=r"cfg\.yaml:3: invalid YAML"):
             parse_config("market:\n  price: [\n", source="cfg.yaml")
 
+    def test_yaml_reader_error_has_no_line(self):
+        # The reader refuses a control character before any token has a mark.
+        with pytest.raises(ValidationError, match=r"^<config>: invalid YAML: unacceptable character #x0007"):
+            parse_config("market: \x07\n")
+
     def test_non_mapping_root_rejected(self):
         with pytest.raises(ValidationError, match="mapping"):
             parse_config("- 1\n- 2\n")

@@ -368,6 +368,52 @@ class TestMetrics:
         assert tn.aic < pareto.aic
 
 
+def patch_minimize_scalar(monkeypatch, outcome):
+    """Make scipy.optimize.minimize_scalar return outcome(bounds): a
+    (success, x) pair for the search it was asked to run."""
+    import scipy.optimize
+
+    def patched(fun, bounds, **_):
+        success, x = outcome(bounds)
+        return scipy.optimize.OptimizeResult(x=x, fun=fun(x), success=success)
+
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", patched)
+
+
+def unconverged(bounds):
+    return False, 0.5 * (bounds[0] + bounds[1])
+
+
+class TestMinimizerOutcome:
+    NB_COUNTS = np.random.default_rng(19).negative_binomial(5, 0.4, size=500)
+
+    @pytest.mark.parametrize(
+        "family, data",
+        [("truncated-normal", DIST.sample(np.random.default_rng(3), 200)), ("negative-binomial", NB_COUNTS)],
+    )
+    def test_unconverged_search_raises(self, monkeypatch, family, data):
+        patch_minimize_scalar(monkeypatch, unconverged)
+        with pytest.raises(FitConvergenceError, match=f"^{family} likelihood maximization did not converge$"):
+            fit(family, data)
+
+    def test_compare_records_an_unconverged_family(self, monkeypatch):
+        patch_minimize_scalar(monkeypatch, unconverged)
+        result = compare(self.NB_COUNTS + 1, families=("pareto", "negative-binomial"))
+        assert [r.family for r in result.reports] == ["pareto"]
+        assert result.warnings == (
+            "negative-binomial: negative-binomial likelihood maximization did not converge",
+        )
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_dispersion_at_a_search_bound_raises(self, monkeypatch, end):
+        # Near-Poisson counts whose variance exceeds the mean by about
+        # mean**2 / 1e9 still left the search inside its range when tried,
+        # the likelihood being too flat to resolve, so a patch stands in.
+        patch_minimize_scalar(monkeypatch, lambda bounds: (True, bounds[end]))
+        with pytest.raises(FitConvergenceError, match="dispersion ran to a search bound"):
+            fit("negative-binomial", self.NB_COUNTS)
+
+
 class TestCompare:
     def test_reports_sorted_by_aic(self, tn_sample):
         result = compare(tn_sample, fixed_bounds=(30.0, 70.0))

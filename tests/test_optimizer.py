@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from procurekit import optimizer
 from procurekit.cli import main
 from procurekit.demand import TruncatedNormal
-from procurekit.economics import MarketEconomics, ReadinessComponents, SupplierProfile
+from procurekit.economics import MarketEconomics, ReadinessComponents, SupplierProfile, cheapest_supplier
 from procurekit.errors import (
     DegenerateEconomicsError,
     NegativeUnitCostError,
@@ -320,10 +320,12 @@ def preset_cells(preset_id: str, nu: float) -> list:
 
 
 def outcome(result) -> tuple:
-    """A solve result in exactly comparable form: float bits, or the error."""
+    """A solve result in exactly comparable form: the float bits of its
+    decision and KKT max_residual, or the error."""
     if isinstance(result, ProcureKitError):
         return (type(result).__name__, str(result))
-    return tuple(x.hex() for x in (result.alpha, *result.quantities))
+    decision, kkt = result
+    return tuple(x.hex() for x in (decision.alpha, *decision.quantities, kkt.max_residual))
 
 
 class TestSolveBatch:
@@ -353,10 +355,11 @@ class TestSolveBatch:
     def test_optimize_is_a_batch_of_one(self):
         for cell in self.CELLS[::5]:
             try:
-                decision = optimize(*cell).decision
+                opt = optimize(*cell)
+                solved = opt.decision, opt.kkt
             except ProcureKitError as exc:
-                decision = exc
-            assert outcome(decision) == outcome(_solve_batch([cell])[0])
+                solved = exc
+            assert outcome(solved) == outcome(_solve_batch([cell])[0])
 
     def test_errors_stay_with_their_cells(self):
         results = _solve_batch(self.CELLS)
@@ -383,36 +386,51 @@ class TestSolveBatch:
     def test_empty_batch(self):
         assert _solve_batch([]) == []
 
-    def test_grid_profit_is_the_scalar_profit(self, monkeypatch):
-        checked = []
-        decide = optimizer._decide
-
-        def recording(market, suppliers, demand, at_grid, grid_profit, at_root):
-            scalar = expected_profit_value(market, suppliers, demand, at_grid)
-            checked.append((grid_profit.hex(), scalar.hex()))
-            return decide(market, suppliers, demand, at_grid, grid_profit, at_root)
-
-        monkeypatch.setattr(optimizer, "_decide", recording)
+    def test_grid_profit_is_the_scalar_profit(self):
+        # The tie-break compares the root's expected_profit_value with the
+        # batch's profit at the grid argmax; that profit is expected_profit_value
+        # at the grid point's order, bit for bit.
         cells = perfbench_solve_problems(7) + preset_cells("s9", 1.5)
-        _solve_batch(cells)
-        assert len(checked) == len(cells)
-        assert [batch for batch, _ in checked] == [scalar for _, scalar in checked]
+        winners = [cheapest_supplier(market, suppliers, 0.0)[0] for market, suppliers, _ in cells]
+        env = optimizer._Envelope(
+            np.array([optimizer._Envelope.row(m, s[w], d) for (m, s, d), w in zip(cells, winners)])
+        )
+        with np.errstate(**SOLVER_ERRSTATE):
+            cost, q = env.cost_and_order(optimizer._GRID)
+            profits = env.profit(optimizer._GRID, cost, q)
+        for i, ((market, suppliers, demand), winner, best) in enumerate(zip(cells, winners, np.argmax(profits, axis=1))):
+            at_grid = optimizer._order(float(optimizer._GRID[best]), float(q[i, best]), winner, len(suppliers))
+            scalar = expected_profit_value(market, suppliers, demand, at_grid)
+            assert float(profits[i, best]).hex() == scalar.hex()
 
     def test_decide_keeps_the_root(self, monkeypatch):
-        # The tie-break never picks the grid point on these cells: _decide
-        # does not change the answer, and a certified solve may drop it.
-        kept = []
-        decide = optimizer._decide
+        # The tie-break never picks the grid point on these cells: every
+        # returned alpha is the root _fixed_point reported or, where it stopped
+        # at an end of its bracket in t, that end of the alpha bracket exactly.
+        stops = []
+        fixed_point = optimizer._fixed_point
 
-        def recording(market, suppliers, demand, at_grid, grid_profit, at_root):
-            chosen = decide(market, suppliers, demand, at_grid, grid_profit, at_root)
-            kept.append(chosen is at_root)
-            return chosen
+        def recording(env, t_lo, t_hi, start):
+            t, alpha = fixed_point(env, t_lo, t_hi, start)
+            stops.append((env.nu_less_one[:, 0], t_lo, t_hi, t, alpha))
+            return t, alpha
 
-        monkeypatch.setattr(optimizer, "_decide", recording)
+        monkeypatch.setattr(optimizer, "_fixed_point", recording)
         cells = perfbench_solve_problems(7) + preset_cells("s9", 1.5)
-        _solve_batch(cells)
-        assert len(kept) == len(cells) and all(kept)
+        results = _solve_batch(cells)
+        ((nu_less_one, t_lo, t_hi, t, alpha),) = stops
+        ends = set(np.maximum(0.0, optimizer._GRID - optimizer._GRID_STEP)) | set(
+            np.minimum(1.0, optimizer._GRID + optimizer._GRID_STEP)
+        )
+        at_ends = 0
+        for (decision, _), power, lo, hi, stop, root in zip(results, nu_less_one, t_lo, t_hi, t, alpha):
+            if stop in (lo, hi):
+                at_ends += 1
+                assert decision.alpha in ends
+                assert optimizer._power(np.array([[decision.alpha]]), power, (1, 1))[0, 0] == stop
+            else:
+                assert decision.alpha == root
+        assert len(results) == len(cells) and 0 < at_ends < len(cells)
 
 
 def count_steps(monkeypatch) -> list:
@@ -732,6 +750,17 @@ class TestAdoptionThreshold:
         with pytest.raises(ThresholdNotFoundError, match="widen"):
             adoption_threshold(market, SUPPLIERS, DEMAND, 1.0, 1e8)
         assert adoption_threshold(dataclasses.replace(market, a1=0.0), SUPPLIERS, DEMAND, 1.0, 1e8) == 1.0
+
+    def test_no_threshold_where_the_slope_is_not_single_crossing(self):
+        # Near nu = 1 the envelope slope is not single-crossing: at a3* it falls
+        # through zero at the cutoff and rises through it again near alpha =
+        # 0.015, and alpha* = 1 earns more, for every float tried above a3*.
+        market = baseline_market(nu=1.0001)
+        with pytest.raises(
+            ThresholdNotFoundError,
+            match=r"up to 64 floats above the closed form a3=257\.5062664834582$",
+        ):
+            adoption_threshold(market, SUPPLIERS, DEMAND, 1.0, 1e300)
 
     def test_readme_digits(self):
         # The baseline numbers as README.md prints them.

@@ -7,20 +7,25 @@ left of it and right of it, from 1e-3 to 30 parent sigmas wide, at nu from
 problems whose critical fractile lies within 1e-4 of 0 or of 1. Each test
 prints how many ulps optimize's alpha* sits from the reference. The expected
 profit at the optimum and adoption_threshold are held to the same reference.
+A hypothesis property test draws alpha* and Q* problems over the same model
+space, with a3 chosen to put alpha* inside (0, 1), near 0 or at 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procurekit.economics import SupplierProfile
 from procurekit.errors import ThresholdNotFoundError
-from procurekit.optimizer import adoption_threshold, optimize
+from procurekit.optimizer import adoption_threshold, optimal_quantity_given_alpha, optimize
 
-from helpers import baseline_demand, baseline_market, baseline_suppliers, perfbench_solve_problems
+from helpers import baseline_demand, baseline_market, baseline_suppliers, examples, perfbench_solve_problems
 from oracles import reference_optimum, reference_solve
 
 TOLERANCE = 1e-12
@@ -77,6 +82,41 @@ def test_optimize_matches_the_reference(name):
     with mpmath.workdps(40):
         ulps = abs(mpmath.mpf(opt.alpha_star) - alpha) / mpmath.mpf(math.ulp(float(alpha)))
         print(f"{name}: alpha* = {opt.alpha_star!r}, {float(ulps):.2f} ulps from the reference")
+        assert abs(opt.alpha_star - alpha) <= TOLERANCE * alpha
+        assert abs(opt.q_star - q) <= TOLERANCE * q
+
+
+def with_a3_for(nu: float, demand, optimum: tuple) -> tuple:
+    """A baseline problem whose a3 puts alpha* where ``optimum`` says:
+    ("root", alpha) makes the envelope slope vanish at alpha, and
+    ("corner", share) sets a3 = share * a1 * Q*(1) / nu, so the slope at
+    alpha = 1 is nonnegative and alpha* = 1."""
+    market, suppliers = baseline_market(nu=nu), baseline_suppliers()
+    kind, value = optimum
+    alpha = value if kind == "root" else 1.0
+    scale = market.a1 * optimal_quantity_given_alpha(market, suppliers, demand, alpha).total / nu
+    a3 = scale / alpha ** (nu - 1.0) if kind == "root" else value * scale
+    return dataclasses.replace(market, a3=a3), suppliers, demand
+
+
+OPTIMA = (
+    st.tuples(st.just("root"), st.floats(0.01, 0.99) | st.floats(-9.0, -2.0).map(lambda e: 10.0**e))
+    | st.tuples(st.just("corner"), st.floats(0.05, 1.0))
+)
+
+
+@settings(max_examples=examples(20), deadline=None)
+@given(
+    nu=st.floats(1.05, 4.0),
+    position=st.sampled_from(("around", "left", "right")),
+    width=st.floats(-3.0, math.log10(30.0)).map(lambda e: 10.0**e),
+    optimum=OPTIMA,
+)
+def test_optimize_matches_the_reference_over_the_model_space(nu, position, width, optimum):
+    market, suppliers, demand = with_a3_for(nu, window(position, width), optimum)
+    alpha, q = reference_solve(market, suppliers, demand)
+    opt = optimize(market, suppliers, demand)
+    with mpmath.workdps(40):
         assert abs(opt.alpha_star - alpha) <= TOLERANCE * alpha
         assert abs(opt.q_star - q) <= TOLERANCE * q
 

@@ -180,6 +180,11 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValidationError, match="values must be"):
             small_spec(axes=((path, values),))
 
+    @pytest.mark.parametrize("axis", [("market.a3",), ("market.a3", (1.0,), (2.0,)), (3, (1.0,))])
+    def test_rejects_axis_that_is_not_a_path_values_pair(self, axis):
+        with pytest.raises(ValidationError, match="axes entries must be \\(path, values\\) pairs"):
+            small_spec(axes=(axis,))
+
     @pytest.mark.parametrize("sampler", ["grid", "latin-hypercube"])
     def test_rejects_repeated_axis_path(self, sampler):
         # two axes on one parameter would collapse into one results column
