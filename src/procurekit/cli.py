@@ -111,17 +111,17 @@ def _guarded(func):
         try:
             func(*args, **kwargs)
         except ValidationError as exc:
-            _fail(1, "validation", exc)
+            _fail(1, "validation", str(exc))
         except (ProcureKitError, RuntimeError) as exc:
-            _fail(2, "runtime", exc)
+            _fail(2, "runtime", str(exc))
         except OSError as exc:
-            _fail(3, "io", exc)
+            _fail(3, "io", str(exc))
 
     return wrapper
 
 
-def _fail(code: int, kind: str, exc: Exception) -> None:
-    click.echo(f"error: {json.dumps({'kind': kind, 'message': str(exc)})}", err=True)
+def _fail(code: int, kind: str, message: str) -> None:
+    click.echo(f"error: {json.dumps({'kind': kind, 'message': message})}", err=True)
     sys.exit(code)
 
 
@@ -129,7 +129,26 @@ def _load(config_path: str | None) -> RunConfig:
     return load_config(config_path) if config_path else baseline_config()
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group. A usage error (an unknown command or option, a
+    value of the wrong type, a missing argument or command) is invalid input:
+    it exits 1 with the one error line, like every other failure. Only
+    ``--help`` prints the usage text."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            _fail(1, "validation", exc.format_message())
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(1, "validation", exc.format_message())
+
+
+@click.group(cls=_Commands, no_args_is_help=False)
 def main() -> None:
     """Procurement planning under bounded demand with contract adoption."""
 
@@ -334,25 +353,14 @@ def cmd_fit(data_csv, families_text, out_dir, fmt) -> None:
 
 @main.command("sample")
 @click.option("--config", "config_path", type=click.Path(), default=None, help="YAML config file.")
-@click.option("--mu", type=float, default=None, help="Override demand location.")
-@click.option("--sigma", type=float, default=None, help="Override demand scale.")
-@click.option("--lower", type=float, default=None, help="Override demand lower bound.")
-@click.option("--upper", type=float, default=None, help="Override demand upper bound.")
 @click.option("--n", type=int, default=100_000, show_default=True, help="Number of draws.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", "out_dir", type=click.Path(), default=".", help="Output directory.")
 @_guarded
-def cmd_sample(config_path, mu, sigma, lower, upper, n, seed, out_dir) -> None:
+def cmd_sample(config_path, n, seed, out_dir) -> None:
     """Draw demand samples; write samples.csv and a 40-bin histogram.csv."""
     cfg = apply_overrides(_load(config_path), seed, None)
     demand = cfg.demand
-    overrides = {
-        name: value
-        for name, value in (("mu", mu), ("sigma", sigma), ("lower", lower), ("upper", upper))
-        if value is not None
-    }
-    if overrides:
-        demand = dataclasses.replace(demand, **overrides)
     if n < 1:
         raise ValidationError(f"sample size must be at least 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))

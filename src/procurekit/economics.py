@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
-    NegativeUnitCostError, ValidationError, check_finite, check_unit_interval, is_int, is_real, store_floats,
+    NegativeUnitCostError, ValidationError, check_finite, check_unit_interval, is_int, real_array, store_floats,
 )
 
 __all__ = [
@@ -32,36 +32,28 @@ __all__ = [
 # Component order: supply chain, ERP, cloud, HR, security.
 DEFAULT_READINESS_WEIGHTS: tuple[float, ...] = (0.28, 0.27, 0.20, 0.15, 0.10)
 
-_WEIGHT_SUM_TOL = 1e-12
 
-
-def composite_beta(components: Sequence[float], weights: Sequence[float] = DEFAULT_READINESS_WEIGHTS) -> float:
-    """Weighted readiness score sum(w_k * x_k).
+def composite_beta(components: Sequence[float]) -> float:
+    """Readiness score sum(w_k * x_k) under the fixed DEFAULT_READINESS_WEIGHTS.
 
     Parameters
     ----------
     components : sequence of float
-        Component scores, each in [0, 1].
-    weights : sequence of float
-        Nonnegative weights of the same length, summing to 1 within 1e-12.
+        One score per weight, in the weights' component order, each in [0, 1].
 
     Returns
     -------
     float
         Composite readiness in [0, 1].
     """
-    if len(components) != len(weights):
+    scores = real_array("components", components, (1,)).tolist()
+    if len(scores) != len(DEFAULT_READINESS_WEIGHTS):
         raise ValidationError(
-            f"got {len(components)} components but {len(weights)} weights"
+            f"got {len(scores)} components but {len(DEFAULT_READINESS_WEIGHTS)} weights"
         )
-    if not all(is_real(w) and w >= 0.0 for w in weights):
-        raise ValidationError("readiness weights must be nonnegative")
-    total = math.fsum(weights)
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise ValidationError(f"readiness weights must sum to 1, got {total!r}")
-    for i, x in enumerate(components):
+    for i, x in enumerate(scores):
         check_unit_interval(f"components[{i}]", x)
-    return math.fsum(w * x for w, x in zip(weights, components))
+    return math.fsum(w * x for w, x in zip(DEFAULT_READINESS_WEIGHTS, scores))
 
 
 @dataclass(frozen=True)
@@ -83,8 +75,8 @@ class ReadinessComponents:
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.supply_chain, self.erp, self.cloud, self.hr, self.security)
 
-    def composite(self, weights: Sequence[float] = DEFAULT_READINESS_WEIGHTS) -> float:
-        return composite_beta(self.as_tuple(), weights)
+    def composite(self) -> float:
+        return composite_beta(self.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -110,9 +102,8 @@ class SupplierProfile:
         id: int,
         base_cost: float,
         components: ReadinessComponents,
-        weights: Sequence[float] = DEFAULT_READINESS_WEIGHTS,
     ) -> "SupplierProfile":
-        return cls(id=id, base_cost=base_cost, beta=components.composite(weights))
+        return cls(id=id, base_cost=base_cost, beta=components.composite())
 
 
 @dataclass(frozen=True)
@@ -150,7 +141,9 @@ class MarketEconomics:
             raise ValidationError(f"nu must exceed 1, got {self.nu!r}")
 
     def unit_cost(self, supplier: SupplierProfile, alpha: float) -> float:
-        return unit_cost(supplier.base_cost, alpha, supplier.beta, self.a1, self.a2)
+        # The solver prices every supplier here, and the fields were checked
+        # at construction, so this skips unit_cost's argument checks.
+        return _unit_cost(supplier.base_cost, alpha, supplier.beta, self.a1, self.a2)
 
     def adoption_cost(self, alpha: float) -> float:
         return adoption_cost(alpha, self.a3, self.nu)
@@ -162,9 +155,17 @@ class MarketEconomics:
 def unit_cost(base_cost: float, alpha: float, beta: float, a1: float, a2: float) -> float:
     """Effective unit cost base_cost - a1*alpha - a2*beta.
 
-    Raises NegativeUnitCostError when the reductions drive the cost to zero
-    or below, which would make the procurement problem unbounded.
+    Raises ValidationError naming an argument that is not a finite real
+    number, or a lever alpha or beta outside [0, 1], and
+    NegativeUnitCostError when the reductions drive the cost to zero or
+    below, which would make the procurement problem unbounded.
     """
+    for name, value in (("base_cost", base_cost), ("a1", a1), ("a2", a2)):
+        check_finite(name, value)
+    return _unit_cost(base_cost, alpha, beta, a1, a2)
+
+
+def _unit_cost(base_cost: float, alpha: float, beta: float, a1: float, a2: float) -> float:
     check_unit_interval("alpha", alpha)
     check_unit_interval("beta", beta)
     cost = base_cost - a1 * alpha - a2 * beta
@@ -176,14 +177,25 @@ def unit_cost(base_cost: float, alpha: float, beta: float, a1: float, a2: float)
     return cost
 
 
+def _check_adoption_terms(a3: float, nu: float) -> None:
+    """Refuse by name an a3 that is not finite, or a nu that is not finite
+    or not above 1, as MarketEconomics does."""
+    check_finite("a3", a3)
+    check_finite("nu", nu)
+    if nu <= 1.0:
+        raise ValidationError(f"nu must exceed 1, got {nu!r}")
+
+
 def adoption_cost(alpha: float, a3: float, nu: float) -> float:
-    """Convex adoption spend a3 * alpha**nu for alpha in [0, 1]."""
+    """Convex adoption spend a3 * alpha**nu for alpha in [0, 1] and nu > 1."""
+    _check_adoption_terms(a3, nu)
     check_unit_interval("alpha", alpha)
     return a3 * alpha**nu
 
 
 def adoption_cost_slope(alpha: float, a3: float, nu: float) -> float:
     """Marginal adoption cost a3 * nu * alpha**(nu-1); zero at alpha=0 for nu>1."""
+    _check_adoption_terms(a3, nu)
     check_unit_interval("alpha", alpha)
     if alpha == 0.0:
         return 0.0

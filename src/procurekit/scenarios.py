@@ -83,6 +83,8 @@ class DynamicSpec:
         names = ("a3_initial", "a3_decline", "learning_rate", "target_penalty", "alpha_initial")
         for name in ("cycles", *names):
             check_finite(name, getattr(self, name))
+        # A Python int, as store_floats makes the floats: an int64 count overflows the loop bound cycles + 1.
+        object.__setattr__(self, "cycles", int(self.cycles))
         store_floats(self, names)
         final_a3 = self.a3_at(self.cycles)
         if self.a3_initial <= 0.0 or final_a3 <= 0.0:
@@ -149,8 +151,7 @@ class ScenarioSpec:
                     f"latin-hypercube sampler requires lhs_samples >= 2, got {self.lhs_samples}"
                 )
             for path, values in self.axes:
-                if not (len(values) == 2 and all(map(is_finite, values)) and values[0] < values[1]
-                        and is_finite(values[1] - values[0])):
+                if not (len(values) == 2 and _is_lhs_range(*values)):
                     raise ValidationError(
                         f"latin-hypercube axis {path!r} needs a finite (low, high) range of finite width, "
                         f"got {values!r}"
@@ -361,6 +362,15 @@ def run_dynamic(spec: ScenarioSpec) -> list[ScenarioResult]:
     return rows
 
 
+def _is_lhs_range(lo, hi) -> bool:
+    """The one rule for a Latin hypercube range, stated in floats: both ends
+    convert to finite floats, low < high, and the width is finite."""
+    if not (is_finite(lo) and is_finite(hi)):
+        return False
+    lo, hi = float(lo), float(hi)
+    return lo < hi and math.isfinite(hi - lo)
+
+
 def latin_hypercube(
     ranges: list[tuple[float, float]], n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -381,7 +391,7 @@ def latin_hypercube(
     for j, (lo, hi) in enumerate(ranges):
         # An end that converts to no finite float stays as given, for the message.
         lo, hi = (float(v) if is_finite(v) else v for v in (lo, hi))
-        if not (is_finite(lo) and is_finite(hi) and lo < hi and math.isfinite(hi - lo)):
+        if not _is_lhs_range(lo, hi):
             raise ValidationError(f"dimension {j} needs finite low < high with a finite width, got ({lo}, {hi})")
         strata = rng.permutation(n)
         offsets = rng.random(n)

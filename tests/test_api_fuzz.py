@@ -10,7 +10,9 @@ KKT audit closes, rows are ok with finite metrics or failed with NaN ones),
 or raise a ProcureKitError subclass: never a bare TypeError, ValueError or
 OverflowError. fill_rate_distribution, breakdown_from_draws,
 critical_fractile, adaptive_alpha_update, the TruncatedNormal methods,
-variance_decomposition and render_heatmap_svg are held to the same rule;
+variance_decomposition, render_heatmap_svg and the economics functions
+unit_cost, adoption_cost, adoption_cost_slope and composite_beta are held
+to the same rule;
 breakdown_from_draws also meets draws spoiled by junk, strings, a second
 dimension and ragged rows, and fit, variance_decomposition and
 render_heatmap_svg ragged nested lists. Each @example pins a branch that the
@@ -30,7 +32,9 @@ from hypothesis import strategies as st
 
 from procurekit import errors, optimizer
 from procurekit.demand import TruncatedNormal
-from procurekit.economics import MarketEconomics, SupplierProfile
+from procurekit.economics import (
+    MarketEconomics, SupplierProfile, adoption_cost, adoption_cost_slope, composite_beta, unit_cost,
+)
 from procurekit.errors import ProcureKitError
 from procurekit.fitting import FAMILIES, fit
 from procurekit.heatmap import render_heatmap_svg
@@ -442,12 +446,24 @@ def test_render_heatmap_svg_draws_a_cell_per_value_or_fails_in_a_package_error(x
          "samples must be a 1-D or 2-D array of real numbers"),
         (lambda: render_heatmap_svg((1,), (2,), [["a"]], "x", "y", "t"),
          "values must be a 2-D array of real numbers, got <U1 of shape (1, 1)"),
+        (lambda: unit_cost(math.nan, 0.5, 0.5, 5.0, 8.0), "base_cost must be finite, got nan"),
+        (lambda: unit_cost("100", 0.5, 0.5, 5.0, 8.0), "base_cost must be a real number, got '100'"),
+        (lambda: unit_cost(10**400, 0.5, 0.5, 5.0, 8.0),
+         "base_cost must be finite, got an integer beyond float range"),
+        (lambda: unit_cost(100.0, 0.5, 0.5, 5.0, math.inf), "a2 must be finite, got inf"),
+        (lambda: adoption_cost(0.5, math.nan, 1.5), "a3 must be finite, got nan"),
+        (lambda: adoption_cost(0.0, 1.0, -1.0), "nu must exceed 1, got -1.0"),
+        (lambda: adoption_cost_slope(0.5, 10**400, 1.5), "a3 must be finite, got an integer beyond float range"),
+        (lambda: adoption_cost_slope(0.5, 2000.0, 1.0), "nu must exceed 1, got 1.0"),
+        (lambda: composite_beta(None), "components must be a 1-D array of real numbers, got object of shape ()"),
     ],
     ids=[
         "fill-nan-q", "fill-string-q", "fill-huge-q", "fill-float-n", "draws-strings", "draws-2d", "draws-nan",
         "fractile-nan-cost", "update-nan-alpha", "update-zero-target", "cdf-string", "pdf-nan", "excess-nan",
         "min-nan", "cdf-array-nan", "decomposition-string-responses", "decomposition-ragged-samples",
-        "heatmap-string-values",
+        "heatmap-string-values", "unit-cost-nan-base", "unit-cost-string-base", "unit-cost-huge-base",
+        "unit-cost-inf-a2", "adoption-nan-a3", "adoption-negative-nu", "slope-huge-a3", "slope-nu-one",
+        "composite-none",
     ],
 )
 def test_public_functions_refuse_bad_arguments_by_name(call, message):

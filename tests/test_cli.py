@@ -334,9 +334,9 @@ class TestSample:
         ).read_bytes()
 
     def test_parameter_overrides_apply(self, tmp_path):
-        result = invoke(
-            "sample", "--n", 200, "--lower", 45.0, "--upper", 55.0, "--out", tmp_path
-        )
+        config = tmp_path / "narrow.yaml"
+        config.write_text("demand: {lower: 45.0, upper: 55.0}\n")
+        result = invoke("sample", "--config", config, "--n", 200, "--out", tmp_path)
         assert result.exit_code == 0, result.output
         with open(tmp_path / "samples.csv") as handle:
             handle.readline()
@@ -344,9 +344,12 @@ class TestSample:
         assert all(45.0 <= v <= 55.0 for v in values)
 
     def test_invalid_distribution_rejected(self, tmp_path):
-        result = invoke("sample", "--sigma", -4.0, "--out", tmp_path)
+        config = tmp_path / "negative.yaml"
+        config.write_text("seed: 1\ndemand: {sigma: -4.0}\n")
+        result = invoke("sample", "--config", config, "--out", tmp_path)
         assert result.exit_code == 1
-        assert "sigma" in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and f"{config}:2: config.demand: sigma must be positive" in line
 
     def test_rejects_nonpositive_sample_count(self, tmp_path):
         result = invoke("sample", "--n", 0, "--out", tmp_path)
@@ -416,6 +419,36 @@ class TestFit:
         assert result.exit_code == 1
         assert "no family produced a usable fit" in result.stderr
         assert not (tmp_path / "fits.csv").exists()
+
+
+class TestUsageErrors:
+    """A command line that click cannot parse is invalid input: exit 1 and the
+    one error line that every other failure prints, never click's usage text."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["optimize", "--bogus"], "No such option '--bogus'."),
+            (["sample", "--n", "abc"], "Invalid value for '--n': 'abc' is not a valid integer."),
+            (["nosuch"], "No such command 'nosuch'."),
+            (["sample", "--sigma", "12"], "No such option '--sigma'."),
+            ([], "Missing command."),
+        ],
+        ids=["unknown-option", "bad-integer", "unknown-command", "model-flag", "no-command"],
+    )
+    def test_is_one_validation_error_line(self, args, message):
+        result = invoke(*args)
+        assert result.exit_code == 1
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ")
+        payload = json.loads(line.removeprefix("error: "))
+        assert payload["kind"] == "validation" and payload["message"].startswith(message)
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [["--help"], ["sample", "--help"]], ids=["group", "command"])
+    def test_help_still_exits_0(self, args):
+        result = invoke(*args)
+        assert result.exit_code == 0 and result.stdout.startswith("Usage: ")
 
 
 def test_module_runs_as_a_script(monkeypatch, capsys):

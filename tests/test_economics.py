@@ -69,14 +69,6 @@ class TestCompositeBeta:
         value = composite_beta([0.5, 0.5, 0.5, 0.5, 0.5])
         assert value == pytest.approx(0.5, abs=1e-12)
 
-    def test_rejects_bad_weight_sum(self):
-        with pytest.raises(ValidationError, match="sum to 1"):
-            composite_beta([0.5] * 5, weights=(0.3, 0.3, 0.2, 0.15, 0.10))
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ValidationError, match="nonnegative"):
-            composite_beta([0.5] * 5, weights=(1.1, 0.1, -0.1, -0.05, -0.05))
-
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError, match="components"):
             composite_beta([0.5, 0.5])

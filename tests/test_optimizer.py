@@ -403,7 +403,7 @@ class TestSolveBatch:
             scalar = expected_profit_value(market, suppliers, demand, at_grid)
             assert float(profits[i, best]).hex() == scalar.hex()
 
-    def test_decide_keeps_the_root(self, monkeypatch):
+    def test_solve_keeps_the_root(self, monkeypatch):
         # The tie-break never picks the grid point on these cells: every
         # returned alpha is the root _fixed_point reported or, where it stopped
         # at an end of its bracket in t, that end of the alpha bracket exactly.

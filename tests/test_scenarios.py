@@ -104,6 +104,15 @@ class TestDynamicSpec:
         with pytest.raises(ValidationError):
             DynamicSpec(**settings)
 
+    def test_numpy_count_is_stored_as_int(self):
+        # An int64 count would take the cycle loop's bound, cycles + 1, into int64.
+        settings = dict(a3_initial=3000.0, a3_decline=0.0, learning_rate=0.05, target_penalty=0.05, alpha_initial=0.2)
+        longest = DynamicSpec(cycles=np.int64(2**63 - 1), **settings)
+        assert type(longest.cycles) is int and longest.cycles + 1 == 2**63
+        numpy_count = small_spec(axes=(), dynamic=DynamicSpec(cycles=np.int64(3), **settings))
+        assert type(numpy_count.dynamic.cycles) is int
+        assert run_dynamic(numpy_count) == run_dynamic(small_spec(axes=(), dynamic=DynamicSpec(cycles=3, **settings)))
+
     def test_rejects_schedule_reaching_zero(self):
         # cycle 16 would hit 3000 - 200 * 15 = 0
         with pytest.raises(ValidationError, match="positive"):
@@ -230,6 +239,26 @@ class TestScenarioSpecValidation:
         # At construction, not later in latin_hypercube, so a config error names its file and line.
         with pytest.raises(ValidationError, match=r"needs a finite \(low, high\) range"):
             small_spec(sampler="latin-hypercube", lhs_samples=10, axes=(("market.a3", values),))
+
+    # int64 ends whose width overflows int64 but not a float, and int ends one apart that are one float.
+    @pytest.mark.parametrize(
+        "ends, accepted", [((np.int64(-2**62), np.int64(2**62)), True), ((2**53, 2**53 + 1), False)],
+        ids=["int64-wide", "one-float"],
+    )
+    def test_lhs_range_rule_is_latin_hypercubes(self, ends, accepted):
+        def spec():
+            return small_spec(sampler="latin-hypercube", lhs_samples=2, axes=(("market.a1", ends),))
+
+        def design():
+            return latin_hypercube([ends], 2, np.random.default_rng(0))
+
+        if accepted:
+            spec()
+            assert np.all(np.abs(design()) <= 2.0**62)
+        else:
+            for build in (spec, design):
+                with pytest.raises(ValidationError, match="range|low < high"):
+                    build()
 
     def test_rejects_dynamic_with_axes(self):
         dyn = DynamicSpec(
@@ -465,7 +494,7 @@ class TestCellBuiltOnce:
 
 
 class TestParallelDeterminism:
-    def test_process_pool_matches_serial_run(self):
+    def test_grid_run_matches_across_job_counts(self):
         spec = small_spec(
             axes=(("demand.sigma", (5.0, 8.0, 12.0)), ("market.a3", (1000.0, 3000.0))),
             replications=300,
