@@ -50,7 +50,11 @@ class ThresholdNotFoundError(ProcureKitError, RuntimeError):
 
 
 class SolverCheckError(ProcureKitError, RuntimeError):
-    """A solved decision failed the solver's KKT postcondition."""
+    """A solved decision failed the solver's KKT postcondition; ``alpha`` is its adoption level."""
+
+    def __init__(self, message: str, alpha: float = math.nan) -> None:
+        super().__init__(message)
+        self.alpha = alpha
 
 
 def is_real(value: object) -> bool:

@@ -13,8 +13,8 @@ the fixed point t = a1 * Q*(alpha) / (a3 * nu) of a map that does not
 decrease, iterated within one grid step of the argmax. Many problems (the
 cells of a scenario) share that array program, with their fixed-point
 steps in lock-step; optimize is the same program on a batch of one. Since
-Q*(alpha) does not involve a3, the adoption threshold is a closed form in
-Q* at the display cutoff.
+alpha* does not increase with a3, the adoption threshold is a bisection on
+a3 over these solves.
 
 KKT residuals are computed from closed-form probabilities and reported with
 the multipliers, so a caller can audit any decision, optimal or not. The
@@ -32,10 +32,10 @@ from typing import Sequence
 import numpy as np
 
 from .demand import TruncatedNormal, TruncatedNormalParams
-from .economics import MarketEconomics, SupplierProfile, adoption_cost_slope, cheapest_supplier
+from .economics import MarketEconomics, SupplierProfile, cheapest_supplier
 from .errors import (
     DegenerateEconomicsError, ProcureKitError, SolverCheckError, ThresholdNotFoundError, ValidationError, check_finite,
-    is_real,
+    is_finite,
 )
 from .profit import (
     Decision, ProfitBreakdown, _check_decision, _profit, expected_profit_closed_form, expected_profit_value,
@@ -59,8 +59,6 @@ _GRID = np.linspace(0.0, 1.0, 101)
 # A solve takes about four fixed-point steps; 1,500 random problems with nu
 # from 1.005 to 4 and narrow demand windows in both tails took at most seven.
 _MAX_STEPS = 64
-# adoption_threshold tries the closed-form a3* and this many floats above it.
-_THRESHOLD_FLOATS = 64
 # A decision whose KKT max_residual exceeds this many USD per unit of
 # max(price + penalty, a1 * Q*) fails the solver's postcondition.
 _KKT_TOLERANCE = 1e-6
@@ -322,7 +320,8 @@ def _solve_batch(
             if not kkt.max_residual <= _KKT_TOLERANCE * scale:
                 raise SolverCheckError(
                     f"KKT max_residual {kkt.max_residual!r} at alpha={decision.alpha!r}, q={decision.total!r} "
-                    f"exceeds {_KKT_TOLERANCE} x {scale!r}"
+                    f"exceeds {_KKT_TOLERANCE} x {scale!r}",
+                    decision.alpha,
                 )
             results[i] = decision, kkt
         except ProcureKitError as exc:
@@ -347,8 +346,8 @@ def optimize(
     point earns more by over _TIE_TOLERANCE relative profit. Raises
     SolverCheckError when the KKT max_residual of the result exceeds
     _KKT_TOLERANCE times max(price + penalty, a1 * Q*); that includes an
-    alpha* below the smallest double (nu near 1 with a large a3), which
-    rounds to 0 where the slope does not vanish. The returned alpha is stored
+    alpha* below the smallest normal double (nu near 1 with a large a3),
+    which rounds to 0 or to too few bits. The returned alpha is stored
     at full precision; display layers round it. This is the batch solve of
     scenario runs on a batch of one cell, so it agrees with any scenario
     cell bit for bit: the batch returns the audited (decision, kkt) pair, and
@@ -424,37 +423,40 @@ def adoption_threshold(
     a3_low: float,
     a3_high: float,
 ) -> float:
-    """Smallest a3 in [a3_low, a3_high] at which optimize reports alpha*
-    below c = 0.005, half the grid step, so that it displays as 0.00.
+    """Smallest float a3 in [a3_low, a3_high] at which the audited solve
+    reports alpha* below c = 0.005, half the grid step, so that it displays
+    as 0.00; the float below it reports alpha* >= c. Each end is solved as
+    a market's a3, so both must convert to finite floats, or ValidationError.
 
-    Q*(alpha) does not involve a3, so the envelope slope
-    g(alpha) = a1 * Q*(alpha) - a3 * nu * alpha**(nu - 1) is nonpositive at c
-    exactly when a3 >= a3* = a1 * Q*(c) / (nu * c**(nu - 1)). That makes a3*
-    the threshold if alpha* does not increase with a3 and g crosses zero once
-    near c. At a3* the root sits on the cutoff, and rounding decides on which
-    side of it the reported root falls (up to three floats above a3* on the
-    36 cells of the bisection test), so the result is the first of a3* and
-    the _THRESHOLD_FLOATS floats above it at which optimize reports alpha*
-    below c. Returns a3_low when a3* <= a3_low; raises
-    ThresholdNotFoundError when the result lies above a3_high, or when none
-    of those values reports zero.
+    V(alpha; a3) = W(alpha) - a3 * alpha**nu, with W free of a3, has
+    decreasing differences, so its maximisers do not increase with a3
+    (Topkis 1978; Milgrom and Shannon 1994), with no concavity or single
+    crossing assumed. Returns a3_low if it reports below c, raises
+    ThresholdNotFoundError if a3_high does not, and otherwise bisects the
+    IEEE bit patterns, which order positive floats, to adjacent floats. A
+    failed audit at an alpha below the smallest normal double counts as
+    below c: alpha* underflowed (see optimize). Other errors propagate.
     """
-    if not (is_real(a3_low) and is_real(a3_high) and 0.0 < a3_low < a3_high):
-        raise ValidationError(f"need 0 < a3_low < a3_high, got [{a3_low!r}, {a3_high!r}]")
+    if not (is_finite(a3_low) and is_finite(a3_high) and 0.0 < a3_low < a3_high):
+        raise ValidationError(f"need finite 0 < a3_low < a3_high, got [{a3_low!r}, {a3_high!r}]")
     cutoff = _GRID_STEP / 2.0
-    q_cutoff = optimal_quantity_given_alpha(market, suppliers, demand, cutoff).total
-    slope, scale = market.a1 * q_cutoff, adoption_cost_slope(cutoff, 1.0, market.nu)
-    # For nu above about 140, cutoff ** (nu - 1) underflows to 0 and a3* lies
-    # beyond every float: infinite for a positive slope, 0 for a zero one.
-    a3 = a3_star = slope / scale if scale else (math.inf if slope else 0.0)
-    if a3_star <= a3_low:
+
+    def below_cutoff(*a3s: float) -> list[bool]:
+        below = []
+        for entry in _solve_batch([(dataclasses.replace(market, a3=a3), suppliers, demand) for a3 in a3s]):
+            underflow = isinstance(entry, SolverCheckError) and entry.alpha < np.finfo(float).tiny
+            if isinstance(entry, ProcureKitError) and not underflow:
+                raise entry
+            below.append(underflow or entry[0].alpha < cutoff)
+        return below
+
+    low_below, high_below = below_cutoff(a3_low, a3_high)
+    if low_below:
         return a3_low
-    for _ in range(_THRESHOLD_FLOATS + 1):
-        if a3 > a3_high:
-            raise ThresholdNotFoundError(f"alpha* still at or above {cutoff} at a3={a3_high}; widen the range")
-        if optimize(dataclasses.replace(market, a3=a3), suppliers, demand).alpha_star < cutoff:
-            return a3
-        a3 = math.nextafter(a3, math.inf)
-    raise ThresholdNotFoundError(
-        f"alpha* still at or above {cutoff} up to {_THRESHOLD_FLOATS} floats above the closed form a3={a3_star!r}"
-    )
+    if not high_below:
+        raise ThresholdNotFoundError(f"alpha* still at or above {cutoff} at a3={a3_high}; widen the range")
+    lo, hi = np.array([a3_low, a3_high], dtype=float).view(np.int64).tolist()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below_cutoff(np.int64(mid).view(float))[0] else (mid, hi)
+    return float(np.int64(hi).view(float))

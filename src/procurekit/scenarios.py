@@ -44,6 +44,8 @@ _NS_DESIGN = 1
 _NS_DYNAMIC = 2
 _NS_BUILD = 3
 
+MAX_CYCLES = 10_000  # The longest dynamic horizon: at about 0.1 ms a cycle (s11), about a second.
+
 
 def _check_seeding(seed, replications) -> None:
     """The seeding rules of a ScenarioSpec and a RunConfig: seed is a
@@ -66,7 +68,7 @@ class DynamicSpec:
     Cycle t uses adoption cost scale a3_initial - a3_decline * (t - 1). After
     each cycle the adoption level moves by learning_rate times the relative
     gap between the observed penalty rate and target_penalty, clamped to
-    [0, 1].
+    [0, 1]. cycles is an integer from 1 to MAX_CYCLES.
     """
 
     cycles: int
@@ -77,13 +79,13 @@ class DynamicSpec:
     alpha_initial: float
 
     def __post_init__(self) -> None:
-        if not is_int(self.cycles) or self.cycles < 1:
-            raise ValidationError(f"cycles must be a positive integer, got {self.cycles!r}")
+        if not (is_int(self.cycles) and 1 <= self.cycles <= MAX_CYCLES):
+            raise ValidationError(f"cycles must be an integer from 1 to {MAX_CYCLES}, got {self.cycles!r}")
         # NaN passes every ordered comparison below, so finiteness comes first.
         names = ("a3_initial", "a3_decline", "learning_rate", "target_penalty", "alpha_initial")
-        for name in ("cycles", *names):
+        for name in names:
             check_finite(name, getattr(self, name))
-        # A Python int, as store_floats makes the floats: an int64 count overflows the loop bound cycles + 1.
+        # A Python int, as store_floats makes the floats, so that no numpy integer reaches the cycle loop.
         object.__setattr__(self, "cycles", int(self.cycles))
         store_floats(self, names)
         final_a3 = self.a3_at(self.cycles)

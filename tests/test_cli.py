@@ -429,12 +429,13 @@ class TestUsageErrors:
         "args, message",
         [
             (["optimize", "--bogus"], "No such option '--bogus'."),
+            (["--bogus"], "No such option '--bogus'."),
             (["sample", "--n", "abc"], "Invalid value for '--n': 'abc' is not a valid integer."),
             (["nosuch"], "No such command 'nosuch'."),
             (["sample", "--sigma", "12"], "No such option '--sigma'."),
             ([], "Missing command."),
         ],
-        ids=["unknown-option", "bad-integer", "unknown-command", "model-flag", "no-command"],
+        ids=["unknown-option", "unknown-group-option", "bad-integer", "unknown-command", "model-flag", "no-command"],
     )
     def test_is_one_validation_error_line(self, args, message):
         result = invoke(*args)

@@ -634,16 +634,17 @@ class TestFixedPoint:
                 assert [t[0].hex(), alpha[0].hex()] == [free_t[0].hex(), free_alpha[0].hex()]
 
 
+@pytest.fixture
+def unpolished(monkeypatch):
+    # A fixed point that stops at the middle of its bracket in t, near the grid argmax.
+    def midpoint(env, t_lo, t_hi, start):
+        t = 0.5 * (t_lo + t_hi)
+        return t, env.step(t[:, None], t_lo[:, None], t_hi[:, None])[0][:, 0]
+
+    monkeypatch.setattr(optimizer, "_fixed_point", midpoint)
+
+
 class TestSolverPostcondition:
-    @pytest.fixture
-    def unpolished(self, monkeypatch):
-        # A fixed point that stops at the middle of its bracket in t, near the grid argmax.
-        def midpoint(env, t_lo, t_hi, start):
-            t = 0.5 * (t_lo + t_hi)
-            return t, env.step(t[:, None], t_lo[:, None], t_hi[:, None])[0][:, 0]
-
-        monkeypatch.setattr(optimizer, "_fixed_point", midpoint)
-
     def test_optimize_exits_2_with_one_error_line(self, unpolished, tmp_path):
         result = CliRunner().invoke(main, ["optimize", "--out", str(tmp_path)])
         assert result.exit_code == 2
@@ -742,6 +743,12 @@ class TestAdoptionThreshold:
         with pytest.raises(ValidationError):
             adoption_threshold(MARKET, SUPPLIERS, DEMAND, 4_000.0, 400.0)
 
+    @pytest.mark.parametrize("a3_high", [math.inf, 10**400])
+    def test_rejects_an_end_beyond_the_floats(self, a3_high):
+        # The end is refused as a range, before it is solved as a market's a3.
+        with pytest.raises(ValidationError, match="need finite 0 < a3_low < a3_high"):
+            adoption_threshold(MARKET, SUPPLIERS, DEMAND, 500.0, a3_high)
+
     @pytest.mark.parametrize("nu", [142.0, 400.0])
     def test_cutoff_power_underflow(self, nu):
         # 0.005 ** (nu - 1) underflows to 0: a3* is then beyond every float,
@@ -751,16 +758,64 @@ class TestAdoptionThreshold:
             adoption_threshold(market, SUPPLIERS, DEMAND, 1.0, 1e8)
         assert adoption_threshold(dataclasses.replace(market, a1=0.0), SUPPLIERS, DEMAND, 1.0, 1e8) == 1.0
 
-    def test_no_threshold_where_the_slope_is_not_single_crossing(self):
-        # Near nu = 1 the envelope slope is not single-crossing: at a3* it falls
-        # through zero at the cutoff and rises through it again near alpha =
-        # 0.015, and alpha* = 1 earns more, for every float tried above a3*.
+    def test_threshold_where_the_slope_is_not_single_crossing(self):
+        # Near nu = 1 the envelope slope is not single-crossing: at the old
+        # closed form a3* = 257.506 it falls through zero at the cutoff and
+        # rises through it again near alpha = 0.015, and alpha* = 1 earns more.
+        # alpha* still does not increase with a3, so the bisection finds the
+        # drop; far above it alpha* underflows and the audit fails at alpha = 0.
         market = baseline_market(nu=1.0001)
-        with pytest.raises(
-            ThresholdNotFoundError,
-            match=r"up to 64 floats above the closed form a3=257\.5062664834582$",
-        ):
-            adoption_threshold(market, SUPPLIERS, DEMAND, 1.0, 1e300)
+        thr = adoption_threshold(market, SUPPLIERS, DEMAND, 1.0, 1e300)
+        assert 257.76 <= thr <= 260.08
+        below = optimize(dataclasses.replace(market, a3=math.nextafter(thr, 0.0)), SUPPLIERS, DEMAND).alpha_star
+        at = optimize(dataclasses.replace(market, a3=thr), SUPPLIERS, DEMAND).alpha_star
+        assert at < 0.005 <= below
+
+    def test_the_float_below_the_result_reports_at_or_above_the_cutoff(self):
+        thr = adoption_threshold(MARKET, SUPPLIERS, DEMAND, 500.0, 10_000.0)
+        below = optimize(dataclasses.replace(MARKET, a3=math.nextafter(thr, 0.0)), SUPPLIERS, DEMAND).alpha_star
+        assert below >= 0.005
+
+    @pytest.mark.parametrize("nu, a3, reported", [(1.0001, 1e4, "zero"), (1.01, 4.2e5, "subnormal")])
+    def test_an_underflowed_alpha_star_counts_as_below_the_cutoff(self, nu, a3, reported):
+        # alpha* = (a1 * Q* / (a3 * nu))**(1 / (nu - 1)) lies below the smallest
+        # normal double, so the audit fails at a reported alpha of 0, where the
+        # slope is a1 * Q* > 0, or at a subnormal one, which keeps too few bits.
+        # The threshold reads either as alpha* < 0.005.
+        market = baseline_market(nu=nu, a3=a3)
+        (entry,) = _solve_batch([(market, SUPPLIERS, DEMAND)])
+        assert isinstance(entry, SolverCheckError) and entry.alpha < np.finfo(float).tiny
+        assert (entry.alpha == 0.0) == (reported == "zero")
+        assert adoption_threshold(market, SUPPLIERS, DEMAND, a3, 10.0 * a3) == a3
+
+    def test_other_solver_check_errors_propagate(self, unpolished):
+        # An unpolished root fails the audit at alpha > 0, which says nothing about alpha*.
+        with pytest.raises(SolverCheckError, match="exceeds 1e-06 x") as raised:
+            adoption_threshold(MARKET, SUPPLIERS, DEMAND, 500.0, 10_000.0)
+        assert raised.value.alpha > 0.0
+
+    @given(
+        nu=st.sampled_from([1.0001, 1.001, 1.5, 2.0]) | st.floats(min_value=1.01, max_value=4.0),
+        a1=st.floats(min_value=0.0, max_value=9.0),
+        window=st.sampled_from(range(len(WINDOWS))),
+    )
+    @settings(max_examples=examples(100), deadline=None)
+    def test_alpha_star_does_not_increase_with_a3(self, nu, a1, window):
+        # The bisection's premise: V(alpha; a3) = W(alpha) - a3 * alpha**nu has
+        # decreasing differences, so the maximiser does not increase with a3
+        # (Topkis 1978). An underflowed alpha* (a failed audit below the smallest
+        # normal double) reads as 0.
+        market = baseline_market(nu=nu, a1=a1)
+        a3s = np.geomspace(1e-2, 1e7, 64)
+        solved = _solve_batch([(dataclasses.replace(market, a3=a3), SUPPLIERS, WINDOWS[window]) for a3 in a3s])
+        alphas = []
+        for entry in solved:
+            if isinstance(entry, SolverCheckError) and entry.alpha < np.finfo(float).tiny:
+                alphas.append(0.0)
+            else:
+                assert not isinstance(entry, ProcureKitError), entry
+                alphas.append(entry[0].alpha)
+        assert all(later <= earlier for earlier, later in zip(alphas, alphas[1:])), alphas
 
     def test_readme_digits(self):
         # The baseline numbers as README.md prints them.

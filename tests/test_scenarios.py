@@ -16,8 +16,10 @@ from procurekit.baseline import (
 from procurekit.errors import ProcureKitError, RankDeficientDesignError, ValidationError
 from procurekit.optimizer import optimize
 from procurekit.demand import TruncatedNormal
+from procurekit.config import load_config
 from procurekit.scenarios import (
     _NS_BUILD,
+    MAX_CYCLES,
     PRESET_IDS,
     DynamicSpec,
     ScenarioResult,
@@ -107,11 +109,26 @@ class TestDynamicSpec:
     def test_numpy_count_is_stored_as_int(self):
         # An int64 count would take the cycle loop's bound, cycles + 1, into int64.
         settings = dict(a3_initial=3000.0, a3_decline=0.0, learning_rate=0.05, target_penalty=0.05, alpha_initial=0.2)
-        longest = DynamicSpec(cycles=np.int64(2**63 - 1), **settings)
-        assert type(longest.cycles) is int and longest.cycles + 1 == 2**63
+        longest = DynamicSpec(cycles=np.int64(MAX_CYCLES), **settings)
+        assert type(longest.cycles) is int and longest.cycles + 1 == MAX_CYCLES + 1
         numpy_count = small_spec(axes=(), dynamic=DynamicSpec(cycles=np.int64(3), **settings))
         assert type(numpy_count.dynamic.cycles) is int
         assert run_dynamic(numpy_count) == run_dynamic(small_spec(axes=(), dynamic=DynamicSpec(cycles=3, **settings)))
+
+    @pytest.mark.parametrize("cycles", [MAX_CYCLES + 1, 2**62])
+    def test_horizon_above_the_cap_is_refused_by_the_api_and_the_config(self, tmp_path, cycles):
+        # Only constructs: run_dynamic would loop over every cycle.
+        settings = dict(a3_initial=3000.0, a3_decline=0.0, learning_rate=0.05, target_penalty=0.05, alpha_initial=0.2)
+        message = f"cycles must be an integer from 1 to {MAX_CYCLES}, got {cycles}"
+        with pytest.raises(ValidationError, match=message):
+            DynamicSpec(cycles=cycles, **settings)
+        config = tmp_path / "long.yaml"
+        config.write_text(
+            "scenario:\n  id: long\n  dynamic:\n"
+            + "".join(f"    {k}: {v}\n" for k, v in dict(cycles=cycles, **settings).items())
+        )
+        with pytest.raises(ValidationError, match=message):
+            load_config(config)
 
     def test_rejects_schedule_reaching_zero(self):
         # cycle 16 would hit 3000 - 200 * 15 = 0
