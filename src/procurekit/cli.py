@@ -3,7 +3,9 @@
 Every command is deterministic given its inputs and seed, and writes output
 files atomically after all computation finishes, so a failed run never
 leaves a partial file. Exit codes: 0 success, 1 validation, 2 runtime,
-3 I/O. Monetary columns carry a ``_usd`` suffix.
+3 I/O. Every failure leaves through ``_Commands``, which prints the one
+``error:`` line and exits with its code. Monetary columns carry a ``_usd``
+suffix.
 
 Every table (results, trajectory, fits, heatmap, histogram) is a list of
 records: one dict per row, from column name to value in column order.
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import io
 import itertools
 import json
@@ -103,23 +104,6 @@ def _breakdown_payload(breakdown: ProfitBreakdown) -> dict:
     return payload
 
 
-def _guarded(func):
-    """Map domain failures to the documented exit codes with JSON on stderr."""
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            func(*args, **kwargs)
-        except ValidationError as exc:
-            _fail(1, "validation", str(exc))
-        except (ProcureKitError, RuntimeError) as exc:
-            _fail(2, "runtime", str(exc))
-        except OSError as exc:
-            _fail(3, "io", str(exc))
-
-    return wrapper
-
-
 def _fail(code: int, kind: str, message: str) -> None:
     click.echo(f"error: {json.dumps({'kind': kind, 'message': message})}", err=True)
     sys.exit(code)
@@ -130,10 +114,12 @@ def _load(config_path: str | None) -> RunConfig:
 
 
 class _Commands(click.Group):
-    """The command group. A usage error (an unknown command or option, a
-    value of the wrong type, a missing argument or command) is invalid input:
-    it exits 1 with the one error line, like every other failure. Only
-    ``--help`` prints the usage text."""
+    """The command group, and the one place failures become exit codes. A
+    usage error (an unknown command or option, a value of the wrong type, a
+    missing argument or command) is invalid input: it exits 1 with the one
+    error line, like every other failure. Only ``--help`` prints the usage
+    text. Click's ``Exit`` (which ``--help`` raises) and ``Abort`` subclass
+    RuntimeError, so they pass through before the runtime clause."""
 
     def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
         try:
@@ -144,8 +130,16 @@ class _Commands(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort):
+            raise
         except click.UsageError as exc:
             _fail(1, "validation", exc.format_message())
+        except ValidationError as exc:
+            _fail(1, "validation", str(exc))
+        except (ProcureKitError, RuntimeError) as exc:
+            _fail(2, "runtime", str(exc))
+        except OSError as exc:
+            _fail(3, "io", str(exc))
 
 
 @click.group(cls=_Commands, no_args_is_help=False)
@@ -158,7 +152,6 @@ def main() -> None:
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--replications", type=int, default=None, help="Monte Carlo draws.")
 @click.option("--out", "out_dir", type=click.Path(), default=".", help="Output directory.")
-@_guarded
 def cmd_optimize(config_path, seed, replications, out_dir) -> None:
     """Solve for the optimal adoption level and order quantities."""
     cfg = apply_overrides(_load(config_path), seed, replications)
@@ -263,7 +256,6 @@ def _heatmap_outputs(
     show_default=True,
     help="Output format: csv or json.",
 )
-@_guarded
 def cmd_scenario(target, seed, replications, jobs, out_dir, fmt) -> None:
     """Run a scenario preset s1..s11 or a YAML spec file."""
     if fmt not in ("csv", "json"):
@@ -308,7 +300,6 @@ def cmd_scenario(target, seed, replications, jobs, out_dir, fmt) -> None:
 )
 @click.option("--out", "out_dir", type=click.Path(), default=".", help="Output directory.")
 @click.option("--format", "fmt", default="csv", show_default=True, help="csv or json.")
-@_guarded
 def cmd_fit(data_csv, families_text, out_dir, fmt) -> None:
     """Fit candidate demand distributions to a single-column CSV and rank them."""
     if fmt not in ("csv", "json"):
@@ -356,7 +347,6 @@ def cmd_fit(data_csv, families_text, out_dir, fmt) -> None:
 @click.option("--n", type=int, default=100_000, show_default=True, help="Number of draws.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", "out_dir", type=click.Path(), default=".", help="Output directory.")
-@_guarded
 def cmd_sample(config_path, n, seed, out_dir) -> None:
     """Draw demand samples; write samples.csv and a 40-bin histogram.csv."""
     cfg = apply_overrides(_load(config_path), seed, None)

@@ -3,8 +3,9 @@
 A supplier's effective unit cost falls linearly in two levers: the buyer's
 contract-automation intensity alpha (one dial for the whole panel) and the
 supplier's own digital readiness beta. Readiness can be given directly or
-aggregated from five audited components with fixed weights. Pushing alpha up
-is not free: it carries a convex adoption cost a3 * alpha**nu.
+aggregated by ``composite_beta`` from five audited components with fixed
+weights. Pushing alpha up is not free: it carries a convex adoption cost
+a3 * alpha**nu.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_READINESS_WEIGHTS",
-    "ReadinessComponents",
     "SupplierProfile",
     "MarketEconomics",
     "composite_beta",
@@ -39,7 +39,8 @@ def composite_beta(components: Sequence[float]) -> float:
     Parameters
     ----------
     components : sequence of float
-        One score per weight, in the weights' component order, each in [0, 1].
+        Five scores, each in [0, 1], in weight order: supply_chain, erp,
+        cloud, hr, security.
 
     Returns
     -------
@@ -54,29 +55,6 @@ def composite_beta(components: Sequence[float]) -> float:
     for i, x in enumerate(scores):
         check_unit_interval(f"components[{i}]", x)
     return math.fsum(w * x for w, x in zip(DEFAULT_READINESS_WEIGHTS, scores))
-
-
-@dataclass(frozen=True)
-class ReadinessComponents:
-    """Five-axis digital readiness audit for one supplier."""
-
-    supply_chain: float
-    erp: float
-    cloud: float
-    hr: float
-    security: float
-
-    def __post_init__(self) -> None:
-        names = ("supply_chain", "erp", "cloud", "hr", "security")
-        for name in names:
-            check_unit_interval(name, getattr(self, name))
-        store_floats(self, names)
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.supply_chain, self.erp, self.cloud, self.hr, self.security)
-
-    def composite(self) -> float:
-        return composite_beta(self.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -95,15 +73,6 @@ class SupplierProfile:
             raise ValidationError(f"base_cost must be positive, got {self.base_cost!r}")
         check_unit_interval("beta", self.beta)
         store_floats(self, ("base_cost", "beta"))
-
-    @classmethod
-    def from_components(
-        cls,
-        id: int,
-        base_cost: float,
-        components: ReadinessComponents,
-    ) -> "SupplierProfile":
-        return cls(id=id, base_cost=base_cost, beta=components.composite())
 
 
 @dataclass(frozen=True)

@@ -389,12 +389,8 @@ def kkt_residuals(
     slack_products = []
     for sup, q in zip(suppliers, decision.quantities):
         grad = marginal_value - market.unit_cost(sup, decision.alpha)
-        if q > _ACTIVE_TOL:
-            lam = 0.0
-            residuals_q.append(grad)
-        else:
-            lam = max(0.0, -grad)
-            residuals_q.append(grad + lam)
+        lam = 0.0 if q > _ACTIVE_TOL else max(0.0, -grad)
+        residuals_q.append(grad + lam)
         multipliers_q.append(lam)
         slack_products.append(lam * q)
 

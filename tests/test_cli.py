@@ -452,6 +452,27 @@ class TestUsageErrors:
         assert result.exit_code == 0 and result.stdout.startswith("Usage: ")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["optimize"], ["scenario", "s10"], ["sample", "--n", "10"], ["fit", "data.csv"]],
+    ids=["optimize", "scenario", "sample", "fit"],
+)
+def test_an_out_that_is_a_file_is_one_io_error_line(tmp_path, args):
+    # Every command writes through the same handler: the output directory
+    # cannot be made, so the command exits 3 and writes nothing.
+    (tmp_path / "data.csv").write_text("demand\n3\n5\n8\n13\n21\n34\n")
+    out = tmp_path / "out"
+    out.write_text("a file, not a directory\n")
+    result = invoke(*[tmp_path / a if a == "data.csv" else a for a in args], "--out", out)
+    assert result.exit_code == 3
+    lines = result.stderr.splitlines()
+    assert [line for line in lines if line.startswith("error: ")] == lines[-1:]
+    assert json.loads(lines[-1].removeprefix("error: "))["kind"] == "io"
+    assert result.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "out"]
+    assert out.read_text() == "a file, not a directory\n"
+
+
 def test_module_runs_as_a_script(monkeypatch, capsys):
     # python -m procurekit.cli --help: the __main__ guard hands over to main.
     monkeypatch.setattr(sys, "argv", ["procurekit", "--help"])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from procurekit.economics import (
     DEFAULT_READINESS_WEIGHTS,
     MarketEconomics,
-    ReadinessComponents,
     SupplierProfile,
     adoption_cost,
     adoption_cost_slope,
@@ -76,12 +75,6 @@ class TestCompositeBeta:
     def test_rejects_component_out_of_range(self):
         with pytest.raises(ValidationError):
             composite_beta([0.5, 0.5, 1.2, 0.5, 0.5])
-
-    def test_components_dataclass_round_trip(self):
-        rc = ReadinessComponents(supply_chain=1.0, erp=0.0, cloud=0.0, hr=0.0, security=0.0)
-        assert rc.composite() == DEFAULT_READINESS_WEIGHTS[0]
-        sup = SupplierProfile.from_components(7, 100.0, rc)
-        assert sup.beta == DEFAULT_READINESS_WEIGHTS[0]
 
     @given(x=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5))
     @settings(max_examples=100, deadline=None)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from procurekit import optimizer
 from procurekit.cli import main
 from procurekit.demand import TruncatedNormal
-from procurekit.economics import MarketEconomics, ReadinessComponents, SupplierProfile, cheapest_supplier
+from procurekit.economics import MarketEconomics, SupplierProfile, cheapest_supplier
 from procurekit.errors import (
     DegenerateEconomicsError,
     NegativeUnitCostError,
@@ -857,7 +857,6 @@ class TestFloatFields:
             _cast_fields(baseline_market(), np.float32),
             _cast_fields(baseline_demand(), np.float32),
             SupplierProfile(id=np.int64(4), base_cost=np.float32(100.0), beta=np.float64(0.25)),
-            ReadinessComponents(*map(np.float32, (0.5, 0.25, 1.0, 0.0, 0.75))),
             DynamicSpec(cycles=np.int64(3), a3_initial=np.float32(3000.0), a3_decline=200,
                         learning_rate=np.float32(0.05), target_penalty=0.05, alpha_initial=np.float32(0.2)),
             Decision(alpha=np.float32(0.5), quantities=(np.float32(1.5), 0, np.float64(2.0))),
