@@ -252,14 +252,13 @@ def _heatmap_outputs(
 @click.option(
     "--format",
     "fmt",
+    type=click.Choice(("csv", "json")),
     default="csv",
     show_default=True,
     help="Output format: csv or json.",
 )
 def cmd_scenario(target, seed, replications, jobs, out_dir, fmt) -> None:
     """Run a scenario preset s1..s11 or a YAML spec file."""
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"format must be 'csv' or 'json', got {fmt!r}")
     if target in PRESET_IDS:
         cfg = dataclasses.replace(baseline_config(), scenario=preset(target))
     elif Path(target).exists():
@@ -299,11 +298,11 @@ def cmd_scenario(target, seed, replications, jobs, out_dir, fmt) -> None:
     help="Comma-separated candidate families.",
 )
 @click.option("--out", "out_dir", type=click.Path(), default=".", help="Output directory.")
-@click.option("--format", "fmt", default="csv", show_default=True, help="csv or json.")
+@click.option(
+    "--format", "fmt", type=click.Choice(("csv", "json")), default="csv", show_default=True, help="csv or json."
+)
 def cmd_fit(data_csv, families_text, out_dir, fmt) -> None:
     """Fit candidate demand distributions to a single-column CSV and rank them."""
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"format must be 'csv' or 'json', got {fmt!r}")
     families = tuple(f.strip() for f in families_text.split(",") if f.strip())
     data = read_demand_series(data_csv)
     comparison = compare(data, families)

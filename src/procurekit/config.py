@@ -7,8 +7,12 @@ an optional ``scenario`` section for a custom parameter study. The keys of
 ``scenario.dynamic`` are the fields of their model type (``MarketEconomics``,
 ``SupplierProfile``, ``TruncatedNormal``, ``DynamicSpec``), read in
 declaration order, so the dataclasses are the schema. Every section is
-optional; omitted sections fall back to the shipped baseline. Validation
-errors carry the source file and the line of the nearest enclosing mapping.
+optional; omitted sections fall back to the shipped baseline. This module
+checks only structure (YAML syntax, mappings and lists, unknown and missing
+keys); each value goes as written to its model type, and each axis to
+``scenarios._validate_axis``, which check it as they check Python input.
+Validation errors carry the source file and the line of the nearest
+enclosing mapping.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import re
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,12 +32,10 @@ from .baseline import (
 )
 from .demand import TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
-from .errors import ValidationError, is_finite, is_int, is_real
-from .scenarios import DynamicSpec, ScenarioSpec, _check_seeding
+from .errors import ValidationError
+from .scenarios import DynamicSpec, ScenarioSpec, _check_seeding, _validate_axis
 
 _LINE_KEY = "__line__"
-
-_KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
 
 @functools.cache
@@ -66,7 +67,7 @@ def _tracked_loader() -> type:
 
 
 def _unstamped(value):
-    """A YAML value as written, without the loader's line stamps, for error text."""
+    """A YAML value as written, without the loader's line stamps."""
     if isinstance(value, dict):
         return {k: _unstamped(v) for k, v in value.items() if k != _LINE_KEY}
     if isinstance(value, list):
@@ -136,8 +137,8 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         market=_parse_record(root, "market", MarketEconomics, BASELINE_MARKET),
         suppliers=_parse_suppliers(root),
         demand=_parse_record(root, "demand", TruncatedNormal, BASELINE_DEMAND),
-        seed=root.get("seed", int, DEFAULT_SEED),
-        replications=root.get("replications", int, DEFAULT_REPLICATIONS),
+        seed=root.get("seed", DEFAULT_SEED),
+        replications=root.get("replications", DEFAULT_REPLICATIONS),
     )
     # The scenario inherits the checked seed and replications as defaults.
     scenario = _parse_scenario(root, config)
@@ -193,23 +194,14 @@ class _Section:
             return None
         return _Section(f"{self.name}.{key}", self.data[key], self.source, self.line)
 
-    def get(self, key: str, kind: type, default=None):
-        """The value under ``key`` as ``kind`` (float, int or str); ``bool`` is refused."""
+    def get(self, key: str, default=None):
+        """The value under ``key`` as written, or ``default`` if absent (no default: required).
+        Config checks only the key; the model type the value goes to checks the value."""
         if key not in self.data:
             if default is None:
                 raise self.error(f"missing required key {key!r}")
             return default
-        value = self.data[key]
-        valid = is_real(value) if kind is float else is_int(value) if kind is int else isinstance(value, kind)
-        if not valid:
-            raise self.error(f"{key} must be {_KIND_NAMES[kind]}, got {_unstamped(value)!r}")
-        return self.number(key, value) if kind is float else kind(value)
-
-    def number(self, what: str, value: int | float) -> float:
-        """float(value), with an integer beyond float range refused."""
-        if isinstance(value, int) and not is_finite(value):
-            raise self.error(f"{what} must be a number within float range, got an integer of {len(str(value))} digits")
-        return float(value)
+        return _unstamped(self.data[key])
 
     def build(self, factory, **kwargs):
         """Construct a model type, prefixing its validation errors with context."""
@@ -221,17 +213,16 @@ class _Section:
     def record(self, cls, defaults=None):
         """Build dataclass ``cls`` from this mapping, one key per field.
 
-        Fields are read in declaration order with their annotated type;
-        ``defaults`` (an instance of ``cls``) supplies omitted keys, and
-        without it every field is required.
+        Fields are read in declaration order; ``defaults`` (an instance of
+        ``cls``) supplies omitted keys, and without it every field is
+        required. ``cls`` checks the values.
         """
         names = tuple(field.name for field in dataclasses.fields(cls))
         self.reject_unknown_keys(names)
-        kinds = typing.get_type_hints(cls)
         return self.build(
             cls,
             **{
-                name: self.get(name, kinds[name], getattr(defaults, name, None))
+                name: self.get(name, getattr(defaults, name, None))
                 for name in names
             },
         )
@@ -255,20 +246,6 @@ def _parse_suppliers(root: _Section) -> tuple[SupplierProfile, ...]:
     )
 
 
-def _parse_axis_values(section: _Section, path: str, values: object) -> tuple:
-    if not isinstance(values, list) or not values:
-        raise section.error(f"axis {path!r} needs a nonempty list of values")
-    parsed = []
-    for value in values:
-        if isinstance(value, list) and all(map(is_real, value)):
-            parsed.append(tuple(section.number(f"axis {path!r} value", v) for v in value))
-        elif not is_real(value):
-            raise section.error(f"axis {path!r} values must be numbers or lists of numbers, got {_unstamped(value)!r}")
-        else:
-            parsed.append(section.number(f"axis {path!r} value", value))
-    return tuple(parsed)
-
-
 def _parse_scenario(root: _Section, config: RunConfig) -> ScenarioSpec | None:
     section = root.subsection("scenario")
     if section is None:
@@ -280,21 +257,22 @@ def _parse_scenario(root: _Section, config: RunConfig) -> ScenarioSpec | None:
     raw_axes = section.data.get("axes", [])
     if not isinstance(raw_axes, list):
         raise section.error("axes must be a list of {path, values} mappings")
+    sampler = section.get("sampler", "grid")
     for position, entry in enumerate(raw_axes):
         axis = _Section(f"{section.name}.axes[{position}]", entry, root.source, section.line)
         axis.reject_unknown_keys(("path", "values"))
-        path = axis.get("path", str)
-        axes.append((path, _parse_axis_values(axis, path, axis.data.get("values"))))
+        path = axis.get("path")
+        axes.append((path, axis.build(_validate_axis, path=path, values=axis.get("values"), sampler=sampler)))
     return section.build(
         ScenarioSpec,
-        id=section.get("id", str),
+        id=section.get("id"),
         market=config.market,
         suppliers=config.suppliers,
         demand=config.demand,
         axes=tuple(axes),
-        sampler=section.get("sampler", str, "grid"),
-        lhs_samples=section.get("lhs_samples", int, 0),
-        replications=section.get("replications", int, config.replications),
-        seed=section.get("seed", int, config.seed),
+        sampler=sampler,
+        lhs_samples=section.get("lhs_samples", 0),
+        replications=section.get("replications", config.replications),
+        seed=section.get("seed", config.seed),
         dynamic=_parse_record(section, "dynamic", DynamicSpec, None),
     )

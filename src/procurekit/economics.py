@@ -106,8 +106,7 @@ class MarketEconomics:
         for name in ("penalty", "a1", "a2", "a3"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        if self.nu <= 1.0:
-            raise ValidationError(f"nu must exceed 1, got {self.nu!r}")
+        _check_adoption_terms(self.a3, self.nu)
 
     def unit_cost(self, supplier: SupplierProfile, alpha: float) -> float:
         # The solver prices every supplier here, and the fields were checked

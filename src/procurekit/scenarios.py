@@ -112,7 +112,8 @@ class ScenarioSpec:
     Cartesian product of the values; Latin hypercube specs read each values
     tuple as a (low, high) range. Supported paths are ``market.<field>``,
     ``demand.<field>``, and ``suppliers.beta_range`` (readiness scores
-    redrawn uniformly from the given range, one per supplier).
+    redrawn uniformly from the given range, one per supplier). Values are
+    stored as floats, pairs as tuples of floats; ``id`` is a nonempty string.
     """
 
     id: str
@@ -127,17 +128,19 @@ class ScenarioSpec:
     dynamic: DynamicSpec | None = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("scenario id must be nonempty")
+        if not (isinstance(self.id, str) and self.id):
+            raise ValidationError(f"scenario id must be a nonempty string, got {self.id!r}")
         if self.sampler not in SAMPLERS:
             raise ValidationError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
         if not is_int(self.lhs_samples):
             raise ValidationError(f"lhs_samples must be an integer, got {self.lhs_samples!r}")
         _check_seeding(self.seed, self.replications)
+        axes = []
         for axis in self.axes:
             if len(axis) != 2 or not isinstance(axis[0], str):
                 raise ValidationError(f"axes entries must be (path, values) pairs, got {axis!r}")
-            _validate_axis(axis[0], axis[1], self.sampler)
+            axes.append((axis[0], _validate_axis(axis[0], axis[1], self.sampler)))
+        object.__setattr__(self, "axes", tuple(axes))
         paths = [path for path, _ in self.axes]
         if len(set(paths)) != len(paths):
             raise ValidationError(f"axis paths must be distinct, got {paths}")
@@ -192,29 +195,35 @@ _AXIS_FIELDS = {
 }
 
 
-def _validate_axis(path: str, values: tuple, sampler: str) -> None:
-    """Path and value-shape check of one axis; a cell build then meets only domain errors.
-
-    ``market.*`` and ``demand.*`` values are real numbers (in a Latin
-    hypercube, the two ends of the range); ``suppliers.beta_range`` values
-    are (low, high) pairs of real numbers, which a grid alone can sweep.
+def _validate_axis(path: str, values, sampler: str) -> tuple:
+    """The one axis rule, for specs built in Python and from a config: the
+    path, then the value shapes. ``market.*`` and ``demand.*`` values are
+    real numbers (in a Latin hypercube, the two ends of the range);
+    ``suppliers.beta_range`` values are (low, high) pairs of real numbers,
+    which a grid alone can sweep. Returns the values as floats, each pair a
+    tuple of floats, and refuses an integer beyond float range; a cell build
+    then meets only domain errors.
     """
-    scope, _, field = path.partition(".")
-    if field not in _AXIS_FIELDS.get(scope, ()):
+    scope, _, field = str(path).partition(".")
+    if not isinstance(path, str) or field not in _AXIS_FIELDS.get(scope, ()):
         raise ValidationError(f"unsupported parameter path {path!r}")
-    if len(values) == 0:
-        raise ValidationError(f"axis {path!r} has no values")
+    if not (isinstance(values, Sequence) and values):
+        raise ValidationError(f"axis {path!r} needs a nonempty sequence of values, got {values!r}")
     if scope != "suppliers":
         if not all(map(is_real, values)):
             raise ValidationError(f"axis {path!r} values must be real numbers, got {values!r}")
-        return
-    if sampler == "latin-hypercube":
+    elif sampler == "latin-hypercube":
         raise ValidationError(
             f"latin-hypercube cannot sample {path!r}; sweep its (low, high) pairs on a grid"
         )
-    for value in values:
-        if not (isinstance(value, Sequence) and len(value) == 2 and all(map(is_real, value))):
-            raise ValidationError(f"axis {path!r} values must be (low, high) pairs, got {value!r}")
+    else:
+        for value in values:
+            if not (isinstance(value, Sequence) and len(value) == 2 and all(map(is_real, value))):
+                raise ValidationError(f"axis {path!r} values must be (low, high) pairs, got {value!r}")
+    try:
+        return tuple(tuple(map(float, value)) if scope == "suppliers" else float(value) for value in values)
+    except OverflowError:
+        raise ValidationError(f"axis {path!r} value must be a number within float range") from None
 
 
 def _build_cell(
@@ -225,11 +234,11 @@ def _build_cell(
     All of the cell's coordinates are collected first, so each model is
     validated once, in its final state, and the order of the axes never
     decides whether a cell builds; a model that no coordinate touches is
-    the spec's own object. Axis values reach the models as given, so a
-    model's own checks name a value that is no number or exceeds float
-    range. A cell that breaks more than one model reports the first error in
-    this order: its ``beta_range``, then the market, then the demand; within
-    a model, the model's own checks set the order.
+    the spec's own object. The spec holds its axis values as floats, so a
+    model's own checks name a value outside its domain, NaN and infinities
+    included. A cell that breaks more than one model reports the first error
+    in this order: its ``beta_range``, then the market, then the demand;
+    within a model, the model's own checks set the order.
     """
     changes = {scope: {} for scope in _AXIS_FIELDS}
     for path, value in coords:

@@ -399,7 +399,7 @@ class TestFit:
     def test_unknown_format_is_validation_error(self, tmp_path, demand_file):
         result = invoke("fit", demand_file, "--format", "xml", "--out", tmp_path)
         assert result.exit_code == 1
-        assert "format must be 'csv' or 'json', got 'xml'" in result.stderr
+        assert "Invalid value for '--format': 'xml' is not one of 'csv', 'json'." in result.stderr
 
     @pytest.fixture()
     def with_zero(self, tmp_path):

@@ -47,6 +47,9 @@ FULL_CONFIG = textwrap.dedent(
     """
 )
 
+# Every dynamic field but cycles: the section is complete, so the model checks the cycles value.
+DYNAMIC_REST = "a3_initial: 3000.0, a3_decline: 200.0, learning_rate: 0.05, target_penalty: 0.05, alpha_initial: 0.2"
+
 
 class TestParseConfig:
     def test_full_document(self):
@@ -97,11 +100,11 @@ class TestParseConfig:
             parse_config("- 1\n- 2\n")
 
     def test_rejects_wrong_scalar_types(self):
-        with pytest.raises(ValidationError, match="must be a number"):
+        with pytest.raises(ValidationError, match="must be a real number"):
             parse_config("market:\n  price: high\n")
         with pytest.raises(ValidationError, match="must be an integer"):
             parse_config("seed: 4.5\n")
-        with pytest.raises(ValidationError, match="must be a number"):
+        with pytest.raises(ValidationError, match="must be a real number"):
             parse_config("demand:\n  sigma: true\n")
 
     def test_exponent_without_decimal_point_is_a_float(self):
@@ -116,12 +119,13 @@ class TestParseConfig:
         assert parse_config("market: {a3: 2.5e3}\n").market.a3 == 2500.0
         assert parse_config("market: {a3: .5e3, a1: 2.E1}\n").market.a3 == 500.0
         assert parse_config("demand: {mu: -5.0e1, lower: -1_0.5e0}\n").demand.lower == -10.5
-        with pytest.raises(ValidationError, match="a3 must be a number, got '2.5e3e3'"):
+        with pytest.raises(ValidationError, match="a3 must be a real number, got '2.5e3e3'"):
             parse_config("market: {a3: 2.5e3e3}\n")
 
     def test_integer_beyond_float_range_is_a_validation_error(self):
         huge = "1" + "0" * 400
-        with pytest.raises(ValidationError, match=r"<config>:1: config.market: a3 must be a number within float range"):
+        message = r"<config>:1: config.market: a3 must be finite, got an integer beyond float range"
+        with pytest.raises(ValidationError, match=message):
             parse_config(f"market: {{a3: {huge}}}\n")
         with pytest.raises(ValidationError, match=r"axis 'market.a3' value must be a number within float range"):
             parse_config(f"scenario:\n  id: x\n  axes:\n    - path: market.a3\n      values: [1, {huge}]\n")
@@ -171,10 +175,16 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("scenario:\n  id: x\n  dynamic:\n    cycles: 10.0\n", "cycles must be an integer, got 10.0"),
-            ("scenario:\n  id: x\n  dynamic:\n    cycles: true\n", "cycles must be an integer, got True"),
+            (
+                f"scenario:\n  id: x\n  dynamic: {{cycles: 10.0, {DYNAMIC_REST}}}\n",
+                "cycles must be an integer from 1 to 10000, got 10.0",
+            ),
+            (
+                f"scenario:\n  id: x\n  dynamic: {{cycles: true, {DYNAMIC_REST}}}\n",
+                "cycles must be an integer from 1 to 10000, got True",
+            ),
             ("suppliers:\n  - {id: 1.5, base_cost: 90.0, beta: 0.2}\n", "id must be an integer, got 1.5"),
-            ('demand:\n  sigma: "8"\n', "sigma must be a number, got '8'"),
+            ('demand:\n  sigma: "8"\n', "sigma must be a real number, got '8'"),
             ("market:\n  nu: 2\n", None),
         ],
     )
@@ -190,11 +200,11 @@ class TestParseConfig:
         "text, message",
         [
             ("replications: {}\n", "replications must be an integer, got {}"),
-            ("market:\n  price: {a: 1}\n", "price must be a number, got {'a': 1}"),
-            ("market:\n  price: [{a: {b: 1}}]\n", "price must be a number, got [{'a': {'b': 1}}]"),
+            ("market:\n  price: {a: 1}\n", "price must be a real number, got {'a': 1}"),
+            ("market:\n  price: [{a: {b: 1}}]\n", "price must be a real number, got [{'a': {'b': 1}}]"),
             (
                 "scenario:\n  id: x\n  axes:\n    - path: suppliers.beta_range\n      values: [{low: 0.2}]\n",
-                "values must be numbers or lists of numbers, got {'low': 0.2}",
+                "values must be (low, high) pairs, got {'low': 0.2}",
             ),
         ],
     )
@@ -338,7 +348,7 @@ class TestScenarioSection:
             (
                 "optimize",
                 "market:\n  a3: 1" + "0" * 400 + "\n",
-                ":2: config.market: a3 must be a number within float range",
+                ":2: config.market: a3 must be finite, got an integer beyond float range",
             ),
             (
                 "scenario",
@@ -387,7 +397,7 @@ class TestScenarioSection:
 
     @pytest.mark.parametrize("values", ['["a"]', '[[0.2, "b"]]', "[[0.2, true]]", "[{low: 0.2}]"])
     def test_axis_values_must_be_numbers_or_lists_of_numbers(self, values):
-        with pytest.raises(ValidationError, match="values must be numbers"):
+        with pytest.raises(ValidationError, match=r"values must be \(low, high\) pairs"):
             parse_config(
                 f"scenario:\n  id: x\n  axes:\n    - path: suppliers.beta_range\n      values: {values}\n"
             )

@@ -7,6 +7,10 @@ where docs/formats.md allows them (failed-row metrics, and fill metrics
 when the demand support reaches zero), or exits 1, 2 or 3 with exactly one
 ``error: {...}`` line and no traceback. Sizes stay small: at most 50
 replications, 10 Latin hypercube samples, 4 cycles and 3 axes of 3 values.
+
+Config passes each value to the model that owns it, so a study read from
+YAML and the same study built as a ``ScenarioSpec`` in Python are one spec,
+with one ``results.csv``.
 """
 
 from __future__ import annotations
@@ -15,15 +19,20 @@ import csv
 import json
 import math
 import tempfile
+import textwrap
 from pathlib import Path
 
+import pytest
 import yaml
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from procurekit.cli import main
-from procurekit.config import load_config
+from procurekit.baseline import BASELINE_DEMAND, BASELINE_MARKET, BASELINE_SUPPLIERS
+from procurekit.cli import _result_row, _table, main
+from procurekit.config import load_config, parse_config
+from procurekit.errors import ValidationError
+from procurekit.scenarios import ScenarioSpec, run
 
 from helpers import examples
 
@@ -233,3 +242,58 @@ def test_every_config_ends_in_checked_output_or_one_error_line(document, fmt):
             check_scenario(out, config_path)
         else:
             check_error(result)
+
+
+STUDY = textwrap.dedent(
+    """\
+    seed: 5
+    replications: 50
+    scenario:
+      id: study
+      axes:
+        - path: market.a3
+          values: [500, 1000]
+        - path: suppliers.beta_range
+          values: [[0.2, 0.4]]
+    """
+)
+
+
+def study_spec(**fields) -> ScenarioSpec:
+    """STUDY built in Python, with int values and a list pair unless ``fields`` say otherwise."""
+    settings_ = dict(
+        id="study",
+        market=BASELINE_MARKET,
+        suppliers=BASELINE_SUPPLIERS,
+        demand=BASELINE_DEMAND,
+        axes=(("market.a3", (500, 1000)), ("suppliers.beta_range", ([0.2, 0.4],))),
+        replications=50,
+        seed=5,
+    )
+    return ScenarioSpec(**{**settings_, **fields})
+
+
+def test_a_study_built_in_python_is_the_study_read_from_yaml(tmp_path):
+    config_path = tmp_path / "study.yaml"
+    config_path.write_text(STUDY)
+    spec, from_yaml = study_spec(), parse_config(STUDY).scenario
+    assert spec == from_yaml
+    rows = run(spec)
+    assert rows == run(from_yaml)
+
+    result = CliRunner().invoke(main, ["scenario", str(config_path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    paths = tuple(path for path, _ in spec.axes)
+    _, text = _table("results", [_result_row(row, paths) for row in rows], "csv")
+    assert (tmp_path / "out" / "results.csv").read_bytes() == text.encode()
+    assert text.splitlines()[1].startswith("study,0,500.0,0.2:0.4,")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [dict(id=5), dict(id=["x"]), dict(axes=(("market.a3", (10**400,)),))],
+    ids=["int-id", "list-id", "axis-beyond-float-range"],
+)
+def test_a_spec_built_in_python_refuses_what_yaml_refuses(fields):
+    with pytest.raises(ValidationError):
+        study_spec(**fields)

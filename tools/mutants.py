@@ -90,6 +90,12 @@ MUTANTS = (
         "residuals_q.append(grad + lam)",
         "residuals_q.append(grad)",
     ),
+    Mutant(
+        "axis values stored as given",
+        "scenarios.py",
+        'return tuple(tuple(map(float, value)) if scope == "suppliers" else float(value) for value in values)',
+        "return tuple(values)",
+    ),
 )
 
 
