@@ -33,7 +33,7 @@ from .baseline import (
 from .demand import TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
 from .errors import ValidationError
-from .scenarios import DynamicSpec, ScenarioSpec, _check_seeding, _validate_axis
+from .scenarios import DynamicSpec, ScenarioSpec, _check_run, _validate_axis
 
 _LINE_KEY = "__line__"
 
@@ -87,13 +87,7 @@ class RunConfig:
     scenario: ScenarioSpec | None = None
 
     def __post_init__(self) -> None:
-        for name, kind in (("market", MarketEconomics), ("demand", TruncatedNormal)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValidationError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
-        if not (isinstance(self.suppliers, tuple) and self.suppliers
-                and all(isinstance(supplier, SupplierProfile) for supplier in self.suppliers)):
-            raise ValidationError(f"suppliers must be a nonempty tuple of SupplierProfile, got {self.suppliers!r}")
-        _check_seeding(self.seed, self.replications)
+        _check_run(self.market, self.suppliers, self.demand, self.seed, self.replications)
         if not (self.scenario is None or isinstance(self.scenario, ScenarioSpec)):
             raise ValidationError(f"scenario must be a ScenarioSpec or None, got {self.scenario!r}")
 

@@ -4,8 +4,12 @@ Demand is a normal variable restricted to a closed interval [lower, upper].
 All quantities used elsewhere in the package (moments, quantiles, partial
 expectations) have closed forms in terms of the standard normal pdf/cdf, so
 nothing here is estimated by simulation; an interval right of mu uses upper
-tail probabilities, so both tails are accurate. Sampling uses the inverse CDF,
-one uniform draw per sample, so draws depend only on the seed and count.
+tail probabilities, so both tails are accurate. Phi is 0.5 * math.erfc(-z /
+sqrt 2) and its inverse statistics.NormalDist().inv_cdf (Wichura 1988, AS241),
+both from the standard library, so importing the package and solving load no
+scipy. Sampling uses the inverse CDF, one uniform draw per sample, so draws
+depend only on the seed and count; its thousands of draws per call take
+scipy.special.ndtri, an array kernel, loaded on the first draw.
 """
 
 from __future__ import annotations
@@ -14,16 +18,17 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidDistributionError, ValidationError, check_finite, is_int, real_array, store_floats
 
 __all__ = ["TruncatedNormal", "TruncatedNormalParams"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_INV_CDF = NormalDist().inv_cdf
 
 # Intervals with less parent mass than this are refused: the mass is accurate
 # in both tails, but the pdf and moments divide by it and lose their digits.
@@ -36,10 +41,22 @@ def _norm_pdf(z):
     return float(density) if isinstance(z, float) else density
 
 
+def _each(kernel, z):
+    """kernel(z) on a float, else kernel on each element of the array z in turn,
+    so a float has the bits of its value inside an array."""
+    if isinstance(z, float):
+        return kernel(z)
+    return np.fromiter(map(kernel, z.ravel().tolist()), float, z.size).reshape(z.shape)
+
+
 def _norm_cdf(z):
     # Complementary error function keeps the lower tail accurate.
-    tail = special.erfc(-z / math.sqrt(2.0))
-    return 0.5 * (float(tail) if isinstance(z, float) else tail)
+    return 0.5 * _each(math.erfc, -z / math.sqrt(2.0))
+
+
+def _norm_ppf(p):
+    """Phi^-1(p) for p in (0, 1), element by element."""
+    return _each(_INV_CDF, p)
 
 
 def _maximum(a: float, b: float) -> float:
@@ -80,7 +97,9 @@ class TruncatedNormalParams(NamedTuple):
     which gives a float with the bits of that value in an array. These are
     the unchecked cores of the TruncatedNormal methods of the same names,
     which check arguments. Every operation is elementwise, so a cell's values
-    do not depend on its batch.
+    do not depend on its batch. Phi is math.erfc and its inverse
+    NormalDist().inv_cdf, called on a float or on each element of an array,
+    and quantile takes another inverse, such as scipy.special.ndtri, as ppf.
 
     sign is -1 for an interval right of mu, else 1; cdf_lower and cdf_upper
     are Phi(sign * a) and Phi(sign * b) at the standardized bounds, i.e. upper
@@ -113,14 +132,15 @@ class TruncatedNormalParams(NamedTuple):
         clipped = minimum(maximum(0.0, raw), 1.0)
         return clipped if scalar else np.where(x <= self.lower, 0.0, np.where(x >= self.upper, 1.0, clipped))
 
-    def quantile(self, u):
-        """Inverse CDF at u, assumed to lie in [0, 1]."""
+    def quantile(self, u, ppf=_norm_ppf):
+        """Inverse CDF at u, assumed to lie in [0, 1], through ppf, the
+        standard normal's inverse CDF on (0, 1)."""
         scalar = isinstance(u, float)
         if scalar and (u == 0.0 or u == 1.0):
             return self.lower if u == 0.0 else self.upper
         maximum, minimum = (_maximum, _minimum) if scalar else (np.maximum, np.minimum)
         p = self.cdf_lower + u * (self.sign * self.mass)
-        x = self.mu + (self.sign * self.sigma) * special.ndtri(minimum(maximum(p, 1e-300), 1.0 - 1e-16))
+        x = self.mu + (self.sign * self.sigma) * ppf(minimum(maximum(p, 1e-300), 1.0 - 1e-16))
         x = minimum(maximum(x, self.lower), self.upper)
         if scalar:
             return float(x)
@@ -256,8 +276,11 @@ class TruncatedNormal:
             uniforms = rng.random(n)
         except (ValueError, MemoryError) as exc:
             raise ValidationError(f"sample size {n} is too large to allocate") from exc
+        # scipy's array kernel: the element loop would take about 16 times as long on draws.
+        from scipy.special import ndtri
+
         # rng.random lies in [0, 1) by contract, so quantile's range check is skipped
-        return self.params.quantile(uniforms)
+        return self.params.quantile(uniforms, ndtri)
 
     # -- moments and partial expectations -------------------------------------
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import betainc, betaln, log_ndtr, ndtr
 
 from .errors import (
     DegenerateDataError,
@@ -266,6 +265,8 @@ def _log_interval_mass(a_std, b_std):
     Arrays broadcast; a scalar pair gives a float. Equal bounds hold zero
     mass and give -inf.
     """
+    from scipy.special import log_ndtr, ndtr
+
     a_std, b_std = np.asarray(a_std, dtype=float), np.asarray(b_std, dtype=float)
     # right of zero, mirror so both tails read Phi(hi) * (1 - Phi(lo) / Phi(hi))
     right = a_std > 0.0
@@ -281,8 +282,8 @@ def _log_interval_mass(a_std, b_std):
 def _fit_truncated_normal(
     x: np.ndarray, fixed_bounds: tuple[float, float] | None
 ) -> _Fitted:
-    # scipy.optimize costs more to import than the rest of the package; only
-    # fitting needs it, so it loads here rather than with procurekit.
+    # scipy costs more to import than the rest of the package; only fitting
+    # and the Monte Carlo draws need it, so it loads here rather than with procurekit.
     from scipy.optimize import brentq, minimize_scalar
 
     notes: list[str] = []
@@ -429,12 +430,15 @@ def _log_nb_coefficient(k: np.ndarray, r: float) -> np.ndarray:
     """log C(k + r - 1, k) of each count k, 0 at k = 0, as -log k - log B(k, r):
     log Gamma(k + r) - log Gamma(r) - log Gamma(k + 1) cancels the digits
     that a large count's terms share."""
+    from scipy.special import betaln
+
     positive = np.maximum(k, 1.0)
     return np.where(k > 0.0, -np.log(positive) - betaln(positive, r), 0.0)
 
 
 def _fit_negative_binomial(x: np.ndarray) -> _Fitted:
     from scipy.optimize import minimize_scalar
+    from scipy.special import betainc
 
     if x[-1] > 2.0**53:
         raise ValidationError("negative-binomial requires counts up to 2**53, where floats hold every integer")

@@ -47,10 +47,16 @@ _NS_BUILD = 3
 MAX_CYCLES = 10_000  # The longest dynamic horizon: at about 0.1 ms a cycle (s11), about a second.
 
 
-def _check_seeding(seed, replications) -> None:
-    """The seeding rules of a ScenarioSpec and a RunConfig: seed is a
-    nonnegative integer, replications an integer of at least 2 within float
-    range."""
+def _check_run(market, suppliers, demand, seed, replications) -> None:
+    """The rules of the fields a ScenarioSpec and a RunConfig share: a
+    MarketEconomics, a nonempty tuple of SupplierProfile and a TruncatedNormal;
+    seed is a nonnegative integer, replications an integer of at least 2
+    within float range."""
+    for name, value, kind in (("market", market, MarketEconomics), ("demand", demand, TruncatedNormal)):
+        if not isinstance(value, kind):
+            raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
+    if not (isinstance(suppliers, tuple) and suppliers and all(isinstance(s, SupplierProfile) for s in suppliers)):
+        raise ValidationError(f"suppliers must be a nonempty tuple of SupplierProfile, got {suppliers!r}")
     for name, value in (("replications", replications), ("seed", seed)):
         if not is_int(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
@@ -113,7 +119,8 @@ class ScenarioSpec:
     tuple as a (low, high) range. Supported paths are ``market.<field>``,
     ``demand.<field>``, and ``suppliers.beta_range`` (readiness scores
     redrawn uniformly from the given range, one per supplier). Values are
-    stored as floats, pairs as tuples of floats; ``id`` is a nonempty string.
+    stored as floats, pairs as tuples of floats; ``id`` is a nonempty string,
+    and the model and seeding fields follow a RunConfig's rule (_check_run).
     """
 
     id: str
@@ -134,10 +141,12 @@ class ScenarioSpec:
             raise ValidationError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
         if not is_int(self.lhs_samples):
             raise ValidationError(f"lhs_samples must be an integer, got {self.lhs_samples!r}")
-        _check_seeding(self.seed, self.replications)
+        _check_run(self.market, self.suppliers, self.demand, self.seed, self.replications)
+        if not isinstance(self.axes, Sequence):
+            raise ValidationError(f"axes must be a sequence of (path, values) pairs, got {self.axes!r}")
         axes = []
         for axis in self.axes:
-            if len(axis) != 2 or not isinstance(axis[0], str):
+            if not (isinstance(axis, Sequence) and len(axis) == 2 and isinstance(axis[0], str)):
                 raise ValidationError(f"axes entries must be (path, values) pairs, got {axis!r}")
             axes.append((axis[0], _validate_axis(axis[0], axis[1], self.sampler)))
         object.__setattr__(self, "axes", tuple(axes))

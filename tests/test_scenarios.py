@@ -212,6 +212,23 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValidationError, match="axes entries must be \\(path, values\\) pairs"):
             small_spec(axes=(axis,))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(market=None), "market must be a MarketEconomics, got None"),
+            (dict(suppliers=5), "suppliers must be a nonempty tuple of SupplierProfile, got 5"),
+            (dict(demand="x"), "demand must be a TruncatedNormal, got 'x'"),
+            (dict(axes=(5,)), "axes entries must be (path, values) pairs, got 5"),
+            (dict(axes=5), "axes must be a sequence of (path, values) pairs, got 5"),
+            (dict(axes=None), "axes must be a sequence of (path, values) pairs, got None"),
+        ],
+        ids=["market-none", "suppliers-int", "demand-str", "axes-int-entry", "axes-int", "axes-none"],
+    )
+    def test_rejects_mistyped_model_and_axes_at_construction(self, fields, message):
+        # The rule and messages of RunConfig; each used to fail later, in a TypeError or AttributeError.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            small_spec(**fields)
+
     @pytest.mark.parametrize("sampler", ["grid", "latin-hypercube"])
     def test_rejects_repeated_axis_path(self, sampler):
         # two axes on one parameter would collapse into one results column

@@ -96,6 +96,18 @@ MUTANTS = (
         'return tuple(tuple(map(float, value)) if scope == "suppliers" else float(value) for value in values)',
         "return tuple(values)",
     ),
+    Mutant(
+        "scipy imported with the package",
+        "demand.py",
+        "from statistics import NormalDist\n",
+        "from statistics import NormalDist\n\nfrom scipy import special\n",
+    ),
+    Mutant(
+        "ScenarioSpec takes any model",
+        "scenarios.py",
+        "_check_run(self.market, self.suppliers, self.demand, self.seed, self.replications)",
+        "_check_run(BASELINE_MARKET, BASELINE_SUPPLIERS, BASELINE_DEMAND, self.seed, self.replications)",
+    ),
 )
 
 
