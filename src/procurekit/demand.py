@@ -6,10 +6,11 @@ expectations) have closed forms in terms of the standard normal pdf/cdf, so
 nothing here is estimated by simulation; an interval right of mu uses upper
 tail probabilities, so both tails are accurate. Phi is 0.5 * math.erfc(-z /
 sqrt 2) and its inverse statistics.NormalDist().inv_cdf (Wichura 1988, AS241),
-both from the standard library, so importing the package and solving load no
-scipy. Sampling uses the inverse CDF, one uniform draw per sample, so draws
-depend only on the seed and count; its thousands of draws per call take
-scipy.special.ndtri, an array kernel, loaded on the first draw.
+both from the standard library. Sampling uses the inverse CDF, one uniform
+draw per sample, so draws depend only on the seed and count; its thousands of
+draws per call go through _norm_ppf_array, the same AS241 in numpy array
+arithmetic. So importing the package, solving and drawing load no scipy;
+only the fitters do.
 """
 
 from __future__ import annotations
@@ -59,6 +60,80 @@ def _norm_ppf(p):
     return _each(_INV_CDF, p)
 
 
+# AS241's three rationals, numerator then denominator, each highest power
+# first: the coefficients and Horner order of CPython's
+# statistics._normal_dist_inv_cdf, which NormalDist().inv_cdf runs.
+_AS241_CENTRAL = (
+    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
+     4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
+     2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+     4.23133_30701_60091_1252e+1, 1.0),
+)
+_AS241_NEAR = (
+    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
+     1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
+     1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+     2.05319_16266_37758_82187e+0, 1.0),
+)
+_AS241_FAR = (
+    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
+     2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
+     7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+     5.99832_20655_58879_37690e-1, 1.0),
+)
+
+
+def _horner(coefficients, r):
+    """The polynomial of these coefficients, highest power first, at the array
+    r by Horner's rule, stepped in place in one fresh array: a fresh array per
+    step made _norm_ppf_array about a third slower on 5,000 draws (measured)."""
+    total = coefficients[0] * r
+    total += coefficients[1]
+    for c in coefficients[2:]:
+        total *= r
+        total += c
+    return total
+
+
+def _norm_ppf_array(p: np.ndarray) -> np.ndarray:
+    """Phi^-1(p) for an array p in (0, 1): AS241 (Wichura 1988, Applied
+    Statistics 37(3)) in numpy arithmetic, for draws.
+
+    The central rational runs on the whole array and each tail rational only
+    on its elements, so an array of thousands costs about 35 array passes:
+    on 5,000 draws about a seventh of the time of _norm_ppf's element loop,
+    but on the solver's 101-point grid nearly three times it (measured). It
+    is NormalDist().inv_cdf's arithmetic, in its order, except numpy's log
+    in the tails, and stays within 2 ulps of it (TestKernels).
+    """
+    q = p - 0.5
+    r = 0.180625 - q * q
+    x = _horner(_AS241_CENTRAL[0], r)
+    x *= q
+    # The denominator has no zero for |q| <= 0.5, so the tail elements get a finite value here too.
+    x /= _horner(_AS241_CENTRAL[1], r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        p = p[tail]
+        # min(p, 1 - p) is p for q <= 0, else 1 - p, as in the float kernel.
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+        near = r - 1.6
+        size = _horner(_AS241_NEAR[0], near) / _horner(_AS241_NEAR[1], near)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            r = r[far] - 5.0
+            size[far] = _horner(_AS241_FAR[0], r) / _horner(_AS241_FAR[1], r)
+        # Both tail rationals give |x|, which takes q's sign.
+        x[tail] = np.copysign(size, q[tail])
+    return x
+
+
 def _maximum(a: float, b: float) -> float:
     """np.maximum(a, b) on Python floats: the first NaN wins, and a tie returns b."""
     return a if a > b or a != a else b
@@ -99,7 +174,8 @@ class TruncatedNormalParams(NamedTuple):
     which check arguments. Every operation is elementwise, so a cell's values
     do not depend on its batch. Phi is math.erfc and its inverse
     NormalDist().inv_cdf, called on a float or on each element of an array,
-    and quantile takes another inverse, such as scipy.special.ndtri, as ppf.
+    and quantile takes another inverse as ppf: draws pass _norm_ppf_array,
+    AS241 on the whole array at once.
 
     sign is -1 for an interval right of mu, else 1; cdf_lower and cdf_upper
     are Phi(sign * a) and Phi(sign * b) at the standardized bounds, i.e. upper
@@ -134,7 +210,9 @@ class TruncatedNormalParams(NamedTuple):
 
     def quantile(self, u, ppf=_norm_ppf):
         """Inverse CDF at u, assumed to lie in [0, 1], through ppf, the
-        standard normal's inverse CDF on (0, 1)."""
+        standard normal's inverse CDF on (0, 1): by default NormalDist().inv_cdf
+        element by element, which gives a float the bits of its value in an
+        array; an array kernel such as _norm_ppf_array for many draws."""
         scalar = isinstance(u, float)
         if scalar and (u == 0.0 or u == 1.0):
             return self.lower if u == 0.0 else self.upper
@@ -268,7 +346,9 @@ class TruncatedNormal:
         return self.params.quantile(u)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n samples by inverse-CDF transform of rng.random(n)."""
+        """Draw n samples by inverse-CDF transform of rng.random(n), through
+        _norm_ppf_array: AS241 on the whole array, within 2 ulps of
+        quantile's element loop and about 7 times faster on 5,000 draws."""
         if not is_int(n) or n < 0:
             raise ValidationError(f"sample size must be nonnegative, got {n!r}")
         check_finite("sample size", n)
@@ -276,11 +356,8 @@ class TruncatedNormal:
             uniforms = rng.random(n)
         except (ValueError, MemoryError) as exc:
             raise ValidationError(f"sample size {n} is too large to allocate") from exc
-        # scipy's array kernel: the element loop would take about 16 times as long on draws.
-        from scipy.special import ndtri
-
         # rng.random lies in [0, 1) by contract, so quantile's range check is skipped
-        return self.params.quantile(uniforms, ndtri)
+        return self.params.quantile(uniforms, _norm_ppf_array)
 
     # -- moments and partial expectations -------------------------------------
 

@@ -478,10 +478,36 @@ def ulps_apart(a, b) -> np.ndarray:
     return np.abs(ia - ib)
 
 
+def kernel_arguments() -> np.ndarray:
+    """300,001 arguments of Phi^-1 over [1e-300, 1 - 1e-16]: log-uniform in
+    each tail, then evenly spaced."""
+    rng = np.random.default_rng(20261020)
+    return np.concatenate([
+        10.0 ** rng.uniform(-300.0, math.log10(0.5), 100_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.5), 100_000),
+        np.linspace(1e-300, 1.0 - 1e-16, 100_001),
+    ])
+
+
+def ppf_by_mpmath(p: float) -> float:
+    """Phi^-1(p) by Newton's method on mpmath's ncdf in 40 digits, from
+    inv_cdf's value; an upper-tail p is mirrored to 1 - p, which is exact in
+    mpmath, so both tails keep their digits."""
+    with mpmath.workdps(40):
+        upper = p > 0.5
+        tail = 1 - mpmath.mpf(p) if upper else mpmath.mpf(p)
+        x = mpmath.mpf(NormalDist().inv_cdf(float(tail)))
+        for _ in range(4):
+            x -= (mpmath.ncdf(x) - tail) / mpmath.npdf(x)
+        return float(-x if upper else x)
+
+
 class TestKernels:
-    """The standard library's normal kernels, which the model uses, against
-    scipy's, which the draws use. Each tolerance is the largest gap measured
-    over the arguments of its test."""
+    """The normal kernels: the standard library's, which the model uses,
+    against scipy's and mpmath, and the numpy AS241 kernel of the draws
+    against the standard library's. Each tolerance is the largest gap
+    measured over the arguments of its test (on an AVX-512 Xeon, numpy
+    2.4.6, Python 3.11.7)."""
 
     def test_erfc_matches_scipy(self):
         x = np.linspace(-38.0, 38.0, 200_001)
@@ -501,21 +527,37 @@ class TestKernels:
                     assert abs(math.erfc(v) - exact) <= 3.5e-16 * exact
 
     def test_inv_cdf_matches_ndtri(self):
-        rng = np.random.default_rng(20261020)
-        p = np.concatenate([
-            10.0 ** rng.uniform(-300.0, math.log10(0.5), 100_000),
-            1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.5), 100_000),
-            np.linspace(1e-300, 1.0 - 1e-16, 100_001),
-        ])
+        p = kernel_arguments()
         gaps = ulps_apart(list(map(NormalDist().inv_cdf, p.tolist())), special.ndtri(p))
         # Measured 7 ulps at most (3 of these 300,001 arguments), 0 or 1 for three in four.
         assert gaps.max() <= 7
 
+    def test_array_kernel_matches_inv_cdf(self):
+        # Appended, the branch edges: |p - 0.5| = 0.425 on both sides, and
+        # r = 5, past which the far tail rational takes over.
+        p = np.concatenate([kernel_arguments(), [0.075, 0.925, math.exp(-25.0)]])
+        gaps = ulps_apart(demand._norm_ppf_array(p), list(map(NormalDist().inv_cdf, p.tolist())))
+        # Measured 2 ulps at most: 2 of these 300,004 arguments differ, by 1
+        # and 2 ulps (p = 0.026 and 0.047), through numpy's log in the tail.
+        assert gaps.max() <= 2
+        assert gaps[-3:].tolist() == [0, 0, 0]
+
+    def test_array_kernel_matches_mpmath_in_both_tails(self):
+        p = np.concatenate([
+            10.0 ** np.linspace(-300.0, math.log10(0.075), 200),
+            1.0 - 10.0 ** np.linspace(-16.0, math.log10(0.075), 200),
+        ])
+        exact = [ppf_by_mpmath(v) for v in p.tolist()]
+        # Measured 4 ulps at most; NormalDist().inv_cdf is as far on the same
+        # points, so this is AS241's own error.
+        assert ulps_apart(demand._norm_ppf_array(p), exact).max() <= 4
+
     @pytest.mark.parametrize("dist", CASES)
     def test_sample_is_the_quantile_of_its_uniforms(self, dist):
-        # sample takes scipy's ndtri for speed, quantile the model's inv_cdf.
+        # sample takes the numpy AS241 kernel for speed, quantile the model's
+        # inv_cdf, element by element; the fourth and fifth cases draw p
+        # below 1e-11, in the far tail rational.
         draws = dist.sample(np.random.default_rng(5), 20_000)
         gaps = ulps_apart(draws, dist.quantile(np.random.default_rng(5).random(20_000)))
-        # Measured at most 7 ulps over these cases, on the draws near zero of
-        # the third; 6 in 7 draws of the first two cases agree bit for bit.
-        assert gaps.max() <= 7
+        # Measured 0: every draw of these cases has the bits of its quantile.
+        assert gaps.max() == 0

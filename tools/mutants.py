@@ -103,6 +103,12 @@ MUTANTS = (
         "from statistics import NormalDist\n\nfrom scipy import special\n",
     ),
     Mutant(
+        "draws through scipy",
+        "demand.py",
+        "return self.params.quantile(uniforms, _norm_ppf_array)",
+        "from scipy.special import ndtri\n\n        return self.params.quantile(uniforms, ndtri)",
+    ),
+    Mutant(
         "ScenarioSpec takes any model",
         "scenarios.py",
         "_check_run(self.market, self.suppliers, self.demand, self.seed, self.replications)",
