@@ -162,12 +162,14 @@ def adoption_cost(alpha: float, a3: float, nu: float) -> float:
 
 
 def adoption_cost_slope(alpha: float, a3: float, nu: float) -> float:
-    """Marginal adoption cost a3 * nu * alpha**(nu-1); zero at alpha=0 for nu>1."""
+    """Marginal adoption cost a3 * (nu * alpha**(nu-1)), zero at alpha=0 for nu>1.
+
+    nu scales the power before a3 does, as in the solver's slope, so the
+    product of a3 and nu, which can overflow, is never formed, and an
+    underflowing power gives 0, never inf * 0 = NaN."""
     _check_adoption_terms(a3, nu)
     check_unit_interval("alpha", alpha)
-    if alpha == 0.0:
-        return 0.0
-    return a3 * nu * alpha ** (nu - 1.0)
+    return a3 * (nu * alpha ** (nu - 1.0))
 
 
 def cheapest_supplier(

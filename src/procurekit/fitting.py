@@ -125,7 +125,8 @@ def fit(
     FitConvergenceError
         The likelihood maximization failed to settle on an interior optimum.
     """
-    if family not in FAMILIES:
+    # A str first: `in` on an array raises numpy's ambiguous-truth ValueError.
+    if not (isinstance(family, str) and family in FAMILIES):
         raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
     x = real_array("data", data).ravel()
     if x.size == 0:
@@ -173,7 +174,7 @@ def compare(
     if not fams:
         raise ValidationError("at least one family is required")
     for fam in fams:
-        if fam not in FAMILIES:
+        if not (isinstance(fam, str) and fam in FAMILIES):
             raise ValidationError(f"unknown family {fam!r}; expected one of {FAMILIES}")
     if len(set(fams)) != len(fams):
         raise ValidationError("families must be distinct")

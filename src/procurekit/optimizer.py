@@ -9,7 +9,7 @@ on alpha, and the outer problem is one curve in alpha. It is evaluated on the
 fixed grid 0, 0.01, ..., 1 as one array program, and the grid argmax is then
 polished by solving the stationarity of the envelope,
 a1 * Q*(alpha) = adoption_cost_slope(alpha). In t = alpha**(nu - 1) that is
-the fixed point t = a1 * Q*(alpha) / (a3 * nu) of a map that does not
+the fixed point t = a1 * Q*(alpha) / a3 / nu of a map that does not
 decrease, iterated within one grid step of the argmax. Many problems (the
 cells of a scenario) share that array program, with their fixed-point
 steps in lock-step; optimize is the same program on a batch of one. Since
@@ -163,7 +163,8 @@ class _Envelope:
 
     A cell orders from its cheapest supplier at alpha = 0, which stays
     cheapest, since a1 * alpha lowers every cost alike. All arithmetic is
-    elementwise, so a cell's numbers do not depend on its batch.
+    elementwise, so a cell's numbers do not depend on its batch. a3 and nu
+    enter one at a time, as in economics.adoption_cost_slope.
     """
 
     COLUMNS = 8 + len(TruncatedNormalParams._fields)  # the width of a row()
@@ -175,7 +176,7 @@ class _Envelope:
         self.demand = TruncatedNormalParams(*columns[8:])
         self.margin = self.price + self.penalty
         self.spread = self.margin - self.salvage
-        self.a3_nu, self.nu_less_one = self.a3 * self.nu, self.nu - 1.0
+        self.nu_less_one = self.nu - 1.0
 
     @staticmethod
     def row(market: MarketEconomics, supplier: SupplierProfile, demand: TruncatedNormal) -> tuple:
@@ -195,14 +196,14 @@ class _Envelope:
 
     def step(self, t: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """alpha = t**(1/(nu - 1)) and the projected map
-        P(t) = min(max(T(t), t_lo), t_hi), T(t) = a1 * Q*(alpha) / (a3 * nu).
+        P(t) = min(max(T(t), t_lo), t_hi), T(t) = a1 * Q*(alpha) / a3 / nu.
 
-        Stationarity a1 * Q*(alpha) = a3 * nu * alpha**(nu - 1) reads t = T(t),
-        and T does not decrease, because Q* does not decrease in alpha. With a3 = 0
+        Stationarity a1 * Q*(alpha) = a3 * (nu * t) reads t = T(t), and T
+        does not decrease, because Q* does not decrease in alpha. With a3 = 0
         or an overflowing quotient, T is inf and projects to t_hi; a 0/0 NaN to t_lo.
         """
         alpha = _power(t, 1.0 / self.nu_less_one, t.shape)
-        mapped = self.a1 * self.cost_and_order(alpha)[1] / self.a3_nu
+        mapped = self.a1 * self.cost_and_order(alpha)[1] / self.a3 / self.nu
         return alpha, np.minimum(np.fmax(mapped, t_lo), t_hi)
 
 
@@ -279,7 +280,7 @@ def _solve_batch(
         cost, q = env.cost_and_order(_GRID)
         bad = (cost <= 0.0) | (cost < env.salvage) | ~(q >= 0.0) | np.isinf(env.margin)
         t = _power(_GRID, env.nu_less_one, q.shape)
-        g = env.a1 * q - env.a3_nu * t
+        g = env.a1 * q - env.a3 * (env.nu * t)
         profits = env.profit(_GRID, cost, q)
         best_index = np.argmax(profits, axis=1)
         best = _GRID[best_index]
@@ -339,7 +340,7 @@ def optimize(
     The envelope is evaluated on the fixed alpha grid 0, 0.01, ..., 1 as one
     array program and its argmax taken. Within one grid step of that argmax,
     the stationarity a1 * Q*(alpha) = adoption_cost_slope(alpha) is then
-    solved as the fixed point t = a1 * Q*(alpha) / (a3 * nu) in
+    solved as the fixed point t = a1 * Q*(alpha) / a3 / nu in
     t = alpha**(nu - 1), projected onto the bracket: Q* does not decrease in
     alpha, so the iterates move one way, and they stop when a step no longer
     moves (about four steps per solve). The root is kept unless the grid

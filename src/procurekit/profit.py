@@ -12,7 +12,8 @@ cross-decision noise.
 Expected profit is written once, in _profit: the optimizer's envelope on the
 alpha grid, expected_profit_value at the slope root and both breakdowns sum
 their five money terms through it, so the grid's profit and the root's
-profit round alike. Every ProfitBreakdown is built by _breakdown.
+profit round alike. Every ProfitBreakdown is built by _breakdown, which
+also states the penalty rate once for both routes.
 """
 
 from __future__ import annotations
@@ -128,12 +129,6 @@ def _procurement_cost(
     )
 
 
-def _check_demand_mean(demand: TruncatedNormal) -> None:
-    # The penalty rate is expected shortfall per unit of expected demand.
-    if not demand.mean > 0.0:
-        raise ValidationError(f"penalty rate needs a positive mean demand, got mean {demand.mean!r}")
-
-
 def _mean(values: np.ndarray) -> float:
     """values.mean() of a 1-D float array, bit for bit: the same pairwise sum
     over the same count, without the Python layer numpy wraps it in."""
@@ -215,14 +210,18 @@ def _money_terms(
     return (revenue, salvage, penalty, procurement, market.adoption_cost(decision.alpha)), excess
 
 
-def _breakdown(demand: TruncatedNormal, terms, penalty_rate: float, std_error: float, fills) -> ProfitBreakdown:
+def _breakdown(demand: TruncatedNormal, terms, shortfall: float, std_error: float, fills) -> ProfitBreakdown:
     """The one ProfitBreakdown assembly from the five money terms in _profit's
-    order. ``fills()`` gives (fill mean, fill CVaR10) and is called only when
-    the demand support lies above zero; where it touches zero, fill =
-    served/demand is undefined and both are NaN."""
+    order and the expected shortfall E[(D - Q)^+]. The penalty rate is that
+    shortfall over the model's mean demand, in both routes, so it needs a
+    positive mean. ``fills()`` gives (fill mean, fill CVaR10) and is called
+    only when the demand support lies above zero; where it touches zero,
+    fill = served/demand is undefined and both are NaN."""
+    if not demand.mean > 0.0:
+        raise ValidationError(f"penalty rate needs a positive mean demand, got mean {demand.mean!r}")
     fill_mean, cvar10 = fills() if demand.lower > 0.0 else (math.nan, math.nan)
     # Positional, in ProfitBreakdown's field order.
-    return ProfitBreakdown(*terms, _profit(*terms), fill_mean, penalty_rate, cvar10, std_error)
+    return ProfitBreakdown(*terms, _profit(*terms), fill_mean, shortfall / demand.mean, cvar10, std_error)
 
 
 def expected_profit_value(
@@ -250,9 +249,8 @@ def expected_profit_closed_form(
 ) -> ProfitBreakdown:
     """Exact expected-profit breakdown via partial expectations."""
     _check_decision(suppliers, decision)
-    _check_demand_mean(demand)
     terms, excess = _money_terms(market, suppliers, demand, decision)
-    return _breakdown(demand, terms, excess / demand.mean, 0.0, lambda: _closed_form_fills(demand, decision.total))
+    return _breakdown(demand, terms, excess, 0.0, lambda: _closed_form_fills(demand, decision.total))
 
 
 def _fill_mean_and_cvar10(fills: np.ndarray) -> tuple[float, float]:
@@ -278,19 +276,17 @@ def breakdown_from_draws(
     Means and the sample std reduce with np.add.reduce: bit for bit what
     .mean() and .std(ddof=1) return, without their Python layer, a fixed
     cost per call close to that of the sum itself at a cell's 5,000 draws.
-    The draws must be a 1-D array of real numbers with a finite, positive
-    mean.
+    The draws must be a 1-D array of finite real numbers; the penalty rate
+    divides their shortfall mean by the model's mean, as _breakdown says.
     """
     _check_decision(suppliers, decision)
-    _check_demand_mean(demand)
     draws = real_array("draws", draws, (1,))
     n = draws.size
     if n < 2:
         raise ValidationError(f"need at least 2 draws for a Monte Carlo estimate, got {n}")
-    draws_mean = _mean(draws)
-    # Also refuses NaN and infinite draws; the penalty rate divides by this mean.
-    if not 0.0 < draws_mean < math.inf:
-        raise ValidationError(f"draws must be finite with a positive mean, got mean {draws_mean!r}")
+    finite = np.isfinite(draws)
+    if not finite.all():
+        raise ValidationError(f"draws must be finite, got {float(draws[~finite][0])!r}")
 
     q_total = decision.total
     served = np.minimum(q_total, draws)
@@ -313,9 +309,7 @@ def breakdown_from_draws(
         per_rep -= market.penalty * shortfall
         per_rep -= procurement + adoption
         std_error = _sample_std(per_rep) / math.sqrt(n)
-    return _breakdown(
-        demand, terms, shortfall_mean / draws_mean, std_error, lambda: _fill_mean_and_cvar10(served / draws)
-    )
+    return _breakdown(demand, terms, shortfall_mean, std_error, lambda: _fill_mean_and_cvar10(served / draws))
 
 
 def expected_profit_monte_carlo(

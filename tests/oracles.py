@@ -237,7 +237,7 @@ def breakdown_by_numpy_reductions(market, suppliers, demand, decision, draws: np
         adoption_cost=adoption,
         expected_profit=revenue + salvage - penalty - procurement - adoption,
         fill_rate_mean=fill_mean,
-        penalty_rate=float(shortfall.mean()) / float(draws.mean()),
+        penalty_rate=float(shortfall.mean()) / demand.mean,
         fill_rate_cvar10=cvar10,
         std_error=float(per_rep.std(ddof=1)) / math.sqrt(n),
     )

@@ -36,7 +36,7 @@ from procurekit.economics import (
     MarketEconomics, SupplierProfile, adoption_cost, adoption_cost_slope, composite_beta, unit_cost,
 )
 from procurekit.errors import ProcureKitError
-from procurekit.fitting import FAMILIES, fit
+from procurekit.fitting import FAMILIES, compare, fit
 from procurekit.heatmap import render_heatmap_svg
 from procurekit.optimizer import adoption_threshold, critical_fractile, optimize
 from procurekit.profit import Decision, breakdown_from_draws, fill_rate_distribution
@@ -430,7 +430,7 @@ def test_render_heatmap_svg_draws_a_cell_per_value_or_fails_in_a_package_error(x
         (lambda: breakdown_from_draws(*BASELINE, Decision(0.1, (50.0,)), np.ones((2, 2))),
          "draws must be a 1-D array of real numbers, got float64 of shape (2, 2)"),
         (lambda: breakdown_from_draws(*BASELINE, Decision(0.1, (50.0,)), [50.0, math.nan]),
-         "draws must be finite with a positive mean, got mean nan"),
+         "draws must be finite, got nan"),
         (lambda: critical_fractile(BASELINE[0], math.nan), "cost must be finite, got nan"),
         (lambda: adaptive_alpha_update(math.nan, 0.1, 0.05, 0.05), "alpha must lie in [0, 1], got nan"),
         (lambda: adaptive_alpha_update(0.2, 0.1, 0.05, 0.0), "target_penalty must be positive, got 0.0"),
@@ -456,6 +456,11 @@ def test_render_heatmap_svg_draws_a_cell_per_value_or_fails_in_a_package_error(x
         (lambda: adoption_cost_slope(0.5, 10**400, 1.5), "a3 must be finite, got an integer beyond float range"),
         (lambda: adoption_cost_slope(0.5, 2000.0, 1.0), "nu must exceed 1, got 1.0"),
         (lambda: composite_beta(None), "components must be a 1-D array of real numbers, got object of shape ()"),
+        # fit's arguments swapped: the array family is refused before `in` makes numpy judge its truth.
+        (lambda: fit(np.array([1.0, 2.0]), "truncated-normal"),
+         f"unknown family array([1., 2.]); expected one of {FAMILIES}"),
+        (lambda: compare([1.0, 2.0], [np.array([1.0, 2.0])]),
+         f"unknown family array([1., 2.]); expected one of {FAMILIES}"),
     ],
     ids=[
         "fill-nan-q", "fill-string-q", "fill-huge-q", "fill-float-n", "draws-strings", "draws-2d", "draws-nan",
@@ -463,7 +468,7 @@ def test_render_heatmap_svg_draws_a_cell_per_value_or_fails_in_a_package_error(x
         "min-nan", "cdf-array-nan", "decomposition-string-responses", "decomposition-ragged-samples",
         "heatmap-string-values", "unit-cost-nan-base", "unit-cost-string-base", "unit-cost-huge-base",
         "unit-cost-inf-a2", "adoption-nan-a3", "adoption-negative-nu", "slope-huge-a3", "slope-nu-one",
-        "composite-none",
+        "composite-none", "fit-array-family", "compare-array-family",
     ],
 )
 def test_public_functions_refuse_bad_arguments_by_name(call, message):

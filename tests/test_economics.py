@@ -90,6 +90,13 @@ class TestAdoptionCost:
     def test_slope_zero_at_origin(self):
         assert adoption_cost_slope(0.0, 2000.0, 1.5) == 0.0
 
+    def test_slope_where_a3_times_nu_overflows(self):
+        # An underflowing power gives a zero slope, not inf * 0 = NaN.
+        assert adoption_cost_slope(1e-300, 1e308, 3.0) == 0.0
+        assert baseline_market(a3=1e308, nu=3.0).adoption_cost_slope(1e-300) == 0.0
+        slope = adoption_cost_slope(0.5, 1e308, 3.0)
+        assert math.isfinite(slope) and slope == pytest.approx(7.5e307, rel=1e-15)
+
     @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.9])
     @pytest.mark.parametrize("nu", [1.2, 1.5, 2.0, 3.0])
     def test_slope_matches_finite_difference(self, alpha, nu):

@@ -264,6 +264,21 @@ class TestNonpositiveMeanDemand:
             optimize(MARKET, SUPPLIERS, self.DEMAND)
 
 
+class TestPenaltyRateOverTheModelMean:
+    # A support below zero with mean 0.0035: a draw set's own mean can be
+    # negative, so a rate over it would swing by a factor of four or be refused.
+    DEMAND = baseline_demand(mu=0.0, sigma=1.0, lower=-1.0, upper=1.01)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_twin_rate_is_near_the_closed_form(self, seed):
+        opt = optimize(MARKET, SUPPLIERS, self.DEMAND)
+        assert opt.breakdown.penalty_rate == pytest.approx(48.7159, rel=1e-5)
+        twin = expected_profit_monte_carlo(
+            MARKET, SUPPLIERS, self.DEMAND, opt.decision, 5000, np.random.default_rng(seed)
+        )
+        assert twin.penalty_rate == pytest.approx(opt.breakdown.penalty_rate, rel=0.05)
+
+
 class TestFillRateDistribution:
     def test_summary_shape(self):
         s = fill_rate_distribution(DEMAND, 51.6, 100_000, np.random.default_rng(2))

@@ -3,8 +3,9 @@
 The fixed set spans the baseline, 20 of the benchmark's generated problems
 (2 to 6 suppliers, windows in both tails), and demand windows around mu,
 left of it and right of it, from 1e-3 to 30 parent sigmas wide, at nu from
-1.05 to 4, plus a problem whose optimum is the corner alpha = 1 and
-problems whose critical fractile lies within 1e-4 of 0 or of 1. Each test
+1.05 to 4, plus a problem whose optimum is the corner alpha = 1, one whose
+a3 * nu overflows a float, and problems whose critical fractile lies within
+1e-4 of 0 or of 1. Each test
 prints how many ulps optimize's alpha* sits from the reference. The expected
 profit at the optimum and adoption_threshold are held to the same reference.
 A hypothesis property test draws alpha* and Q* problems over the same model
@@ -56,6 +57,8 @@ def at_fractile(fractile: float, nu: float, a1: float, a3: float, demand=None) -
 CASES = {
     "baseline": (baseline_market(), baseline_suppliers(), baseline_demand()),
     "corner-alpha-1": (baseline_market(a3=100.0), baseline_suppliers(), baseline_demand()),
+    # alpha* about 1.2e-153 is a normal float, though a3 * nu overflows.
+    "a3-6e307-nu-3": (baseline_market(a3=6e307, nu=3.0), baseline_suppliers(), baseline_demand()),
     **{f"perfbench-7-{k}": problem for k, problem in enumerate(perfbench_solve_problems(7)) if k % 6 == 0},
     **{
         f"{position}-{width:g}-sigma-nu-{NUS[(p + w) % len(NUS)]}": (

@@ -489,7 +489,7 @@ class TestCellBuiltOnce:
         )
         assert row.status == "ok"
         assert (row.alpha_star, row.q_star) == (opt.alpha_star, opt.q_star)
-        assert row.alpha_star == 0.01644605340336963
+        assert row.alpha_star == 0.01644605340336964
 
     def test_lhs_over_both_bounds_solves_every_cell(self):
         spec = small_spec(

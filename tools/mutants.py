@@ -109,6 +109,19 @@ MUTANTS = (
         "from scipy.special import ndtri\n\n        return self.params.quantile(uniforms, ndtri)",
     ),
     Mutant(
+        "penalty rate over the draws' mean",
+        "profit.py",
+        "return _breakdown(demand, terms, shortfall_mean, std_error, lambda: _fill_mean_and_cvar10(served / draws))",
+        "return _breakdown(demand, terms, shortfall_mean * demand.mean / _mean(draws), std_error, "
+        "lambda: _fill_mean_and_cvar10(served / draws))",
+    ),
+    Mutant(
+        "slope through a3 * nu",
+        "economics.py",
+        "return a3 * (nu * alpha ** (nu - 1.0))",
+        "return a3 * nu * alpha ** (nu - 1.0)",
+    ),
+    Mutant(
         "ScenarioSpec takes any model",
         "scenarios.py",
         "_check_run(self.market, self.suppliers, self.demand, self.seed, self.replications)",
