@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidDistributionError, ValidationError, check_finite, is_int, real_array, store_floats
+from .errors import InvalidDistributionError, ValidationError, check_finite, is_int, real_array
 
 __all__ = ["TruncatedNormal", "TruncatedNormalParams"]
 
@@ -293,10 +293,8 @@ class TruncatedNormal:
     upper: float
 
     def __post_init__(self) -> None:
-        names = ("mu", "sigma", "lower", "upper")
-        for name in names:
-            check_finite(name, getattr(self, name), InvalidDistributionError)
-        store_floats(self, names)
+        for name in ("mu", "sigma", "lower", "upper"):
+            object.__setattr__(self, name, check_finite(name, getattr(self, name), InvalidDistributionError))
         if self.sigma <= 0.0:
             raise InvalidDistributionError(f"sigma must be positive, got {self.sigma}")
         if not self.lower < self.upper:

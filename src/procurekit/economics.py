@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
-    NegativeUnitCostError, ValidationError, check_finite, check_unit_interval, is_int, real_array, store_floats,
+    NegativeUnitCostError, ValidationError, check_finite, check_unit_interval, is_int, real_array,
 )
 
 __all__ = [
@@ -52,8 +52,7 @@ def composite_beta(components: Sequence[float]) -> float:
         raise ValidationError(
             f"got {len(scores)} components but {len(DEFAULT_READINESS_WEIGHTS)} weights"
         )
-    for i, x in enumerate(scores):
-        check_unit_interval(f"components[{i}]", x)
+    scores = [check_unit_interval(f"components[{i}]", x) for i, x in enumerate(scores)]
     return math.fsum(w * x for w, x in zip(DEFAULT_READINESS_WEIGHTS, scores))
 
 
@@ -68,11 +67,10 @@ class SupplierProfile:
     def __post_init__(self) -> None:
         if not is_int(self.id):
             raise ValidationError(f"id must be an integer, got {self.id!r}")
-        check_finite("base_cost", self.base_cost)
+        object.__setattr__(self, "base_cost", check_finite("base_cost", self.base_cost))
         if self.base_cost <= 0.0:
             raise ValidationError(f"base_cost must be positive, got {self.base_cost!r}")
-        check_unit_interval("beta", self.beta)
-        store_floats(self, ("base_cost", "beta"))
+        object.__setattr__(self, "beta", check_unit_interval("beta", self.beta))
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,8 @@ class MarketEconomics:
 
     def __post_init__(self) -> None:
         # NaN passes every ordered comparison below, so finiteness comes first.
-        names = ("price", "salvage", "penalty", "a1", "a2", "a3", "nu")
-        for name in names:
-            check_finite(name, getattr(self, name))
-        store_floats(self, names)
+        for name in ("price", "salvage", "penalty", "a1", "a2", "a3", "nu"):
+            object.__setattr__(self, name, check_finite(name, getattr(self, name)))
         if self.price <= 0.0:
             raise ValidationError(f"price must be positive, got {self.price!r}")
         if not 0.0 <= self.salvage < self.price:
@@ -128,14 +124,12 @@ def unit_cost(base_cost: float, alpha: float, beta: float, a1: float, a2: float)
     NegativeUnitCostError when the reductions drive the cost to zero or
     below, which would make the procurement problem unbounded.
     """
-    for name, value in (("base_cost", base_cost), ("a1", a1), ("a2", a2)):
-        check_finite(name, value)
+    base_cost, a1, a2 = check_finite("base_cost", base_cost), check_finite("a1", a1), check_finite("a2", a2)
     return _unit_cost(base_cost, alpha, beta, a1, a2)
 
 
 def _unit_cost(base_cost: float, alpha: float, beta: float, a1: float, a2: float) -> float:
-    check_unit_interval("alpha", alpha)
-    check_unit_interval("beta", beta)
+    alpha, beta = check_unit_interval("alpha", alpha), check_unit_interval("beta", beta)
     cost = base_cost - a1 * alpha - a2 * beta
     if cost <= 0.0:
         raise NegativeUnitCostError(
@@ -145,20 +139,19 @@ def _unit_cost(base_cost: float, alpha: float, beta: float, a1: float, a2: float
     return cost
 
 
-def _check_adoption_terms(a3: float, nu: float) -> None:
-    """Refuse by name an a3 that is not finite, or a nu that is not finite
-    or not above 1, as MarketEconomics does."""
-    check_finite("a3", a3)
-    check_finite("nu", nu)
+def _check_adoption_terms(a3: float, nu: float) -> tuple[float, float]:
+    """a3 and nu as floats. Refuses by name an a3 that is not finite, or a nu
+    that is not finite or not above 1, as MarketEconomics does."""
+    a3, nu = check_finite("a3", a3), check_finite("nu", nu)
     if nu <= 1.0:
         raise ValidationError(f"nu must exceed 1, got {nu!r}")
+    return a3, nu
 
 
 def adoption_cost(alpha: float, a3: float, nu: float) -> float:
     """Convex adoption spend a3 * alpha**nu for alpha in [0, 1] and nu > 1."""
-    _check_adoption_terms(a3, nu)
-    check_unit_interval("alpha", alpha)
-    return a3 * alpha**nu
+    a3, nu = _check_adoption_terms(a3, nu)
+    return a3 * check_unit_interval("alpha", alpha) ** nu
 
 
 def adoption_cost_slope(alpha: float, a3: float, nu: float) -> float:
@@ -167,8 +160,8 @@ def adoption_cost_slope(alpha: float, a3: float, nu: float) -> float:
     nu scales the power before a3 does, as in the solver's slope, so the
     product of a3 and nu, which can overflow, is never formed, and an
     underflowing power gives 0, never inf * 0 = NaN."""
-    _check_adoption_terms(a3, nu)
-    check_unit_interval("alpha", alpha)
+    a3, nu = _check_adoption_terms(a3, nu)
+    alpha = check_unit_interval("alpha", alpha)
     return a3 * (nu * alpha ** (nu - 1.0))
 
 

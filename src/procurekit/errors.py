@@ -2,6 +2,8 @@
 every public constructor checks with, each stated once: a real number is an
 int, a float or a numpy integer or floating scalar, but never a bool. An
 array of real numbers is rectangular, of integer or floating dtype, no bool.
+A number rule returns the Python float it accepts, and callers store and
+compute with that float, so no numpy scalar promotion reaches the model.
 
 The CLI maps these onto exit codes: validation problems exit 1, runtime
 failures exit 2, I/O errors exit 3.
@@ -77,32 +79,24 @@ def is_finite(value: object) -> bool:
         return False
 
 
-def check_finite(name: str, value, error: type[ValidationError] = ValidationError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is a real number that
-    converts to a finite float: a non-number is refused first, then NaN, inf
-    and an integer beyond float range."""
+def check_finite(name: str, value, error: type[ValidationError] = ValidationError) -> float:
+    """``value`` as a float, once it is a real number that converts to a
+    finite float; else raise ``error`` naming ``name``: a non-number is
+    refused first, then NaN, inf and an integer beyond float range."""
     if not is_finite(value):
         if not is_real(value):
             raise error(f"{name} must be a real number, got {value!r}")
         shown = "an integer beyond float range" if isinstance(value, int) else repr(value)
         raise error(f"{name} must be finite, got {shown}")
+    return float(value)
 
 
-def store_floats(record, names) -> None:
-    """Store the named fields of a frozen dataclass as Python floats, once
-    their number checks have passed, so that a numpy scalar given as a field
-    takes no numpy arithmetic into the model."""
-    for name in names:
-        value = getattr(record, name)
-        if type(value) is not float:
-            object.__setattr__(record, name, float(value))
-
-
-def check_unit_interval(name: str, value) -> None:
-    """Raise ValidationError naming ``name`` unless ``value`` is a real number in [0, 1]."""
+def check_unit_interval(name: str, value) -> float:
+    """``value`` as a float, once it is a real number in [0, 1]; else raise ValidationError naming ``name``."""
     # NaN, inf and an integer beyond float range all fail the comparison.
     if not (is_real(value) and 0.0 <= value <= 1.0):
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
 
 
 def real_array(name: str, values, ndims: tuple[int, ...] | None = None) -> np.ndarray:

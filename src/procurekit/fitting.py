@@ -170,6 +170,8 @@ def compare(
     family name. Families whose fit raises are excluded from the ranking and
     recorded in ``warnings`` instead.
     """
+    if isinstance(families, str):
+        raise ValidationError(f"families must be a sequence of family names, got the string {families!r}")
     fams = tuple(families)
     if not fams:
         raise ValidationError("at least one family is required")

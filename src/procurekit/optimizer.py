@@ -113,8 +113,7 @@ def critical_fractile(market: MarketEconomics, cost: float) -> float:
     unbounded and no finite order is optimal, and when price + penalty
     overflows a float.
     """
-    check_finite("cost", cost)
-    cost = float(cost)  # a numpy float32 cost would round the fractile to float32
+    cost = check_finite("cost", cost)
     if cost < market.salvage:
         raise DegenerateEconomicsError(
             f"unit cost {cost!r} below salvage {market.salvage!r}: "

@@ -28,7 +28,6 @@ from .demand import _GL_NODES, _GL_WEIGHTS, TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
 from .errors import (
     DegenerateEconomicsError, ValidationError, check_finite, check_unit_interval, is_finite, is_int, real_array,
-    store_floats,
 )
 
 __all__ = [
@@ -52,13 +51,12 @@ class Decision:
     quantities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        check_unit_interval("alpha", self.alpha)
+        object.__setattr__(self, "alpha", check_unit_interval("alpha", self.alpha))
         if not self.quantities:
             raise ValidationError("decision needs at least one order quantity")
         for i, q in enumerate(self.quantities):
             if not (is_finite(q) and q >= 0.0):
                 raise ValidationError(f"quantities[{i}] must be nonnegative, got {q!r}")
-        store_floats(self, ("alpha",))
         object.__setattr__(self, "quantities", tuple(map(float, self.quantities)))
 
     @property
@@ -144,7 +142,13 @@ def _sample_std(values: np.ndarray) -> float:
 
 
 def _mean_inverse(demand: TruncatedNormal, lo: float, hi: float) -> float:
-    """integral of f(x)/x over [lo, hi], a part of the demand interval; requires lo > 0."""
+    """integral of f(x)/x over [lo, hi], a part of the demand interval; requires lo > 0.
+
+    The density underflows to 0 beyond 40 parent sigmas of mu, so the nodes
+    span only the part of [lo, hi] within them: spread over a wider window,
+    they would miss the mass, and z * z would overflow."""
+    reach = 40.0 * demand.sigma
+    lo, hi = max(lo, demand.mu - reach), min(hi, demand.mu + reach)
     if hi <= lo:
         return 0.0
     mid = 0.5 * (lo + hi)
@@ -334,7 +338,7 @@ def fill_rate_distribution(
     """
     if demand.lower <= 0.0:
         raise ValidationError("fill rate needs strictly positive demand support")
-    check_finite("supply level", q)
+    q = check_finite("supply level", q)
     if q < 0.0:
         raise ValidationError(f"supply level must be nonnegative, got {q!r}")
     if not (is_int(n) and n >= 10):

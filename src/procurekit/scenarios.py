@@ -31,7 +31,7 @@ from .demand import TruncatedNormal
 from .economics import MarketEconomics, SupplierProfile
 from .errors import (
     ProcureKitError, RankDeficientDesignError, ValidationError, check_finite, check_unit_interval, is_finite, is_int,
-    is_real, real_array, store_floats,
+    is_real, real_array,
 )
 from .optimizer import _solve_batch, optimal_quantity_given_alpha
 from .profit import Decision, ProfitBreakdown, breakdown_from_draws, expected_profit_monte_carlo
@@ -67,18 +67,27 @@ def _check_run(market, suppliers, demand, seed, replications) -> None:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def _check_positive(name: str, value) -> float:
+    """``value`` as a float, once it is finite and positive; else raise ValidationError naming ``name``."""
+    number = check_finite(name, value)
+    if number <= 0.0:
+        raise ValidationError(f"{name} must be positive, got {number!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class DynamicSpec:
     """Adaptive multi-cycle settings: declining adoption cost, penalty feedback.
 
-    Cycle t uses adoption cost scale a3_initial - a3_decline * (t - 1). After
-    each cycle the adoption level moves by learning_rate times the relative
-    gap between the observed penalty rate and target_penalty, clamped to
-    [0, 1]. cycles is an integer from 1 to MAX_CYCLES.
+    Cycle t uses adoption cost scale a3 - a3_decline * (t - 1), where a3 is
+    the study's own market.a3 (a3_at); ScenarioSpec keeps that scale positive
+    over the horizon. After each cycle the adoption level moves by
+    learning_rate times the relative gap between the observed penalty rate
+    and target_penalty, clamped to [0, 1]. cycles is an integer from 1 to
+    MAX_CYCLES.
     """
 
     cycles: int
-    a3_initial: float
     a3_decline: float
     learning_rate: float
     target_penalty: float
@@ -87,27 +96,16 @@ class DynamicSpec:
     def __post_init__(self) -> None:
         if not (is_int(self.cycles) and 1 <= self.cycles <= MAX_CYCLES):
             raise ValidationError(f"cycles must be an integer from 1 to {MAX_CYCLES}, got {self.cycles!r}")
-        # NaN passes every ordered comparison below, so finiteness comes first.
-        names = ("a3_initial", "a3_decline", "learning_rate", "target_penalty", "alpha_initial")
-        for name in names:
-            check_finite(name, getattr(self, name))
-        # A Python int, as store_floats makes the floats, so that no numpy integer reaches the cycle loop.
+        # A Python int, as the number rules give floats, so that no numpy integer reaches the cycle loop.
         object.__setattr__(self, "cycles", int(self.cycles))
-        store_floats(self, names)
-        final_a3 = self.a3_at(self.cycles)
-        if self.a3_initial <= 0.0 or final_a3 <= 0.0:
-            raise ValidationError(
-                "adoption cost scale must stay positive over the horizon; "
-                f"cycle {self.cycles} would reach {final_a3}"
-            )
+        object.__setattr__(self, "a3_decline", check_finite("a3_decline", self.a3_decline))
         for name in ("learning_rate", "target_penalty"):
-            if getattr(self, name) <= 0.0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
-        check_unit_interval("alpha_initial", self.alpha_initial)
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
+        object.__setattr__(self, "alpha_initial", check_unit_interval("alpha_initial", self.alpha_initial))
 
-    def a3_at(self, cycle: int) -> float:
-        """Adoption cost scale in the given 1-indexed cycle."""
-        return self.a3_initial - self.a3_decline * (cycle - 1)
+    def a3_at(self, a3: float, cycle: int) -> float:
+        """Adoption cost scale in the given 1-indexed cycle of a study whose market.a3 is ``a3``."""
+        return a3 - self.a3_decline * (cycle - 1)
 
 
 @dataclass(frozen=True)
@@ -121,6 +119,8 @@ class ScenarioSpec:
     redrawn uniformly from the given range, one per supplier). Values are
     stored as floats, pairs as tuples of floats; ``id`` is a nonempty string,
     and the model and seeding fields follow a RunConfig's rule (_check_run).
+    ``lhs_samples`` is for Latin hypercube specs only. A dynamic spec keeps
+    its adoption cost scale (DynamicSpec.a3_at) positive over the horizon.
     """
 
     id: str
@@ -153,9 +153,17 @@ class ScenarioSpec:
         paths = [path for path, _ in self.axes]
         if len(set(paths)) != len(paths):
             raise ValidationError(f"axis paths must be distinct, got {paths}")
+        if self.lhs_samples and self.sampler != "latin-hypercube":
+            raise ValidationError(f"lhs_samples is for the latin-hypercube sampler only, got {self.lhs_samples!r}")
         if self.dynamic is not None:
             if self.axes or self.sampler != "grid":
                 raise ValidationError("dynamic scenarios take no axes or sampler settings")
+            final_a3 = self.dynamic.a3_at(self.market.a3, self.dynamic.cycles)
+            if self.market.a3 <= 0.0 or final_a3 <= 0.0:
+                raise ValidationError(
+                    "adoption cost scale must stay positive over the horizon; "
+                    f"cycle {self.dynamic.cycles} would reach {final_a3}"
+                )
             return
         if self.sampler == "grid" and not self.axes:
             raise ValidationError("grid sampler requires at least one axis")
@@ -343,14 +351,10 @@ def adaptive_alpha_update(
     alpha lies in [0, 1], the penalty rates are finite, and the learning rate
     and target are positive, as in DynamicSpec. The step is in Python floats.
     """
-    check_unit_interval("alpha", alpha)
-    check_finite("observed_penalty", observed_penalty)
-    for name, value in (("learning_rate", learning_rate), ("target_penalty", target_penalty)):
-        check_finite(name, value)
-        if value <= 0.0:
-            raise ValidationError(f"{name} must be positive, got {value!r}")
-    rate, target = float(learning_rate), float(target_penalty)
-    return min(1.0, max(0.0, float(alpha) + rate * (float(observed_penalty) - target) / target))
+    alpha = check_unit_interval("alpha", alpha)
+    observed_penalty = check_finite("observed_penalty", observed_penalty)
+    rate, target = _check_positive("learning_rate", learning_rate), _check_positive("target_penalty", target_penalty)
+    return min(1.0, max(0.0, alpha + rate * (observed_penalty - target) / target))
 
 
 def run_dynamic(spec: ScenarioSpec) -> list[ScenarioResult]:
@@ -370,7 +374,7 @@ def run_dynamic(spec: ScenarioSpec) -> list[ScenarioResult]:
     alpha = dyn.alpha_initial
     rows: list[ScenarioResult] = []
     for cycle in range(1, dyn.cycles + 1):
-        a3 = dyn.a3_at(cycle)
+        a3 = dyn.a3_at(spec.market.a3, cycle)
         market_t = dataclasses.replace(spec.market, a3=a3)
         decision = optimal_quantity_given_alpha(market_t, spec.suppliers, spec.demand, alpha)
         breakdown = breakdown_from_draws(market_t, spec.suppliers, spec.demand, decision, draws)
@@ -492,10 +496,10 @@ _PRESETS = {
         )
     ),
     "s11": dict(
+        market=dataclasses.replace(BASELINE_MARKET, a3=3000.0),
         demand=dataclasses.replace(BASELINE_DEMAND, sigma=12.0),
         dynamic=DynamicSpec(
             cycles=10,
-            a3_initial=3000.0,
             a3_decline=200.0,
             learning_rate=0.05,
             target_penalty=0.05,

@@ -83,13 +83,12 @@ def test_criterion_02_adaptive_rule_and_cost_schedule():
     third = adaptive_alpha_update(second, 0.081, 0.05, 0.05)
     dyn = DynamicSpec(
         cycles=10,
-        a3_initial=3000.0,
         a3_decline=200.0,
         learning_rate=0.05,
         target_penalty=0.05,
         alpha_initial=0.2,
     )
-    schedule = [dyn.a3_at(t) for t in range(1, 11)]
+    schedule = [dyn.a3_at(3000.0, t) for t in range(1, 11)]
     checks = {
         "second_level_0.234": round(second, 3) == 0.234,
         "third_level_0.265": round(third, 3) == 0.265,

@@ -68,7 +68,7 @@ MARKET = dict(
 DEMAND = dict(mu=(20.0, 80.0), sigma=(0.5, 20.0), lower=(-5.0, 40.0), upper=(60.0, 100.0))
 SUPPLIER = dict(id=(1.0, 3.0), base_cost=(80.0, 120.0), beta=(0.0, 1.0))
 DYNAMIC = dict(
-    cycles=(1.0, 3.0), a3_initial=(500.0, 5000.0), a3_decline=(0.0, 500.0),
+    cycles=(1.0, 3.0), a3_decline=(0.0, 500.0),
     learning_rate=(0.01, 0.2), target_penalty=(0.01, 0.2), alpha_initial=(0.0, 1.0),
 )
 AXIS_PATHS = {"market.a3": MARKET["a3"], "market.nu": MARKET["nu"], "demand.sigma": DEMAND["sigma"]}
@@ -461,6 +461,8 @@ def test_render_heatmap_svg_draws_a_cell_per_value_or_fails_in_a_package_error(x
          f"unknown family array([1., 2.]); expected one of {FAMILIES}"),
         (lambda: compare([1.0, 2.0], [np.array([1.0, 2.0])]),
          f"unknown family array([1., 2.]); expected one of {FAMILIES}"),
+        (lambda: compare([1.0, 2.0, 3.0, 4.0, 5.0], "pareto"),
+         "families must be a sequence of family names, got the string 'pareto'"),
     ],
     ids=[
         "fill-nan-q", "fill-string-q", "fill-huge-q", "fill-float-n", "draws-strings", "draws-2d", "draws-nan",
@@ -468,7 +470,7 @@ def test_render_heatmap_svg_draws_a_cell_per_value_or_fails_in_a_package_error(x
         "min-nan", "cdf-array-nan", "decomposition-string-responses", "decomposition-ragged-samples",
         "heatmap-string-values", "unit-cost-nan-base", "unit-cost-string-base", "unit-cost-huge-base",
         "unit-cost-inf-a2", "adoption-nan-a3", "adoption-negative-nu", "slope-huge-a3", "slope-nu-one",
-        "composite-none", "fit-array-family", "compare-array-family",
+        "composite-none", "fit-array-family", "compare-array-family", "compare-string-families",
     ],
 )
 def test_public_functions_refuse_bad_arguments_by_name(call, message):
@@ -487,7 +489,7 @@ def test_public_functions_refuse_bad_arguments_by_name(call, message):
         (lambda: SupplierProfile(id=1, base_cost=100.0, beta=np.bool_(True)), "beta"),
         (
             lambda: DynamicSpec(
-                cycles=np.int64(2), a3_initial=3000.0, a3_decline=200.0,
+                cycles=np.int64(2), a3_decline=200.0,
                 learning_rate=0.05, target_penalty=0.05, alpha_initial="0.2",
             ),
             "alpha_initial",

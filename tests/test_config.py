@@ -48,7 +48,7 @@ FULL_CONFIG = textwrap.dedent(
 )
 
 # Every dynamic field but cycles: the section is complete, so the model checks the cycles value.
-DYNAMIC_REST = "a3_initial: 3000.0, a3_decline: 200.0, learning_rate: 0.05, target_penalty: 0.05, alpha_initial: 0.2"
+DYNAMIC_REST = "a3_decline: 200.0, learning_rate: 0.05, target_penalty: 0.05, alpha_initial: 0.2"
 
 
 class TestParseConfig:
@@ -146,7 +146,6 @@ class TestParseConfig:
               id: cycles
               dynamic:
                 cycles: 6
-                a3_initial: 2800.0
                 a3_decline: 150.0
                 learning_rate: 0.07
                 target_penalty: 0.04
@@ -164,7 +163,6 @@ class TestParseConfig:
         assert cfg.demand == TruncatedNormal(mu=52.0, sigma=6.5, lower=35.0, upper=71.0)
         assert cfg.scenario.dynamic == DynamicSpec(
             cycles=6,
-            a3_initial=2800.0,
             a3_decline=150.0,
             learning_rate=0.07,
             target_penalty=0.04,
@@ -218,9 +216,14 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config("scenario:\n  id: x\n  dynamic:\n    cycle: 3\n")
         assert str(exc.value).endswith(
-            "unknown keys ['cycle']; expected a subset of ['cycles', 'a3_initial', "
+            "unknown keys ['cycle']; expected a subset of ['cycles', "
             "'a3_decline', 'learning_rate', 'target_penalty', 'alpha_initial']"
         )
+
+    def test_dynamic_a3_initial_is_an_unknown_key(self):
+        # A dynamic study's first-cycle scale is its market.a3, so the old key is refused, not ignored.
+        with pytest.raises(ValidationError, match=r"unknown keys \['a3_initial'\]"):
+            parse_config(f"scenario:\n  id: x\n  dynamic: {{cycles: 3, a3_initial: 3000.0, {DYNAMIC_REST}}}\n")
 
     def test_rejects_empty_supplier_list(self):
         with pytest.raises(ValidationError, match="nonempty list"):
@@ -304,7 +307,6 @@ class TestScenarioSection:
               id: cycles
               dynamic:
                 cycles: 10
-                a3_initial: 3000.0
                 a3_decline: 200.0
                 learning_rate: 0.05
                 target_penalty: 0.05
@@ -321,7 +323,6 @@ class TestScenarioSection:
     def test_non_finite_dynamic_setting_is_named_and_exits_1(self, tmp_path, field, value):
         settings = dict(
             cycles=10,
-            a3_initial=3000.0,
             a3_decline=200.0,
             learning_rate=0.05,
             target_penalty=0.05,

@@ -97,7 +97,6 @@ def scenario(draw) -> dict:
     if kind == "dynamic":
         doc["dynamic"] = {
             "cycles": draw(st.integers(1, 4)),
-            "a3_initial": draw(st.floats(500.0, 5000.0)),
             "a3_decline": draw(st.floats(0.0, 500.0)),
             "learning_rate": draw(st.floats(0.01, 0.2)),
             "target_penalty": draw(st.floats(0.01, 0.2)),

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from procurekit import optimizer
 from procurekit.cli import main
 from procurekit.demand import TruncatedNormal
-from procurekit.economics import MarketEconomics, SupplierProfile, cheapest_supplier
+from procurekit.economics import (
+    MarketEconomics, SupplierProfile, adoption_cost, adoption_cost_slope, cheapest_supplier, composite_beta, unit_cost,
+)
 from procurekit.errors import (
     DegenerateEconomicsError,
     NegativeUnitCostError,
@@ -32,7 +34,7 @@ from procurekit.optimizer import (
 )
 from procurekit.profit import Decision, expected_profit_value
 
-from procurekit.scenarios import DynamicSpec, _cell_coordinates, preset, run
+from procurekit.scenarios import DynamicSpec, _cell_coordinates, adaptive_alpha_update, preset, run
 
 from helpers import (
     baseline_demand,
@@ -265,6 +267,14 @@ class TestOptimize:
         opt = optimize(market, suppliers, demand)
         assert 0.0 < opt.alpha_star < 1e-13
         assert opt.kkt.max_residual <= 1e-9
+
+    @pytest.mark.parametrize("upper", [1e155, 1e160, 1.7e308])
+    def test_an_upper_bound_past_40_sigma_solves_as_the_bound_at_40_sigma(self, upper):
+        # The fill-rate quadrature stops where the density underflows; past
+        # an upper bound of about 1e154 its z * z would overflow.
+        near = optimize(MARKET, SUPPLIERS, TruncatedNormal(mu=50.0, sigma=8.0, lower=30.0, upper=370.0))
+        assert optimize(MARKET, SUPPLIERS, TruncatedNormal(mu=50.0, sigma=8.0, lower=30.0, upper=upper)) == near
+        assert near.alpha_star == pytest.approx(0.0073826, rel=1e-5)
 
     def test_right_tail_demand_closes_kkt(self):
         # Demand 7 to 8 parent sigmas right of mu: the fractile quantile and
@@ -857,7 +867,7 @@ class TestFloatFields:
             _cast_fields(baseline_market(), np.float32),
             _cast_fields(baseline_demand(), np.float32),
             SupplierProfile(id=np.int64(4), base_cost=np.float32(100.0), beta=np.float64(0.25)),
-            DynamicSpec(cycles=np.int64(3), a3_initial=np.float32(3000.0), a3_decline=200,
+            DynamicSpec(cycles=np.int64(3), a3_decline=200,
                         learning_rate=np.float32(0.05), target_penalty=0.05, alpha_initial=np.float32(0.2)),
             Decision(alpha=np.float32(0.5), quantities=(np.float32(1.5), 0, np.float64(2.0))),
         ]
@@ -871,6 +881,37 @@ class TestFloatFields:
                     assert [type(q) for q in value] == [float] * 3
                 else:
                     assert type(value) is float, (model, field.name)
+
+    @pytest.mark.parametrize("cast", [np.float32, np.float64, np.int64])
+    def test_number_rules_return_python_floats(self, cast):
+        # Integer-valued arguments, so that int64 takes every value too.
+        results = [
+            unit_cost(cast(100), cast(1), cast(0), cast(5), cast(8)),
+            adoption_cost(cast(1), cast(2000), cast(2)),
+            adoption_cost_slope(cast(1), cast(2000), cast(2)),
+            critical_fractile(MARKET, cast(90)),
+            composite_beta([cast(1), cast(0), cast(1), cast(0), cast(1)]),
+            adaptive_alpha_update(cast(0), cast(1), cast(1), cast(1)),
+        ]
+        assert [type(r) for r in results] == [float] * len(results)
+        models = [
+            _cast_fields(baseline_market(nu=2.0), cast),
+            _cast_fields(baseline_demand(), cast),
+            SupplierProfile(id=1, base_cost=cast(100), beta=cast(1)),
+            DynamicSpec(cycles=3, a3_decline=cast(200), learning_rate=cast(1), target_penalty=cast(1),
+                        alpha_initial=cast(0)),
+            Decision(alpha=cast(1), quantities=(cast(2),)),
+        ]
+        for model in models:
+            for field in dataclasses.fields(model):
+                if field.name not in ("id", "cycles", "quantities"):
+                    assert type(getattr(model, field.name)) is float, (model, field.name)
+
+    @pytest.mark.parametrize("function", [adoption_cost, adoption_cost_slope])
+    def test_a_float32_alpha_takes_no_float32_arithmetic_into_the_adoption_cost(self, function):
+        # In float32, 1e300 * 0.5 ** 1.5 would overflow to inf.
+        narrow = function(np.float32(0.5), 1e300, 1.5)
+        assert math.isfinite(narrow) and narrow == function(0.5, 1e300, 1.5)
 
     def test_float32_models_solve_like_models_of_their_float_values(self):
         models = (baseline_market(), baseline_suppliers(), baseline_demand())

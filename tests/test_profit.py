@@ -135,6 +135,19 @@ class TestClosedForm:
         assert math.isnan(b.fill_rate_mean)
         assert math.isfinite(b.expected_profit)
 
+    def test_fill_metrics_of_a_window_reaching_past_40_sigma_are_those_of_the_window_within(self):
+        # The density underflows to 0 past 40 sigmas; spread over the whole
+        # window, the quadrature's nodes would miss the mass on either side.
+        far = baseline_demand(mu=1e6, sigma=10.0, lower=1e-9, upper=2e6)
+        near = baseline_demand(mu=1e6, sigma=10.0, lower=1e6 - 400.0, upper=1e6 + 400.0)
+        for total in (1e6 - 5.0, 1e6 + 3.0):
+            decision = Decision(alpha=0.0, quantities=(0.0, 0.0, total))
+            fills = [
+                (b.fill_rate_mean, b.fill_rate_cvar10)
+                for b in (expected_profit_closed_form(MARKET, SUPPLIERS, d, decision) for d in (far, near))
+            ]
+            assert fills[0] == fills[1] and 0.9999 < fills[0][1] < fills[0][0] < 1.0
+
     @pytest.mark.parametrize("floats", [1, 16])
     def test_fill_metrics_of_a_window_a_few_floats_wide(self, floats):
         # Unclamped, the 1-float window read (1.0000007186, 0.0), the 90%

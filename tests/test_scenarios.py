@@ -55,19 +55,27 @@ def small_spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**settings)
 
 
+# DynamicSpec's settings for s11's schedule, whose first cycle's scale is the study's market.a3 = 3000.
+DYNAMIC_SETTINGS = dict(a3_decline=200.0, learning_rate=0.05, target_penalty=0.05, alpha_initial=0.2)
+
+
+def dynamic_spec(a3: float = 3000.0, **settings) -> ScenarioSpec:
+    """A dynamic study on the baseline model whose market.a3 is ``a3``."""
+    settings = {**DYNAMIC_SETTINGS, "cycles": 10, **settings}
+    return small_spec(axes=(), market=dataclasses.replace(BASELINE_MARKET, a3=a3), dynamic=DynamicSpec(**settings))
+
+
 class TestDynamicSpec:
     def test_a3_schedule(self):
-        dyn = DynamicSpec(
-            cycles=10,
-            a3_initial=3000.0,
-            a3_decline=200.0,
-            learning_rate=0.05,
-            target_penalty=0.05,
-            alpha_initial=0.2,
-        )
-        assert dyn.a3_at(1) == 3000.0
-        assert dyn.a3_at(2) == 2800.0
-        assert dyn.a3_at(10) == 1200.0
+        dyn = DynamicSpec(cycles=10, **DYNAMIC_SETTINGS)
+        assert dyn.a3_at(3000.0, 1) == 3000.0
+        assert dyn.a3_at(3000.0, 2) == 2800.0
+        assert dyn.a3_at(3000.0, 10) == 1200.0
+
+    def test_market_a3_sets_the_first_cycle_scale(self):
+        spec = dynamic_spec(a3=2500.0, cycles=3, a3_decline=100.0)
+        rows = run_dynamic(dataclasses.replace(spec, replications=200))
+        assert [dict(r.coordinates)["market.a3"] for r in rows] == [2500.0, 2400.0, 2300.0]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -95,21 +103,15 @@ class TestDynamicSpec:
         ],
     )
     def test_rejects_bad_settings(self, field, value):
-        settings = dict(
-            cycles=10,
-            a3_initial=3000.0,
-            a3_decline=200.0,
-            learning_rate=0.05,
-            target_penalty=0.05,
-            alpha_initial=0.2,
-        )
-        settings[field] = value
+        # The cycle-1 scale, once DynamicSpec's a3_initial, is the study's market.a3.
+        a3 = value if field == "a3_initial" else 3000.0
+        settings = {} if field == "a3_initial" else {field: value}
         with pytest.raises(ValidationError):
-            DynamicSpec(**settings)
+            dynamic_spec(a3, **settings)
 
     def test_numpy_count_is_stored_as_int(self):
         # An int64 count would take the cycle loop's bound, cycles + 1, into int64.
-        settings = dict(a3_initial=3000.0, a3_decline=0.0, learning_rate=0.05, target_penalty=0.05, alpha_initial=0.2)
+        settings = dict(DYNAMIC_SETTINGS, a3_decline=0.0)
         longest = DynamicSpec(cycles=np.int64(MAX_CYCLES), **settings)
         assert type(longest.cycles) is int and longest.cycles + 1 == MAX_CYCLES + 1
         numpy_count = small_spec(axes=(), dynamic=DynamicSpec(cycles=np.int64(3), **settings))
@@ -119,7 +121,7 @@ class TestDynamicSpec:
     @pytest.mark.parametrize("cycles", [MAX_CYCLES + 1, 2**62])
     def test_horizon_above_the_cap_is_refused_by_the_api_and_the_config(self, tmp_path, cycles):
         # Only constructs: run_dynamic would loop over every cycle.
-        settings = dict(a3_initial=3000.0, a3_decline=0.0, learning_rate=0.05, target_penalty=0.05, alpha_initial=0.2)
+        settings = dict(DYNAMIC_SETTINGS, a3_decline=0.0)
         message = f"cycles must be an integer from 1 to {MAX_CYCLES}, got {cycles}"
         with pytest.raises(ValidationError, match=message):
             DynamicSpec(cycles=cycles, **settings)
@@ -134,14 +136,7 @@ class TestDynamicSpec:
     def test_rejects_schedule_reaching_zero(self):
         # cycle 16 would hit 3000 - 200 * 15 = 0
         with pytest.raises(ValidationError, match="positive"):
-            DynamicSpec(
-                cycles=16,
-                a3_initial=3000.0,
-                a3_decline=200.0,
-                learning_rate=0.05,
-                target_penalty=0.05,
-                alpha_initial=0.2,
-            )
+            dynamic_spec(cycles=16)
 
 
 class TestScenarioSpecValidation:
@@ -252,6 +247,12 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValidationError, match="lhs_samples"):
             small_spec(sampler="latin-hypercube", lhs_samples=1)
 
+    @pytest.mark.parametrize("study", ["grid", "dynamic"])
+    def test_rejects_lhs_samples_outside_latin_hypercube(self, study):
+        spec = small_spec() if study == "grid" else dynamic_spec()
+        with pytest.raises(ValidationError, match="^lhs_samples is for the latin-hypercube sampler only, got 50$"):
+            dataclasses.replace(spec, lhs_samples=50)
+
     def test_rejects_lhs_axis_without_range(self):
         with pytest.raises(ValidationError, match="range"):
             small_spec(
@@ -296,14 +297,7 @@ class TestScenarioSpecValidation:
                     build()
 
     def test_rejects_dynamic_with_axes(self):
-        dyn = DynamicSpec(
-            cycles=2,
-            a3_initial=3000.0,
-            a3_decline=200.0,
-            learning_rate=0.05,
-            target_penalty=0.05,
-            alpha_initial=0.2,
-        )
+        dyn = DynamicSpec(cycles=2, **DYNAMIC_SETTINGS)
         with pytest.raises(ValidationError, match="dynamic"):
             small_spec(dynamic=dyn)
 
@@ -750,7 +744,7 @@ class TestPresets:
         dyn = spec.dynamic
         assert dyn is not None
         assert dyn.cycles == 10
-        assert dyn.a3_initial == 3000.0 and dyn.a3_decline == 200.0
+        assert spec.market.a3 == 3000.0 and dyn.a3_decline == 200.0
         assert dyn.learning_rate == 0.05 and dyn.target_penalty == 0.05
         assert dyn.alpha_initial == 0.2
         # wider demand spread than baseline keeps the penalty signal active

@@ -122,6 +122,12 @@ MUTANTS = (
         "return a3 * nu * alpha ** (nu - 1.0)",
     ),
     Mutant(
+        "check_finite returns the value unconverted",
+        "errors.py",
+        '        raise error(f"{name} must be finite, got {shown}")\n    return float(value)\n',
+        '        raise error(f"{name} must be finite, got {shown}")\n    return value\n',
+    ),
+    Mutant(
         "ScenarioSpec takes any model",
         "scenarios.py",
         "_check_run(self.market, self.suppliers, self.demand, self.seed, self.replications)",
